@@ -245,7 +245,7 @@ def _outcome_accounting(outcome):
         "worker_pid": outcome.worker_pid,
         "resources": outcome.resources,
     }
-    if getattr(outcome, "resumed", False):
+    if outcome.resumed:
         info["resumed"] = True
     if outcome.functional is not None:
         info["functional"] = outcome.functional
@@ -275,7 +275,7 @@ def cmd_compare(args, out):
     for outcome in outcomes:
         if not outcome.ok:
             label = outcome.point.label()
-            if getattr(outcome, "timed_out", False):
+            if outcome.timed_out:
                 out.write("%s timed out after %d attempt(s) "
                           "(--timeout %.3gs)\n"
                           % (label, outcome.attempts, args.timeout))

@@ -312,13 +312,12 @@ _Boundary = namedtuple(
 
 
 class _TraceRecorder:
-    """Incremental warm-event recorder, fed one retire record at a time.
+    """Recording state of one pre-scan: event lists and stride boundaries.
 
-    Factoring the recorder out of the scan loop lets one implementation
-    serve the scalar pre-scan (:func:`record_portable_trace`) and the
-    lockstep batched pre-scan (:func:`record_portable_traces`), which
-    feeds several recorders from one
-    :class:`~repro.perf.batch.BatchedFunctionalExecutor` observer.
+    :func:`record_portable_trace` appends the warm events itself (its
+    loop binds these lists to locals) and calls
+    :meth:`_capture_boundary` every ``stride`` instructions;
+    :meth:`finish` seals the result into a :class:`PortableWarmTrace`.
     """
 
     def __init__(self, pipeline, state, stride=DEFAULT_TRACE_STRIDE):
@@ -362,47 +361,6 @@ class _TraceRecorder:
             delta,
         ))
 
-    def feed(self, record):
-        """Account one retired instruction's warm events."""
-        kinds = self.kinds
-        pc = record.pc
-        block = pc >> self.block_shift
-        if block != self.prev_block:
-            kinds.append(_E_ICACHE)
-            self.a.append(CODE_BASE + pc * 4)
-            self.b.append(0)
-            self.prev_block = block
-        kind = self.static_kinds[pc]
-        if kind:
-            if kind == _E_LOAD or kind == _E_STORE:
-                kinds.append(kind)
-                self.a.append(pc)
-                self.b.append(record.mem_addr)
-            elif kind == _E_BR or kind == _E_ORACLE:
-                if record.taken:
-                    kinds.append(kind + 1)
-                    self.a.append(pc)
-                    self.b.append(record.target)
-                    self.prev_block = -1
-                else:
-                    kinds.append(kind)
-                    self.a.append(pc)
-                    self.b.append(0)
-            elif kind == _E_CFD_T:
-                if record.taken:
-                    kinds.append(kind)
-                    self.a.append(pc)
-                    self.b.append(record.target)
-                    self.prev_block = -1
-            else:  # jumps: always taken
-                kinds.append(kind)
-                self.a.append(pc)
-                self.b.append(record.target)
-                self.prev_block = -1
-        self.count += 1
-        if self.count % self.stride == 0:
-            self._capture_boundary()
-
     def finish(self, machine_halted):
         """Seal the recording; returns the :class:`PortableWarmTrace`."""
         self.halted = bool(machine_halted)
@@ -441,11 +399,9 @@ def record_portable_trace(pipeline, limit, stride=DEFAULT_TRACE_STRIDE):
     recorder = _TraceRecorder(pipeline, state, stride)
     executor = FunctionalExecutor(pipeline.program, state)
     step = executor.step
-    # Inlined copy of _TraceRecorder.feed with everything bound to
-    # locals: the scalar pre-scan is the hottest loop in sampled mode
-    # and a per-instruction method call costs ~40% here.  The batched
-    # recorder keeps the feed() path; the scalar-vs-batched identity
-    # test pins the two implementations together.
+    # Everything the loop touches is bound to locals: the pre-scan is
+    # the hottest loop in sampled mode, and a per-instruction method
+    # call costs ~40% here.
     static_kinds = recorder.static_kinds
     block_shift = recorder.block_shift
     kinds = recorder.kinds
@@ -506,37 +462,6 @@ def record_portable_trace(pipeline, limit, stride=DEFAULT_TRACE_STRIDE):
     recorder.count = i
     recorder.prev_block = prev_block
     return recorder.finish(machine_halted)
-
-
-def record_portable_traces(pipelines, limits, stride=DEFAULT_TRACE_STRIDE):
-    """Record several pre-scans in one lockstep batch.
-
-    *pipelines* and *limits* are parallel lists — typically one pipeline
-    per workload×input group of a sweep.  All functional machines
-    advance together through a
-    :class:`~repro.perf.batch.BatchedFunctionalExecutor`, so N
-    recordings cost one tight interpreter loop instead of N sequential
-    scans.  Returns one :class:`PortableWarmTrace` per pipeline,
-    byte-identical to N scalar :func:`record_portable_trace` calls.
-    """
-    from repro.perf.batch import BatchedFunctionalExecutor
-
-    recorders = []
-    lanes = []
-    for pipeline, limit in zip(pipelines, limits):
-        state = _recording_state(pipeline)
-        recorders.append(_TraceRecorder(pipeline, state, stride))
-        lanes.append(FunctionalExecutor(pipeline.program, state, limit))
-    batch = BatchedFunctionalExecutor(lanes)
-
-    def observer(lane_index, record):
-        recorders[lane_index].feed(record)
-
-    batch.run(observer=observer)
-    return [
-        recorder.finish(halted)
-        for recorder, halted in zip(recorders, batch.halted())
-    ]
 
 
 class PortableWarmTrace:

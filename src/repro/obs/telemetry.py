@@ -1,9 +1,8 @@
 """Cross-process sweep telemetry: spools, heartbeats, and the aggregator.
 
 PR 1's observers instrument *one* pipeline in *one* process.  A sweep
-(:func:`repro.perf.sweep.run_sweep`,
-:func:`repro.rel.supervise.run_supervised_sweep`) fans points out over a
-process pool that is otherwise a black box until it returns.  This
+(:func:`repro.rel.supervise.run_supervised_sweep`) fans points out over
+a process pool that is otherwise a black box until it returns.  This
 module is the visibility layer across that pool:
 
 * every participant appends structured events to its own **JSONL spool
@@ -25,14 +24,14 @@ module is the visibility layer across that pool:
   in the spool directory as points settle.
 
 Everything is opt-in: with no spool directory configured the sweep
-engines skip every call site (one ``is None`` test), results are
+engine skips every call site (one ``is None`` test), results are
 byte-identical, and workers receive ``None`` and write nothing.  The
 spool format shares the checkpoint journal's tolerance rules: unknown
 event kinds are kept but ignored by folding, non-parsing lines are
 skipped, and a torn final line (a crashed writer) is left un-consumed
 until its newline arrives.
 
-Enable by passing ``telemetry=<dir>`` to the sweep engines or by
+Enable by passing ``telemetry=<dir>`` to the sweep engine or by
 exporting ``REPRO_TELEMETRY_DIR`` (which the benchmarks' prefetch and
 ``repro compare`` inherit).  Schemas are documented in
 ``docs/OBSERVABILITY.md`` ("Fleet telemetry").
@@ -549,7 +548,7 @@ class SweepTelemetry:
 
     Owns the parent's spool (role ``sweep``), an aggregator over the
     whole directory, and the ``metrics.prom`` snapshot.  The sweep
-    engines call :meth:`emit` for supervision events and :meth:`pump`
+    engine calls :meth:`emit` for supervision events and :meth:`pump`
     whenever a point settles; both are no-ops to arrange — every call
     site is guarded by a single ``telemetry is not None`` test.
     """
@@ -598,10 +597,10 @@ class SweepTelemetry:
             key=key,
             ok=outcome.ok,
             cached=outcome.cached,
-            resumed=getattr(outcome, "resumed", False),
-            degraded=getattr(outcome, "degraded", False),
+            resumed=outcome.resumed,
+            degraded=outcome.degraded,
             seconds=outcome.seconds,
-            attempts=getattr(outcome, "attempts", 0),
+            attempts=outcome.attempts,
             retired=(
                 outcome.result.stats.retired
                 if outcome.ok and outcome.result is not None else 0

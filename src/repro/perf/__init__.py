@@ -1,4 +1,4 @@
-"""Performance subsystem: persistent result cache + parallel sweep engine.
+"""Performance subsystem: persistent result cache, sweep points, speed.
 
 The paper's evaluation is a large grid of *independent* simulations —
 {workload x variant x input x config} — and a pure-Python cycle core makes
@@ -12,10 +12,10 @@ each point expensive.  This package makes the grid cheap two ways:
     point loads in microseconds.
 
 :mod:`repro.perf.sweep`
-    A process-pool sweep engine that fans independent points out over
-    ``ProcessPoolExecutor`` workers with deterministic result ordering
-    and per-point error capture, so one crashed point doesn't kill a
-    whole figure.
+    Sweep points and outcomes, the per-point worker with error capture
+    (one crashed point doesn't kill a whole figure) and the warm-trace
+    prewarm — what :func:`repro.rel.supervise.run_supervised_sweep`, the
+    sweep engine, fans out over ``ProcessPoolExecutor`` workers.
 
 :mod:`repro.perf.speed`
     The host-throughput benchmark (simulated kilo-instructions per host
@@ -28,13 +28,13 @@ each point expensive.  This package makes the grid cheap two ways:
 
 :mod:`repro.perf.batch`
     Lockstep batched functional execution of independent points
-    (``run_sweep(..., executor="batched")``).
+    (``run_supervised_sweep(..., executor="batched")``).
 
 See docs/PERFORMANCE.md for the cache layout, invalidation rules, the
 KIPS methodology and the sampling/batching design.
 """
 
-from repro.perf.batch import BatchedFunctionalExecutor, run_batched_points
+from repro.perf.batch import BatchedFunctionalExecutor
 from repro.perf.cache import (
     CACHE_SCHEMA_VERSION,
     CachedSimResult,
@@ -56,7 +56,7 @@ from repro.perf.speed import (
     run_speed_benchmark,
     write_speed_artifact,
 )
-from repro.perf.sweep import SweepOutcome, SweepPoint, default_jobs, run_sweep
+from repro.perf.sweep import SweepOutcome, SweepPoint, default_jobs
 
 __all__ = [
     "BatchedFunctionalExecutor",
@@ -74,10 +74,8 @@ __all__ = [
     "default_jobs",
     "program_digest",
     "result_key",
-    "run_batched_points",
     "run_sampled_benchmark",
     "run_speed_benchmark",
-    "run_sweep",
     "snapshot_result",
     "write_speed_artifact",
 ]

@@ -18,23 +18,15 @@ lane that traps or halts early leaves the active set without disturbing
 its neighbours, and its retire count freezes where it stopped.
 
 The cross-lane bookkeeping — retire counters, halt mask, per-lane
-budgets — is kept struct-of-arrays: NumPy ``int64``/``bool`` arrays when
-NumPy is importable, plain python lists otherwise.  The per-lane
-register files and memories remain ordinary :class:`ArchState` objects
-(array-of-struct), which is what keeps the scalar handlers directly
-reusable.
+budgets — is kept struct-of-arrays in plain python lists: the lockstep
+loop touches one lane at a time, where list indexing beats NumPy
+scalar access.  The per-lane register files and memories remain
+ordinary :class:`ArchState` objects (array-of-struct), which is what
+keeps the scalar handlers directly reusable.
 """
 
 from repro.arch.executor import FunctionalExecutor
 from repro.arch.state import ArchState
-
-try:  # NumPy is optional; the pure-python fallback is semantics-identical.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-#: Whether the NumPy bookkeeping path is active.
-HAVE_NUMPY = _np is not None
 
 
 class BatchedFunctionalExecutor:
@@ -56,13 +48,8 @@ class BatchedFunctionalExecutor:
             self.lanes.append(
                 FunctionalExecutor(program, state, max_instructions)
             )
-        width = len(self.lanes)
-        if _np is not None:
-            self._retired = _np.zeros(width, dtype=_np.int64)
-            self._halted = _np.zeros(width, dtype=bool)
-        else:
-            self._retired = [0] * width
-            self._halted = [False] * width
+        self._retired = [0] * len(self.lanes)
+        self._halted = [False] * len(self.lanes)
 
     @property
     def width(self):
@@ -72,24 +59,21 @@ class BatchedFunctionalExecutor:
     @property
     def active(self):
         """Number of lanes still running."""
-        if _np is not None and isinstance(self._halted, _np.ndarray):
-            return int(self.width - self._halted.sum())
         return self.width - sum(self._halted)
 
     def retired(self):
-        """Per-lane retired instruction counts (a plain list)."""
-        return [int(count) for count in self._retired]
+        """Per-lane retired instruction counts (a copy)."""
+        return list(self._retired)
 
     def halted(self):
-        """Per-lane halt flags (a plain list)."""
-        return [bool(flag) for flag in self._halted]
+        """Per-lane halt flags (a copy)."""
+        return list(self._halted)
 
     def step(self):
         """One lockstep round: every active lane retires one instruction.
 
         Returns the number of lanes that advanced (0 when everything has
-        halted).  *observer*-free by design — use :meth:`run` to stream
-        retire records.
+        halted).
         """
         advanced = 0
         halted = self._halted
@@ -104,13 +88,11 @@ class BatchedFunctionalExecutor:
                 advanced += 1
         return advanced
 
-    def run(self, max_instructions=None, observer=None):
+    def run(self, max_instructions=None):
         """Run every lane in lockstep to halt (or its budget).
 
         *max_instructions* is a per-lane cap on instructions retired by
         this call (``None`` = each lane's construction-time limit).
-        *observer*, when given, is called as ``observer(lane_index,
-        record)`` for every retired instruction, in lockstep order.
         Returns the per-lane retire counts of this call (a list).
         """
         width = self.width
@@ -119,10 +101,7 @@ class BatchedFunctionalExecutor:
             caps = [max_instructions] * width
         else:
             caps = [lane.max_instructions for lane in self.lanes]
-        if _np is not None and isinstance(self._retired, _np.ndarray):
-            budgets = self._retired + _np.asarray(caps, dtype=_np.int64)
-        else:
-            budgets = [self._retired[i] + caps[i] for i in range(width)]
+        budgets = [self._retired[i] + caps[i] for i in range(width)]
         halted = self._halted
         retired = self._retired
         # The active set is compacted only when membership changes, so
@@ -133,14 +112,11 @@ class BatchedFunctionalExecutor:
         while active:
             dropped = False
             for index in active:
-                record = self.lanes[index].step()
-                if record is None:
+                if self.lanes[index].step() is None:
                     halted[index] = True
                     dropped = True
                     continue
                 retired[index] += 1
-                if observer is not None:
-                    observer(index, record)
                 if retired[index] >= budgets[index]:
                     dropped = True
             if dropped:
@@ -150,35 +126,3 @@ class BatchedFunctionalExecutor:
                 ]
         return [after - b for after, b in zip(self.retired(), before)]
 
-
-def run_batched_points(built_points, max_instructions=None):
-    """Run pre-built sweep points' functional machines in one batch.
-
-    *built_points* is a list of ``(program, state_kwargs)`` pairs (state
-    kwargs are the CFD queue sizes, matching
-    :class:`~repro.arch.state.ArchState`).  Returns one outcome dict per
-    lane: retired count, halt flag and final PC — the functional-only
-    sweep result (:func:`repro.perf.sweep.run_sweep` with
-    ``executor="batched"``).
-    """
-    lanes = []
-    for program, state_kwargs in built_points:
-        lanes.append((program, ArchState(program, **(state_kwargs or {}))))
-    batch = BatchedFunctionalExecutor(
-        lanes,
-        max_instructions=(
-            max_instructions if max_instructions is not None else 100_000_000
-        ),
-    )
-    batch.run(max_instructions)
-    outcomes = []
-    for lane, count, halted in zip(batch.lanes, batch.retired(),
-                                   batch.halted()):
-        outcomes.append({
-            "mode": "functional",
-            "retired": count,
-            "halted": halted,
-            "final_pc": lane.state.pc,
-            "batch_width": batch.width,
-        })
-    return outcomes

@@ -1,37 +1,32 @@
-"""Parallel sweep engine: fan independent simulation points over processes.
+"""Sweep points, outcomes and the per-point work of the sweep engine.
 
 The evaluation grid — {workload x variant x input x config} — is
-embarrassingly parallel: no point depends on another.  :func:`run_sweep`
-executes a list of :class:`SweepPoint` s with a ``ProcessPoolExecutor``
-(``jobs`` workers, default ``os.cpu_count()`` / ``$REPRO_JOBS``) and
-returns one :class:`SweepOutcome` per point **in input order**, however
-the pool interleaved them.
+embarrassingly parallel: no point depends on another.  The engine,
+:func:`repro.rel.supervise.run_supervised_sweep`, runs a list of
+:class:`SweepPoint` s over a ``ProcessPoolExecutor`` (``jobs`` workers,
+default ``os.cpu_count()`` / ``$REPRO_JOBS``) and returns one
+:class:`SweepOutcome` per point **in input order**; this module holds
+what it schedules.
 
-Each worker rebuilds its workload from the (deterministic) build recipe
-and ships the result back as the lossless snapshot dict from
-:func:`repro.perf.cache.snapshot_result`, so nothing heavyweight (live
-pipelines, cache hierarchies, predictor state) crosses the process
-boundary.  A point that raises is captured as ``outcome.error`` (a full
-traceback string) without killing the sweep.
-
-With a :class:`~repro.perf.cache.ResultCache` attached, already-simulated
-points are served from disk without touching the pool, and fresh results
-are persisted as they arrive — a second run of the same figure is
-incremental.  ``jobs=1`` (or a single point) runs inline in-process,
-which is also the reference path the determinism tests compare the pool
-against: both produce byte-identical ``stats.to_dict()``.
+:func:`_simulate_point` is the worker: it rebuilds the workload from
+the (deterministic) build recipe and ships the result back as the
+lossless snapshot dict from :func:`repro.perf.cache.snapshot_result`, so
+nothing heavyweight (live pipelines, cache hierarchies, predictor state)
+crosses the process boundary.  A point that raises is captured as a
+full traceback string without killing the sweep.
+:func:`prewarm_traces` records each sampled point group's shared warm
+trace once before the fan-out, and :func:`_run_batched_sweep` is the
+``executor="batched"`` lockstep path.
 """
 
 import os
 import time
 import traceback
 from collections import namedtuple
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import CoreConfig
-from repro.obs.telemetry import SweepTelemetry
 from repro.perf.cache import CachedSimResult, snapshot_result
 
 _ENV_JOBS = "REPRO_JOBS"
@@ -91,7 +86,8 @@ class SweepOutcome:
     digging through supervision journals.  ``functional`` is set instead
     of ``result`` for ``executor="batched"`` sweeps, which run the
     points' functional machines in one lockstep batch and report
-    architectural outcomes only (no timing stats).
+    architectural outcomes only (no timing stats).  ``timed_out``,
+    ``resumed`` and ``degraded`` record the supervision history.
     """
 
     point: SweepPoint
@@ -109,8 +105,8 @@ class SweepOutcome:
     #: 0.0 for cache hits.  ``elapsed`` remains the parent-observed wall
     #: time, which additionally covers queueing and transfer.
     seconds: float = 0.0
-    #: Simulation attempts actually launched (0 for cache hits; the plain
-    #: sweep never retries, so success here means 1).
+    #: Simulation attempts actually launched (0 for cache hits and
+    #: journal resumes; more than 1 after retries).
     attempts: int = 0
     #: Worker resource usage of the final attempt when telemetry was on
     #: (:meth:`repro.obs.resource.ResourceSample.delta`); ``None`` otherwise.
@@ -124,6 +120,12 @@ class SweepOutcome:
     #: out of ``result``/the cached payload so trace reuse never changes
     #: result bytes.
     trace: Optional[dict] = None
+    #: The final failure was a wall-clock timeout.
+    timed_out: bool = False
+    #: Served from the checkpoint journal of an earlier, interrupted run.
+    resumed: bool = False
+    #: Ran inline after the pool was declared unrecoverable.
+    degraded: bool = False
 
     @property
     def ok(self):
@@ -185,9 +187,9 @@ def _simulate_point(point, spool_dir=None, key=None, trace_store=None):
 
     *spool_dir* (telemetry enabled) makes the worker emit
     ``point_start`` / ``progress`` heartbeats / ``point_finish`` to its
-    spool, correlated by *key* (the supervision point key, or the point
-    label for plain sweeps).  With *spool_dir* ``None`` this path does
-    no telemetry work at all.
+    spool, correlated by *key* (the engine's point key; the point label
+    when ``None``).  With *spool_dir* ``None`` this path does no
+    telemetry work at all.
 
     *trace_store* — a :class:`~repro.perf.tracestore.TraceStore` or a
     store root path (what actually crosses the process boundary) —
@@ -277,7 +279,7 @@ def _simulate_point(point, spool_dir=None, key=None, trace_store=None):
                         time.perf_counter() - start, None)
 
 
-def prewarm_traces(points, trace_store, telemetry=None, batch_record=False):
+def prewarm_traces(points, trace_store, telemetry=None):
     """Record (or cache-hit) every sampled point group's shared warm trace.
 
     The warm pre-scan depends only on (program digest, warm fingerprint,
@@ -285,24 +287,18 @@ def prewarm_traces(points, trace_store, telemetry=None, batch_record=False):
     group into far fewer *trace groups* than points (a 4-workload ×
     6-config figure has 4).  For each group this records the trace once
     in the calling process and persists it; the fan-out workers then
-    load it instead of re-scanning.  With *batch_record* the missing
-    groups' functional machines advance in lockstep through one
-    :class:`~repro.perf.batch.BatchedFunctionalExecutor` (identical
-    traces to scalar recording; the identity test pins it).
+    load it instead of re-scanning.
 
     Emits ``trace_hit`` (group already stored) and ``trace_record``
-    (freshly recorded) telemetry per group.  A group whose build or
-    recording fails is skipped silently here — its points then record
-    inline in their workers and surface any real error attributably.
+    (freshly recorded) telemetry per group, each with the group's point
+    count.  A group whose build or recording fails is skipped silently
+    here — its points then record inline in their workers and surface
+    any real error attributably.
 
     Returns ``{"groups": N, "hits": N, "recorded": N}``.
     """
     from repro.core.pipeline import Pipeline
-    from repro.core.warm import (
-        record_portable_trace,
-        record_portable_traces,
-        warm_fingerprint,
-    )
+    from repro.core.warm import record_portable_trace, warm_fingerprint
 
     groups = {}
     for point in points:
@@ -323,7 +319,7 @@ def prewarm_traces(points, trace_store, telemetry=None, batch_record=False):
         else:
             entry[2] += 1
     hits = 0
-    missing = []
+    recorded = 0
     for point, limit, n in groups.values():
         try:
             built = _build_point(point)
@@ -336,195 +332,24 @@ def prewarm_traces(points, trace_store, telemetry=None, batch_record=False):
                         key=point.label(), trace_key=key, points=n,
                     )
                 continue
-            missing.append((point, built, limit, key, n))
+            # Mirror SampledSimulator.run exactly (oracle horizon is part
+            # of the recording environment for perfect-predictor configs)
+            # so a pre-recorded trace is byte-identical to an inline
+            # recording.
+            point.config._oracle_horizon = limit + 50_000
+            trace = record_portable_trace(
+                Pipeline(built.program, point.config), limit
+            )
         except Exception:
             continue
-    recorded = 0
-    if missing:
-        pipelines = []
-        for point, built, limit, _key, _n in missing:
-            # Mirror SampledSimulator.run exactly (oracle horizon is
-            # part of the recording environment for perfect-predictor
-            # configs) so a pre-recorded trace is byte-identical to an
-            # inline recording.
-            point.config._oracle_horizon = limit + 50_000
-            pipelines.append(Pipeline(built.program, point.config))
-        try:
-            if batch_record and len(missing) > 1:
-                traces = record_portable_traces(
-                    pipelines, [entry[2] for entry in missing]
-                )
-            else:
-                traces = [
-                    record_portable_trace(pipeline, entry[2])
-                    for pipeline, entry in zip(pipelines, missing)
-                ]
-        except Exception:
-            traces = []
-        for (point, _built, _limit, key, _n), trace in zip(missing, traces):
-            trace_store.store(key, trace)
-            recorded += 1
-            if telemetry is not None:
-                telemetry.emit(
-                    "trace_record", point=point.label(), key=point.label(),
-                    trace_key=key, points=n, events=len(trace.kinds),
-                )
+        trace_store.store(key, trace)
+        recorded += 1
+        if telemetry is not None:
+            telemetry.emit(
+                "trace_record", point=point.label(), key=point.label(),
+                trace_key=key, points=n, events=len(trace.kinds),
+            )
     return {"groups": len(groups), "hits": hits, "recorded": recorded}
-
-
-def run_sweep(points, jobs=None, cache=None, progress=None, telemetry=None,
-              executor=None, trace_store=None, batch_record=False):
-    """Run every point; returns ``[SweepOutcome]`` aligned with *points*.
-
-    *jobs* ``<= 1`` runs inline (no pool).  With *cache* (a
-    :class:`~repro.perf.cache.ResultCache`), hits skip simulation
-    entirely and misses are persisted on completion.  *progress*, if
-    given, is called as ``progress(outcome, done_count, total)`` as each
-    point settles (pool completion order, not input order).
-
-    *telemetry* — a spool directory or
-    :class:`~repro.obs.telemetry.SweepTelemetry` (default: enabled when
-    ``$REPRO_TELEMETRY_DIR`` is set) — makes the sweep observable from
-    outside the process (``repro top`` / ``repro tail``); results are
-    byte-identical with it on or off.
-
-    *executor* selects the fan-out: ``"process"`` (default — pool or
-    inline detailed simulation) or ``"batched"`` — all points' functional
-    machines advance in lockstep inside this process
-    (:class:`~repro.perf.batch.BatchedFunctionalExecutor`), producing
-    functional-only outcomes (``outcome.functional``; no timing stats,
-    no cache involvement, no per-point process overhead).
-
-    *trace_store* (a :class:`~repro.perf.tracestore.TraceStore` or a
-    store root path) turns on warm-trace reuse for sampled points: the
-    parent records each workload group's shared trace once up front
-    (:func:`prewarm_traces`; *batch_record* records missing groups in
-    lockstep), and the workers load it instead of re-scanning per
-    point.  Results are byte-identical with reuse on or off.
-    """
-    points = list(points)
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    if executor not in (None, "process", "batched"):
-        raise ValueError("unknown sweep executor %r" % (executor,))
-    telemetry = SweepTelemetry.resolve(telemetry)
-    if executor == "batched":
-        return _run_batched_sweep(points, telemetry, progress)
-    if isinstance(trace_store, str):
-        from repro.perf.tracestore import TraceStore
-
-        trace_store = TraceStore(root=trace_store)
-    spool_dir = telemetry.directory if telemetry is not None else None
-    outcomes = [None] * len(points)
-    pending = []  # (index, point, key)
-    done = 0
-
-    def settled(index, outcome):
-        nonlocal done
-        outcomes[index] = outcome
-        done += 1
-        if telemetry is not None:
-            telemetry.point_settled(outcome, key=outcome.point.label())
-        if progress is not None:
-            progress(outcome, done, len(points))
-
-    if telemetry is not None:
-        telemetry.sweep_started(len(points), jobs, label="run_sweep")
-
-    # Serve cache hits up front; only misses go to the pool.
-    for index, point in enumerate(points):
-        if point.config is None:
-            from repro.core import sandy_bridge_config
-
-            point.config = sandy_bridge_config()
-        key = None
-        if cache is not None:
-            try:
-                built = _build_point(point)
-                plan = point.sampling_plan()
-                key = cache.key_for(
-                    built.program, point.config,
-                    point.max_instructions, point.warmup_instructions,
-                    sampling=plan.fingerprint() if plan is not None else None,
-                )
-            except Exception:
-                settled(index, SweepOutcome(
-                    point=point, error=traceback.format_exc(),
-                    worker_pid=os.getpid(), attempts=1,
-                ))
-                continue
-            hit = cache.load(key, config=point.config)
-            if hit is not None:
-                if telemetry is not None:
-                    telemetry.emit("cache_hit", point=point.label(),
-                                   key=point.label())
-                settled(index, SweepOutcome(
-                    point=point, result=hit, cached=True
-                ))
-                continue
-        pending.append((index, point, key))
-
-    if trace_store is not None and pending:
-        prewarm_traces(
-            [point for _i, point, _k in pending], trace_store,
-            telemetry=telemetry, batch_record=batch_record,
-        )
-
-    def settle(index, point, key, run, elapsed):
-        if run.error is not None:
-            outcome = SweepOutcome(
-                point=point, error=run.error, elapsed=elapsed,
-                worker_pid=run.pid, seconds=run.seconds, attempts=1,
-                resources=run.resources,
-            )
-        else:
-            if cache is not None and key is not None:
-                cache.store(key, run.payload)
-            outcome = SweepOutcome(
-                point=point,
-                result=CachedSimResult(run.payload, config=point.config),
-                elapsed=elapsed,
-                worker_pid=run.pid,
-                seconds=run.seconds,
-                attempts=1,
-                resources=run.resources,
-                trace=run.trace,
-            )
-        settled(index, outcome)
-
-    if jobs <= 1 or len(pending) <= 1:
-        for index, point, key in pending:
-            start = time.perf_counter()
-            run = _simulate_point(point, spool_dir, point.label(),
-                                  trace_store)
-            settle(index, point, key, run, time.perf_counter() - start)
-        if telemetry is not None:
-            telemetry.sweep_finished(outcomes)
-        return outcomes
-
-    store_root = trace_store.root if trace_store is not None else None
-    with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-        futures = {}
-        submitted = {}
-        for index, point, key in pending:
-            future = pool.submit(_simulate_point, point, spool_dir,
-                                 point.label(), store_root)
-            futures[future] = (index, point, key)
-            submitted[future] = time.perf_counter()
-        remaining = set(futures)
-        while remaining:
-            finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-            for future in finished:
-                index, point, key = futures[future]
-                try:
-                    run = future.result()
-                except BaseException:
-                    run = PointRun(None, traceback.format_exc(), None,
-                                   0.0, None)
-                settle(index, point, key, run,
-                       time.perf_counter() - submitted[future])
-    if telemetry is not None:
-        telemetry.sweep_finished(outcomes)
-    return outcomes
 
 
 def _run_batched_sweep(points, telemetry, progress):
@@ -540,7 +365,8 @@ def _run_batched_sweep(points, telemetry, progress):
     from repro.perf.batch import BatchedFunctionalExecutor
 
     if telemetry is not None:
-        telemetry.sweep_started(len(points), 1, label="run_sweep[batched]")
+        telemetry.sweep_started(len(points), 1,
+                                label="run_supervised_sweep[batched]")
     outcomes = [None] * len(points)
     lanes = []  # (input index, executor lane index) via parallel append
     lane_points = []
@@ -579,14 +405,15 @@ def _run_batched_sweep(points, telemetry, progress):
         telemetry.emit("batch", width=batch.width, points=len(points))
     batch.run()
     elapsed = time.perf_counter() - start
+    retired, halted = batch.retired(), batch.halted()
     for lane_index, index in enumerate(lane_points):
         lane = batch.lanes[lane_index]
         outcomes[index] = SweepOutcome(
             point=points[index],
             functional={
                 "mode": "functional",
-                "retired": int(batch.retired()[lane_index]),
-                "halted": bool(batch.halted()[lane_index]),
+                "retired": retired[lane_index],
+                "halted": halted[lane_index],
                 "final_pc": lane.state.pc,
                 "batch_width": batch.width,
             },

@@ -149,8 +149,8 @@ def run_sweep_benchmark(trace_dir, scale=None, budget=None, plan=None,
 
     Returns the ``"sweep"`` section payload for ``BENCH_speed.json``.
     """
-    from repro.perf.sweep import run_sweep
     from repro.perf.tracestore import TraceStore
+    from repro.rel.supervise import run_supervised_sweep
 
     def announce(mode):
         if progress is not None:
@@ -160,22 +160,22 @@ def run_sweep_benchmark(trace_dir, scale=None, budget=None, plan=None,
 
     announce("per_point")
     start = time.perf_counter()
-    base_outcomes = run_sweep(reference_points(**kwargs), jobs=jobs,
-                              cache=None)
+    base_outcomes = run_supervised_sweep(reference_points(**kwargs),
+                                         jobs=jobs)
     base_seconds = time.perf_counter() - start
 
     announce("reuse")
     cold_store = TraceStore(root=trace_dir)
     start = time.perf_counter()
-    reuse_outcomes = run_sweep(reference_points(**kwargs), jobs=jobs,
-                               cache=None, trace_store=cold_store)
+    reuse_outcomes = run_supervised_sweep(reference_points(**kwargs),
+                                          jobs=jobs, trace_store=cold_store)
     reuse_seconds = time.perf_counter() - start
 
     announce("warm")
     warm_store = TraceStore(root=trace_dir)
     start = time.perf_counter()
-    warm_outcomes = run_sweep(reference_points(**kwargs), jobs=jobs,
-                              cache=None, trace_store=warm_store)
+    warm_outcomes = run_supervised_sweep(reference_points(**kwargs),
+                                         jobs=jobs, trace_store=warm_store)
     warm_seconds = time.perf_counter() - start
 
     base_payloads = _canonical_payloads(base_outcomes)

@@ -23,10 +23,10 @@ inputs and persists it once:
   reading the same trace shares page-cache pages instead of N private
   read buffers.
 
-The sweep scheduler (:func:`repro.perf.sweep.run_sweep` with a trace
-store attached) records or cache-hits each workload group's trace once
-in the parent, then fans config points out to workers that load the
-shared entry instead of re-scanning — see docs/PERFORMANCE.md.
+The sweep engine (:func:`repro.rel.supervise.run_supervised_sweep` with
+a trace store attached) records or cache-hits each workload group's
+trace once in the parent, then fans config points out to workers that
+load the shared entry instead of re-scanning — see docs/PERFORMANCE.md.
 """
 
 import hashlib

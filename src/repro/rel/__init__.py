@@ -7,11 +7,11 @@ layer survive faults and makes the simulator actively prove its own
 consistency:
 
 :mod:`repro.rel.supervise`
-    :func:`run_supervised_sweep` — :func:`repro.perf.sweep.run_sweep`
-    plus per-point wall-clock timeouts, bounded retries with exponential
-    backoff, ``BrokenProcessPool`` recovery with graceful degradation to
-    inline execution, and a JSONL checkpoint journal for resumable
-    sweeps.
+    :func:`run_supervised_sweep` — the sweep engine: process-pool
+    fan-out with result-cache and trace-store reuse, plus per-point
+    wall-clock timeouts, bounded retries with exponential backoff,
+    ``BrokenProcessPool`` recovery with graceful degradation to inline
+    execution, and a JSONL checkpoint journal for resumable sweeps.
 
 :mod:`repro.rel.invariants`
     :class:`InvariantChecker` — an opt-in observer cross-checking retired
@@ -52,7 +52,6 @@ from repro.rel.inject import (
 from repro.rel.invariants import InvariantChecker
 from repro.rel.supervise import (
     JOURNAL_VERSION,
-    SupervisedOutcome,
     SupervisionPolicy,
     SweepJournal,
     point_key,
@@ -70,7 +69,6 @@ __all__ = [
     "JOURNAL_VERSION",
     "PRFCorrupt",
     "PredictorStateFlip",
-    "SupervisedOutcome",
     "SupervisionPolicy",
     "SweepJournal",
     "TQCountCorrupt",

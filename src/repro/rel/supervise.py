@@ -1,12 +1,17 @@
-"""Supervised sweeps: per-point timeouts, retries, pool recovery, resume.
+"""The sweep engine: per-point timeouts, retries, pool recovery, resume.
 
-:func:`repro.perf.sweep.run_sweep` assumes a healthy pool: a hung point
-occupies its worker forever, a SIGKILLed worker poisons the whole
-``ProcessPoolExecutor`` (every outstanding future raises
-``BrokenProcessPool``), and an interrupted sweep restarts from zero.
-:func:`run_supervised_sweep` keeps the same contract — one outcome per
-point, in input order, stats byte-identical to an inline run — and adds
-the supervision a production-scale sweep needs:
+:func:`run_supervised_sweep` runs a list of
+:class:`~repro.perf.sweep.SweepPoint` s — inline for ``jobs=1``, over a
+``ProcessPoolExecutor`` otherwise — and returns one
+:class:`~repro.perf.sweep.SweepOutcome` per point, in input order, with
+stats byte-identical to an inline run.  A result cache serves hits
+without simulating, a trace store shares sampled points' warm pre-scans,
+and telemetry makes the sweep observable from outside the process.
+
+A bare pool would let a hung point occupy its worker forever, a
+SIGKILLed worker poison every outstanding future (``BrokenProcessPool``)
+and an interrupted sweep restart from zero, so the engine also
+supervises:
 
 * per-point wall-clock **timeouts**: when a point exceeds
   ``policy.timeout`` seconds, the pool's workers are killed (SIGKILL — a
@@ -53,6 +58,7 @@ from repro.perf.sweep import (
     PointRun,
     SweepOutcome,
     _build_point,
+    _run_batched_sweep,
     _simulate_point,
     default_jobs,
     prewarm_traces,
@@ -104,22 +110,6 @@ class SupervisionPolicy:
         fields = {k: v for k, v in (doc or {}).items() if k in known}
         fields.update(overrides)
         return cls(**fields)
-
-
-@dataclass
-class SupervisedOutcome(SweepOutcome):
-    """A :class:`SweepOutcome` plus the supervision history of the point.
-
-    ``attempts``/``seconds``/``resources`` live on the base class — every
-    sweep records them now; supervision adds the failure-mode history.
-    """
-
-    #: The final failure was a wall-clock timeout.
-    timed_out: bool = False
-    #: Served from the checkpoint journal of an earlier, interrupted run.
-    resumed: bool = False
-    #: Ran inline after the pool was declared unrecoverable.
-    degraded: bool = False
 
 
 def point_key(point):
@@ -298,19 +288,24 @@ def _kill_pool_processes(pool):
 
 def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
                          progress=None, telemetry=None, executor=None,
-                         trace_store=None, batch_record=False):
-    """Run every point under supervision; ``[SupervisedOutcome]`` in order.
+                         trace_store=None):
+    """Run every point under supervision; ``[SweepOutcome]`` in order.
 
-    Drop-in superset of :func:`repro.perf.sweep.run_sweep`: with the
-    default :class:`SupervisionPolicy` and healthy workers the results are
-    byte-identical (simulation is deterministic; supervision only decides
-    *whether and where* a point runs, never what it computes).
+    *jobs* ``<= 1`` (or a single pending point) runs inline, which is
+    also the reference path the determinism tests compare the pool
+    against.  With *cache* (a :class:`~repro.perf.cache.ResultCache`),
+    hits skip simulation entirely and misses are persisted on
+    completion.  *progress*, if given, is called as ``progress(outcome,
+    done_count, total)`` as each point settles (completion order, not
+    input order).  With the default :class:`SupervisionPolicy` and
+    healthy workers this is the plain sweep: supervision only decides
+    *whether and where* a point runs, never what it computes.
 
-    ``executor="batched"`` delegates to the lockstep in-process batch
-    (functional-only outcomes, see
+    ``executor="batched"`` runs every point's functional machine in one
+    lockstep batch inside this process (functional-only outcomes, see
     :class:`~repro.perf.batch.BatchedFunctionalExecutor`); timeouts,
-    retries and the journal do not apply there — a batch has no workers
-    to supervise and completes or fails as a unit.
+    retries, the cache and the journal do not apply there — a batch has
+    no workers to supervise and completes or fails as a unit.
 
     *telemetry* — a spool directory or
     :class:`~repro.obs.telemetry.SweepTelemetry` (default: enabled when
@@ -320,26 +315,21 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
     authoritative per-point outcomes, and ``repro top`` / ``repro tail``
     render them live.  Results are byte-identical with it on or off.
 
-    *trace_store* / *batch_record* — warm-trace reuse for sampled
-    points, exactly as in :func:`~repro.perf.sweep.run_sweep`: the
+    *trace_store* (a :class:`~repro.perf.tracestore.TraceStore` or a
+    store root path) turns on warm-trace reuse for sampled points: the
     parent pre-records each workload group's shared trace
     (:func:`~repro.perf.sweep.prewarm_traces`), workers load instead of
     re-scanning, and each point's trace provenance lands on its outcome
-    and journal line.
+    and journal line.  Results are byte-identical with reuse on or off.
     """
     if executor not in (None, "process", "batched"):
         raise ValueError("unknown sweep executor %r" % (executor,))
-    if executor == "batched":
-        from repro.perf.sweep import run_sweep
-
-        return run_sweep(
-            points, progress=progress, telemetry=telemetry,
-            executor="batched",
-        )
-    policy = SupervisionPolicy() if policy is None else policy
     points = list(points)
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
     telemetry = SweepTelemetry.resolve(telemetry)
+    if executor == "batched":
+        return _run_batched_sweep(points, telemetry, progress)
+    policy = SupervisionPolicy() if policy is None else policy
+    jobs = default_jobs() if jobs is None else max(1, int(jobs))
     if isinstance(trace_store, str):
         from repro.perf.tracestore import TraceStore
 
@@ -379,7 +369,7 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
         if entry is not None:
             if telemetry is not None:
                 telemetry.emit("journal_resume", point=point.label(), key=key)
-            settle(index, SupervisedOutcome(
+            settle(index, SweepOutcome(
                 point=point,
                 result=CachedSimResult(entry["payload"], config=point.config),
                 elapsed=entry.get("elapsed", 0.0),
@@ -402,7 +392,7 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
                     ),
                 )
             except Exception:
-                settle(index, SupervisedOutcome(
+                settle(index, SweepOutcome(
                     point=point, error=traceback.format_exc(),
                     worker_pid=os.getpid(), attempts=1,
                 ), key=key)
@@ -411,7 +401,7 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
             if hit is not None:
                 if telemetry is not None:
                     telemetry.emit("cache_hit", point=point.label(), key=key)
-                settle(index, SupervisedOutcome(
+                settle(index, SweepOutcome(
                     point=point, result=hit, cached=True,
                 ), key=key)
                 continue
@@ -422,13 +412,12 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
 
     if trace_store is not None and tasks:
         prewarm_traces(
-            [task.point for task in tasks], trace_store,
-            telemetry=telemetry, batch_record=batch_record,
+            [task.point for task in tasks], trace_store, telemetry=telemetry,
         )
 
     def complete(task, run, elapsed, timed_out=False, degraded=False):
         if run.error is not None:
-            outcome = SupervisedOutcome(
+            outcome = SweepOutcome(
                 point=task.point, error=run.error, elapsed=elapsed,
                 worker_pid=run.pid, attempts=task.attempts,
                 seconds=run.seconds, resources=run.resources,
@@ -443,7 +432,7 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
                     seconds=run.seconds, attempts=task.attempts,
                     resources=run.resources, trace=run.trace,
                 )
-            outcome = SupervisedOutcome(
+            outcome = SweepOutcome(
                 point=task.point,
                 result=CachedSimResult(run.payload, config=task.point.config),
                 elapsed=elapsed, worker_pid=run.pid, attempts=task.attempts,

@@ -80,11 +80,11 @@ def test_disabled_telemetry_is_a_single_none_test(monkeypatch):
     # telemetry to None and every call site reduces to one `is None`
     # test — nothing is imported, opened, or written.
     from repro.obs.telemetry import SweepTelemetry
-    from repro.perf.sweep import run_sweep
+    from repro.rel.supervise import run_supervised_sweep
 
     monkeypatch.delenv("REPRO_TELEMETRY_DIR", raising=False)
     assert SweepTelemetry.resolve(None) is None
-    outcomes = run_sweep(_sweep_points(), jobs=1)
+    outcomes = run_supervised_sweep(_sweep_points(), jobs=1)
     assert all(o.ok and o.resources is None for o in outcomes)
 
 
@@ -96,17 +96,17 @@ def test_disabled_telemetry_overhead_bounded(monkeypatch, tmp_path):
     import json
     import time
 
-    from repro.perf.sweep import run_sweep
+    from repro.rel.supervise import run_supervised_sweep
 
     monkeypatch.delenv("REPRO_TELEMETRY_DIR", raising=False)
-    run_sweep(_sweep_points(), jobs=1)  # warm imports/builds
+    run_supervised_sweep(_sweep_points(), jobs=1)  # warm imports/builds
 
     def best_of(n, telemetry):
         best, outcomes = None, None
         for _ in range(n):
             start = time.perf_counter()
-            outcomes = run_sweep(_sweep_points(), jobs=1,
-                                 telemetry=telemetry)
+            outcomes = run_supervised_sweep(_sweep_points(), jobs=1,
+                                            telemetry=telemetry)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
         return best, outcomes

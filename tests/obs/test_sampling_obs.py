@@ -12,7 +12,8 @@ import json
 from repro.cli import main
 from repro.obs.history import append_history, history_entry, load_measurement
 from repro.obs.telemetry import SweepAggregator
-from repro.perf import SweepPoint, run_sweep
+from repro.perf import SweepPoint
+from repro.rel import run_supervised_sweep
 
 _SAMPLE_SPEC = "interval=400,warmup=100,period=2000,head=500,tail=500"
 
@@ -27,7 +28,7 @@ def _sampled_point():
 
 
 def test_manifest_carries_sampling_section():
-    [outcome] = run_sweep([_sampled_point()], jobs=1)
+    [outcome] = run_supervised_sweep([_sampled_point()], jobs=1)
     assert outcome.ok
     manifest = outcome.result.manifest()
     assert manifest["sampling"]["intervals"] >= 1
@@ -38,7 +39,7 @@ def test_manifest_carries_sampling_section():
 def test_manifest_sampling_none_for_full_detail():
     point = _sampled_point()
     point.sampling = None
-    [outcome] = run_sweep([point], jobs=1)
+    [outcome] = run_supervised_sweep([point], jobs=1)
     assert outcome.result.manifest()["sampling"] is None
 
 
@@ -59,8 +60,8 @@ def test_cli_run_sample_json_manifest():
 
 
 def test_sampled_sweep_emits_sampling_event(tmp_path):
-    outcomes = run_sweep([_sampled_point()], jobs=2,
-                         telemetry=str(tmp_path))
+    outcomes = run_supervised_sweep([_sampled_point()], jobs=2,
+                                    telemetry=str(tmp_path))
     assert all(o.ok for o in outcomes)
     agg = SweepAggregator(str(tmp_path))
     events = agg.poll()
@@ -80,8 +81,8 @@ def test_batched_sweep_emits_batch_event(tmp_path):
         SweepPoint("soplex", "cfd", "ref", scale=0.125,
                    max_instructions=2000),
     ]
-    outcomes = run_sweep(points, executor="batched",
-                         telemetry=str(tmp_path))
+    outcomes = run_supervised_sweep(points, executor="batched",
+                                    telemetry=str(tmp_path))
     assert all(o.ok for o in outcomes)
     agg = SweepAggregator(str(tmp_path))
     events = agg.poll()

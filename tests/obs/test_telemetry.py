@@ -20,7 +20,7 @@ from repro.obs.telemetry import (
     format_tail_event,
     format_top,
 )
-from repro.perf import SweepPoint, run_sweep
+from repro.perf import SweepPoint
 from repro.rel import SupervisionPolicy, run_supervised_sweep
 
 
@@ -139,8 +139,8 @@ def test_aggregator_folds_a_full_point_lifecycle(tmp_path):
 
 
 def test_run_sweep_stats_identical_with_telemetry_on_and_off(tmp_path):
-    off = run_sweep(_points(), jobs=1)
-    on = run_sweep(_points(), jobs=1, telemetry=str(tmp_path))
+    off = run_supervised_sweep(_points(), jobs=1)
+    on = run_supervised_sweep(_points(), jobs=1, telemetry=str(tmp_path))
     assert _stats_blobs(off) == _stats_blobs(on)
     # Telemetry-on additionally records worker resource usage.
     assert all(o.resources is None for o in off)
@@ -148,7 +148,7 @@ def test_run_sweep_stats_identical_with_telemetry_on_and_off(tmp_path):
 
 
 def test_run_sweep_spools_the_expected_events(tmp_path):
-    outcomes = run_sweep(_points(), jobs=2, telemetry=str(tmp_path))
+    outcomes = run_supervised_sweep(_points(), jobs=2, telemetry=str(tmp_path))
     assert all(o.ok for o in outcomes)
     agg = SweepAggregator(str(tmp_path))
     kinds = {e["kind"] for e in agg.poll()}
@@ -195,10 +195,10 @@ def test_cache_hits_are_visible(tmp_path):
     from repro.perf import ResultCache
 
     cache = ResultCache(root=str(tmp_path / "cache"))
-    run_sweep(_points(), jobs=1, cache=cache)
+    run_supervised_sweep(_points(), jobs=1, cache=cache)
     spool = tmp_path / "spool"
-    outcomes = run_sweep(_points(), jobs=1, cache=cache,
-                         telemetry=str(spool))
+    outcomes = run_supervised_sweep(_points(), jobs=1, cache=cache,
+                                    telemetry=str(spool))
     assert all(o.cached for o in outcomes)
     agg = SweepAggregator(str(spool))
     agg.poll()
@@ -236,7 +236,7 @@ def test_resource_delta_shape():
 
 
 def test_format_top_and_tail_render(tmp_path):
-    run_sweep(_points(), jobs=1, telemetry=str(tmp_path))
+    run_supervised_sweep(_points(), jobs=1, telemetry=str(tmp_path))
     agg = SweepAggregator(str(tmp_path))
     events = agg.poll()
     screen = format_top(agg.snapshot())
@@ -266,7 +266,7 @@ def test_format_top_caps_point_rows(tmp_path):
 
 def test_cli_top_tail_and_metrics_export(tmp_path):
     spool = tmp_path / "spool"
-    run_sweep(_points(), jobs=1, telemetry=str(spool))
+    run_supervised_sweep(_points(), jobs=1, telemetry=str(spool))
 
     out = io.StringIO()
     assert main(["top", str(spool)], out) == 0
@@ -300,7 +300,7 @@ def test_cli_top_tail_and_metrics_export(tmp_path):
 
 def test_cli_follow_modes_terminate_on_finished_sweep(tmp_path):
     spool = tmp_path / "spool"
-    run_sweep(_points(1), jobs=1, telemetry=str(spool))
+    run_supervised_sweep(_points(1), jobs=1, telemetry=str(spool))
     # The sweep_finish event is already spooled, so --follow exits after
     # the first poll instead of looping forever.
     out = io.StringIO()

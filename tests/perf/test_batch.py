@@ -3,9 +3,8 @@
 The batch layer only schedules; every architectural step runs through
 the lanes' own scalar :class:`FunctionalExecutor` handlers.  These tests
 pin the contract: lanes halting at different instruction counts retire
-independently, per-lane results are *identical* to running the scalar
-executors one after another, and the NumPy and pure-python bookkeeping
-paths agree.
+independently, and per-lane results are *identical* to running the
+scalar executors one after another.
 """
 
 import pytest
@@ -13,9 +12,9 @@ import pytest
 from repro.arch.executor import FunctionalExecutor, run_program
 from repro.arch.state import ArchState
 from repro.isa import assemble
-from repro.perf import batch as batch_module
 from repro.perf.batch import BatchedFunctionalExecutor
-from repro.perf.sweep import SweepPoint, run_sweep
+from repro.perf.sweep import SweepPoint
+from repro.rel import run_supervised_sweep
 
 _COUNTDOWN = """
 .text
@@ -86,23 +85,6 @@ def test_per_lane_budget_caps_this_call(divergent_programs):
     assert batch.retired() == [s.retired for s in scalars]
 
 
-def test_pure_python_fallback_matches_numpy(divergent_programs, monkeypatch):
-    reference = BatchedFunctionalExecutor(
-        [(program, None) for program in divergent_programs]
-    )
-    reference.run()
-    monkeypatch.setattr(batch_module, "_np", None)
-    fallback = BatchedFunctionalExecutor(
-        [(program, None) for program in divergent_programs]
-    )
-    assert isinstance(fallback._retired, list)
-    fallback.run()
-    assert fallback.retired() == reference.retired()
-    assert fallback.halted() == reference.halted()
-    for a, b in zip(fallback.lanes, reference.lanes):
-        assert a.state.same_architectural_state(b.state)
-
-
 def test_accepts_prebuilt_executor_lanes():
     program = _countdown(10)
     lane = FunctionalExecutor(program, ArchState(program), 1_000_000)
@@ -112,16 +94,6 @@ def test_accepts_prebuilt_executor_lanes():
     assert batch.retired()[0] == run_program(program).retired
 
 
-def test_observer_streams_lockstep_records(divergent_programs):
-    batch = BatchedFunctionalExecutor(
-        [(program, None) for program in divergent_programs]
-    )
-    seen = []
-    batch.run(observer=lambda index, record: seen.append(index))
-    assert len(seen) == sum(batch.retired())
-    assert set(seen) == {0, 1, 2}
-
-
 def test_run_sweep_batched_executor():
     points = [
         SweepPoint("bzip2", "tq", "chicken", scale=0.125,
@@ -129,7 +101,7 @@ def test_run_sweep_batched_executor():
         SweepPoint("soplex", "cfd", "ref", scale=0.125,
                    max_instructions=3000),
     ]
-    outcomes = run_sweep(points, executor="batched")
+    outcomes = run_supervised_sweep(points, executor="batched")
     assert len(outcomes) == 2
     for outcome in outcomes:
         assert outcome.ok
@@ -144,7 +116,7 @@ def test_run_sweep_batched_executor():
 def test_run_sweep_batched_matches_scalar_functional():
     point = SweepPoint("bzip2", "tq", "chicken", scale=0.125,
                        max_instructions=4000)
-    [outcome] = run_sweep([point], executor="batched")
+    [outcome] = run_supervised_sweep([point], executor="batched")
     from repro.workloads import get_workload
 
     built = get_workload("bzip2").build("tq", "chicken", 0.125, 1)
@@ -160,4 +132,4 @@ def test_run_sweep_batched_matches_scalar_functional():
 
 def test_unknown_executor_rejected():
     with pytest.raises(ValueError):
-        run_sweep([], executor="threads")
+        run_supervised_sweep([], executor="threads")

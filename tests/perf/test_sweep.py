@@ -8,7 +8,8 @@ point surfaces as ``outcome.error`` without killing the sweep.
 
 import json
 
-from repro.perf import ResultCache, SweepPoint, run_sweep
+from repro.perf import ResultCache, SweepPoint
+from repro.rel import SupervisionPolicy, run_supervised_sweep
 
 #: Two small, distinct points (different workloads and configs exercise
 #: the per-point build + config plumbing through the process boundary).
@@ -29,8 +30,8 @@ def _stats_blobs(outcomes):
 
 
 def test_serial_and_pool_identical():
-    serial = run_sweep(_points(), jobs=1)
-    pooled = run_sweep(_points(), jobs=2)
+    serial = run_supervised_sweep(_points(), jobs=1)
+    pooled = run_supervised_sweep(_points(), jobs=2)
     assert all(o.ok for o in serial)
     assert all(o.ok for o in pooled)
     assert _stats_blobs(serial) == _stats_blobs(pooled)
@@ -38,39 +39,43 @@ def test_serial_and_pool_identical():
 
 def test_results_in_input_order():
     points = _points()
-    outcomes = run_sweep(points, jobs=2)
+    outcomes = run_supervised_sweep(points, jobs=2)
     assert [o.point.label() for o in outcomes] == [p.label() for p in points]
 
 
 def test_error_capture_does_not_kill_the_sweep():
     points = _points()
     points.insert(1, SweepPoint(workload="no-such-workload"))
-    outcomes = run_sweep(points, jobs=2)
+    outcomes = run_supervised_sweep(points, jobs=2,
+                                    policy=SupervisionPolicy(retries=0))
     assert outcomes[0].ok and outcomes[2].ok
     assert not outcomes[1].ok
+    assert outcomes[1].attempts == 1
     assert "no-such-workload" in outcomes[1].error
     assert outcomes[1].result is None
 
 
 def test_cache_round_trip(tmp_path):
     cache = ResultCache(root=str(tmp_path))
-    first = run_sweep(_points(), jobs=1, cache=cache)
+    first = run_supervised_sweep(_points(), jobs=1, cache=cache)
     assert all(o.ok and not o.cached for o in first)
-    second = run_sweep(_points(), jobs=1, cache=cache)
+    second = run_supervised_sweep(_points(), jobs=1, cache=cache)
     assert all(o.ok and o.cached for o in second)
     assert _stats_blobs(first) == _stats_blobs(second)
 
 
 def test_progress_callback_sees_every_point():
     seen = []
-    run_sweep(_points(), jobs=1,
-              progress=lambda outcome, done, total: seen.append((done, total)))
+    run_supervised_sweep(
+        _points(), jobs=1,
+        progress=lambda outcome, done, total: seen.append((done, total)),
+    )
     assert sorted(seen) == [(1, 2), (2, 2)]
 
 
 def test_success_records_seconds_and_attempts():
     for jobs in (1, 2):
-        outcomes = run_sweep(_points(), jobs=jobs)
+        outcomes = run_supervised_sweep(_points(), jobs=jobs)
         assert all(o.ok for o in outcomes)
         assert all(o.seconds > 0 for o in outcomes)
         assert all(o.attempts == 1 for o in outcomes)
@@ -81,32 +86,35 @@ def test_success_records_seconds_and_attempts():
 
 def test_cache_hits_record_zero_seconds_and_attempts(tmp_path):
     cache = ResultCache(root=str(tmp_path))
-    run_sweep(_points(), jobs=1, cache=cache)
-    cached = run_sweep(_points(), jobs=1, cache=cache)
+    run_supervised_sweep(_points(), jobs=1, cache=cache)
+    cached = run_supervised_sweep(_points(), jobs=1, cache=cache)
     assert all(o.cached and o.seconds == 0.0 and o.attempts == 0
                for o in cached)
 
 
 def test_telemetry_on_and_off_identical(tmp_path):
-    off = run_sweep(_points(), jobs=2)
-    on = run_sweep(_points(), jobs=2, telemetry=str(tmp_path / "spool"))
+    off = run_supervised_sweep(_points(), jobs=2)
+    on = run_supervised_sweep(_points(), jobs=2,
+                              telemetry=str(tmp_path / "spool"))
     assert _stats_blobs(off) == _stats_blobs(on)
 
 
 # -- trace-store scheduling ------------------------------------------------
 
-def _sampled_points():
-    """Two sampled points, same workload under two machine sizes: one
+_PLAN = "interval=200,warmup=50,period=5000,head=300,tail=300"
+
+
+def _sampled_points(robs=(64, 128)):
+    """Sampled points, same workload under several machine sizes: one
     trace group (warm pre-scan is timing-config independent)."""
     from repro.core import sandy_bridge_config
     from repro.core.config import scale_window
 
-    plan = "interval=200,warmup=50,period=5000,head=300,tail=300"
     return [
         SweepPoint(workload="astar_r1", variant="base", input_name="Rivers",
                    config=scale_window(sandy_bridge_config(), rob),
-                   scale=0.125, max_instructions=30_000, sampling=plan)
-        for rob in (64, 128)
+                   scale=0.125, max_instructions=30_000, sampling=_PLAN)
+        for rob in robs
     ]
 
 
@@ -114,7 +122,8 @@ def test_trace_store_records_once_then_every_point_hits(tmp_path):
     from repro.perf.tracestore import TraceStore
 
     store = TraceStore(root=str(tmp_path / "traces"))
-    outcomes = run_sweep(_sampled_points(), jobs=1, trace_store=store)
+    outcomes = run_supervised_sweep(_sampled_points(), jobs=1,
+                                    trace_store=store)
     assert all(o.ok for o in outcomes)
     # The scheduler records the shared group trace exactly once...
     counters = store.counters()
@@ -128,9 +137,11 @@ def test_trace_store_second_sweep_prewarm_hits(tmp_path):
     from repro.perf.tracestore import TraceStore
 
     root = str(tmp_path / "traces")
-    run_sweep(_sampled_points(), jobs=1, trace_store=TraceStore(root=root))
+    run_supervised_sweep(_sampled_points(), jobs=1,
+                         trace_store=TraceStore(root=root))
     warm = TraceStore(root=root)
-    outcomes = run_sweep(_sampled_points(), jobs=1, trace_store=warm)
+    outcomes = run_supervised_sweep(_sampled_points(), jobs=1,
+                                    trace_store=warm)
     # Steady state: even the group recording is served from disk.
     counters = warm.counters()
     assert counters["stores"] == 0 and counters["misses"] == 0
@@ -138,10 +149,10 @@ def test_trace_store_second_sweep_prewarm_hits(tmp_path):
 
 
 def test_trace_reuse_stats_identical_to_inline(tmp_path):
-    baseline = run_sweep(_sampled_points(), jobs=1)
+    baseline = run_supervised_sweep(_sampled_points(), jobs=1)
     assert all((o.trace or {}).get("source") == "inline" for o in baseline)
-    reused = run_sweep(_sampled_points(), jobs=1,
-                       trace_store=str(tmp_path / "traces"))
+    reused = run_supervised_sweep(_sampled_points(), jobs=1,
+                                  trace_store=str(tmp_path / "traces"))
     assert _stats_blobs(baseline) == _stats_blobs(reused)
 
 
@@ -150,8 +161,8 @@ def test_trace_telemetry_counters(tmp_path):
 
     root = str(tmp_path / "traces")
     cold_spool = str(tmp_path / "cold")
-    run_sweep(_sampled_points(), jobs=1, telemetry=cold_spool,
-              trace_store=root)
+    run_supervised_sweep(_sampled_points(), jobs=1, telemetry=cold_spool,
+                         trace_store=root)
     cold = SweepAggregator(cold_spool)
     cold.poll()
     assert cold.counters["trace_records"] == 1
@@ -159,10 +170,26 @@ def test_trace_telemetry_counters(tmp_path):
     assert cold.counters["trace_reuses"] == len(_sampled_points())
 
     warm_spool = str(tmp_path / "warm")
-    run_sweep(_sampled_points(), jobs=1, telemetry=warm_spool,
-              trace_store=root)
+    run_supervised_sweep(_sampled_points(), jobs=1, telemetry=warm_spool,
+                         trace_store=root)
     warm = SweepAggregator(warm_spool)
     warm.poll()
     assert warm.counters["trace_records"] == 0
     assert warm.counters["trace_hits"] == 1
     assert warm.counters["trace_reuses"] == len(_sampled_points())
+
+
+def test_trace_record_events_count_each_groups_points(tmp_path):
+    from repro.obs.telemetry import SweepAggregator
+
+    soplex = SweepPoint(workload="soplex", variant="cfd", input_name="ref",
+                        scale=0.125, max_instructions=30_000, sampling=_PLAN)
+    points = _sampled_points((64, 96, 128)) + [soplex]
+    spool = str(tmp_path / "spool")
+    run_supervised_sweep(points, jobs=1, telemetry=spool,
+                         trace_store=str(tmp_path / "traces"))
+    records = [e for e in SweepAggregator(spool).poll()
+               if e["kind"] == "trace_record"]
+    assert [(e["point"], e["points"]) for e in records] == [
+        ("astar_r1(Rivers)/base", 3), ("soplex(ref)/cfd", 1),
+    ]

@@ -2,8 +2,8 @@
 worker-fault recovery paths (``-m faultinject``).
 
 The supervision layer must be invisible when nothing goes wrong (stats
-byte-identical to a plain sweep), and when something does go wrong —
-a SIGKILLed worker, a hung point, a crashed sweep — the outcome must be
+byte-identical to an inline run), and when something does go wrong — a
+SIGKILLed worker, a hung point, a crashed sweep — the outcome must be
 either a bit-identical recovered result or an attributed failure, never
 a silent loss.
 """
@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.perf import SweepPoint, run_sweep
+from repro.perf import SweepPoint
 from repro.rel import (
     SupervisionPolicy,
     arm_worker_fault,
@@ -41,16 +41,17 @@ def _stats_blobs(outcomes):
     ]
 
 
-def test_supervised_pool_matches_plain_serial_sweep():
-    plain = run_sweep(_points(), jobs=1)
-    supervised = run_supervised_sweep(_points(), jobs=2)
+def test_supervised_pool_matches_plain_serial_sweep(tmp_path):
+    plain = run_supervised_sweep(_points(), jobs=1)
+    policy = SupervisionPolicy(journal_path=str(tmp_path / "journal.jsonl"))
+    supervised = run_supervised_sweep(_points(), jobs=2, policy=policy)
     assert all(o.ok for o in supervised)
     assert _stats_blobs(supervised) == _stats_blobs(plain)
     assert [o.attempts for o in supervised] == [1, 1]
     assert all(o.worker_pid and o.worker_pid != os.getpid()
                for o in supervised)
     assert not any(o.timed_out or o.resumed or o.degraded
-                   for o in supervised)
+                   for o in plain + supervised)
 
 
 def test_resume_runs_exactly_the_missing_points(tmp_path):
@@ -200,7 +201,7 @@ def test_worker_resources_recorded_with_telemetry(tmp_path):
 
 @pytest.mark.faultinject
 def test_sigkilled_worker_recovers_bit_identical(tmp_path):
-    baseline = run_sweep(_points(), jobs=1)
+    baseline = run_supervised_sweep(_points(), jobs=1)
     arm_worker_fault(os.environ, "kill", str(tmp_path / "kill.token"))
     try:
         outcomes = run_supervised_sweep(
@@ -217,7 +218,7 @@ def test_sigkilled_worker_recovers_bit_identical(tmp_path):
 
 @pytest.mark.faultinject
 def test_hung_worker_is_killed_and_retried(tmp_path):
-    baseline = run_sweep(_points(), jobs=1)
+    baseline = run_supervised_sweep(_points(), jobs=1)
     arm_worker_fault(os.environ, "hang:120", str(tmp_path / "hang.token"))
     try:
         outcomes = run_supervised_sweep(
@@ -290,16 +291,27 @@ def test_sampled_point_resumes_from_its_own_journal_entry(tmp_path):
     assert fresh.result.sampling is None
 
 
-def test_supervised_batched_executor_delegates():
-    points = _points(2)
-    outcomes = run_supervised_sweep(points, executor="batched")
+def test_supervised_batched_executor_delegates(tmp_path):
+    # The batch has no workers to supervise: the journal does not apply.
+    journal = tmp_path / "journal.jsonl"
+    outcomes = run_supervised_sweep(
+        _points(2), executor="batched",
+        policy=SupervisionPolicy(journal_path=str(journal)),
+    )
     assert len(outcomes) == 2
     for outcome in outcomes:
         assert outcome.ok
         assert outcome.functional["retired"] == 2000
         assert outcome.functional["batch_width"] == 2
+    assert not journal.exists()
 
 
-def test_supervised_unknown_executor_rejected():
+def test_supervised_unknown_executor_rejected(tmp_path):
+    # Rejected before any point runs or the journal is opened.
+    journal = tmp_path / "journal.jsonl"
     with pytest.raises(ValueError):
-        run_supervised_sweep([], executor="threads")
+        run_supervised_sweep(
+            _points(1), executor="threads",
+            policy=SupervisionPolicy(journal_path=str(journal)),
+        )
+    assert not journal.exists()
