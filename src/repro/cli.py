@@ -1527,7 +1527,8 @@ def build_parser():
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument(
         "--jobs", type=int, default=2,
-        help="worker processes per leased batch (default 2)")
+        help="worker processes in the daemon's pool, shared by every "
+             "batch (default 2)")
     serve_parser.add_argument(
         "--batch", type=int, default=4,
         help="jobs leased per scheduling round (default 4)")

@@ -223,7 +223,7 @@ def render_service(health, prefix=NAMESPACE):
 
     *health* is :meth:`repro.serve.daemon.ServiceDaemon.health` output:
     queue counts (depth, per-state), daemon counters (leased/done/
-    failed/expired/shed/throttled totals) and liveness — the
+    failed/expired/shed/throttled/pool-spawn totals) and liveness — the
     ``GET /metrics`` endpoint of the simulation service.
     """
     queue = health.get("queue", {})
@@ -251,7 +251,7 @@ def render_service(health, prefix=NAMESPACE):
     sample("jobs_total", queue.get("total", 0),
            help="Jobs ever accepted into the WAL", kind="counter")
     for counter in ("leased", "done", "failed", "expired", "shed",
-                    "throttled", "rounds", "heartbeats"):
+                    "throttled", "rounds", "heartbeats", "pool_spawns"):
         sample("%s_total" % counter,
                counters.get("%s_total" % counter, 0), kind="counter",
                help="Daemon %s events since start" % counter)

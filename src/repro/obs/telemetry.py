@@ -21,7 +21,8 @@ module is the visibility layer across that pool:
   status/progress, totals, retry/timeout/cache counters, peak worker
   RSS.  The parent-side :class:`SweepTelemetry` session also refreshes a
   Prometheus text snapshot (``metrics.prom``, see :mod:`repro.obs.prom`)
-  in the spool directory as points settle.
+  in the spool directory as points settle (at most once a second) and
+  when the sweep finishes.
 
 Everything is opt-in: with no spool directory configured the sweep
 engine skips every call site (one ``is None`` test), results are
@@ -53,6 +54,9 @@ ENV_SPOOL_DIR = "REPRO_TELEMETRY_DIR"
 
 #: Name of the Prometheus text snapshot the aggregator refreshes.
 PROM_SNAPSHOT_NAME = "metrics.prom"
+
+#: Least seconds between two mid-sweep refreshes of that snapshot.
+PROM_REFRESH_SECONDS = 1.0
 
 #: Event kinds folded by the aggregator (unknown kinds are ignored).
 EVENT_KINDS = (
@@ -549,8 +553,11 @@ class SweepTelemetry:
     Owns the parent's spool (role ``sweep``), an aggregator over the
     whole directory, and the ``metrics.prom`` snapshot.  The sweep
     engine calls :meth:`emit` for supervision events and :meth:`pump`
-    whenever a point settles; both are no-ops to arrange — every call
-    site is guarded by a single ``telemetry is not None`` test.
+    as points settle; both are no-ops to arrange — every call site is
+    guarded by a single ``telemetry is not None`` test.  One session can
+    serve many sweeps (the service daemon keeps one for its lifetime):
+    its aggregator then folds only what was appended since its last
+    pump.
     """
 
     def __init__(self, directory, label=None):
@@ -559,6 +566,7 @@ class SweepTelemetry:
         self.spool = TelemetrySpool(directory, role="sweep")
         self.aggregator = SweepAggregator(directory)
         self.prom_path = os.path.join(directory, PROM_SNAPSHOT_NAME)
+        self._pumped = float("-inf")
 
     @classmethod
     def resolve(cls, telemetry):
@@ -585,7 +593,10 @@ class SweepTelemetry:
                   label=label or self.label, policy=policy)
 
     def point_settled(self, outcome, key=None):
-        """Record the authoritative outcome of one point, then pump.
+        """Record the authoritative outcome of one point.
+
+        Pumps at most once per :data:`PROM_REFRESH_SECONDS`; the pump
+        at :meth:`sweep_finished` makes ``metrics.prom`` exact.
 
         *key* is the sweep engine's stable point identity (the
         supervision ``point_key`` digest where one exists); events fall
@@ -612,7 +623,8 @@ class SweepTelemetry:
                 or "error"
             ),
         )
-        self.pump()
+        if time.monotonic() - self._pumped >= PROM_REFRESH_SECONDS:
+            self.pump()
 
     def sweep_finished(self, outcomes):
         ok = sum(1 for o in outcomes if o is not None and o.ok)
@@ -623,6 +635,7 @@ class SweepTelemetry:
 
     def pump(self):
         """Fold new events and refresh the Prometheus snapshot file."""
+        self._pumped = time.monotonic()
         self.aggregator.poll()
         from repro.obs.prom import render_sweep, write_prom
 

@@ -54,6 +54,7 @@ from repro.rel.supervise import (
     JOURNAL_VERSION,
     SupervisionPolicy,
     SweepJournal,
+    WorkerPool,
     point_key,
     run_supervised_sweep,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "SupervisionPolicy",
     "SweepJournal",
     "TQCountCorrupt",
+    "WorkerPool",
     "arm_daemon_fault",
     "arm_worker_fault",
     "corrupt_cache_entry",

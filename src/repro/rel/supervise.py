@@ -38,6 +38,10 @@ supervises:
 Timeouts need worker processes to kill; inline execution (``jobs=1`` or
 degraded mode) runs without them, which is the documented trade-off of
 graceful degradation.
+
+The workers live in a :class:`WorkerPool`.  A one-shot sweep makes its
+own and closes it on return; a long-lived caller (the service daemon)
+passes one in with ``pool=`` so its workers stay warm across sweeps.
 """
 
 import hashlib
@@ -271,35 +275,93 @@ def _backoff_delay(policy, attempt):
     return policy.backoff * (policy.backoff_factor ** max(0, attempt - 1))
 
 
-def _kill_pool_processes(pool):
-    """SIGKILL every worker of *pool* (used to reclaim hung points).
+def _exit_with_parent():
+    """Pool-worker initializer: exit as soon as the parent is gone.
 
-    ``_processes`` is a CPython implementation detail, so fall back to a
-    plain shutdown if it is absent; the subsequent BrokenProcessPool
-    handling works either way.
+    An idle worker blocks on its call queue, whose write end it holds
+    itself, so it would outlive a SIGKILLed parent forever.  A daemon
+    thread polls the parent pid instead and ends the worker once it is
+    reparented.
     """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except Exception:
-            pass
+    import threading
+
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+class WorkerPool:
+    """A lazily spawned ``ProcessPoolExecutor`` that can outlive one sweep.
+
+    :meth:`executor` forks *jobs* workers on first use; :meth:`discard`
+    drops a broken or killed pool so the next use spawns a fresh one;
+    ``spawns`` counts the pools forked so far.  The sweep engine makes
+    a throwaway one per sweep unless given one with ``pool=``.
+    """
+
+    def __init__(self, jobs):
+        self.jobs = max(1, int(jobs))
+        self.spawns = 0
+        self._executor = None
+
+    def executor(self):
+        """The live executor, forking a fresh pool if there is none."""
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_exit_with_parent,
+            )
+            self.spawns += 1
+        return self._executor
+
+    def discard(self, kill=False):
+        """Drop the current pool; *kill* SIGKILLs its workers first.
+
+        The kill reclaims hung points.  ``_processes`` is a CPython
+        implementation detail, so without it the kill falls back to a
+        plain shutdown; the BrokenProcessPool handling works either way.
+        """
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        if kill:
+            processes = getattr(executor, "_processes", None) or {}
+            for process in list(processes.values()):
+                try:
+                    process.kill()
+                except Exception:
+                    pass
+        executor.shutdown(wait=False)
+
+    def close(self):
+        """Shut the pool down, waiting for its workers to exit."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
 
 def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
                          progress=None, telemetry=None, executor=None,
-                         trace_store=None):
+                         trace_store=None, pool=None):
     """Run every point under supervision; ``[SweepOutcome]`` in order.
 
-    *jobs* ``<= 1`` (or a single pending point) runs inline, which is
-    also the reference path the determinism tests compare the pool
-    against.  With *cache* (a :class:`~repro.perf.cache.ResultCache`),
-    hits skip simulation entirely and misses are persisted on
-    completion.  *progress*, if given, is called as ``progress(outcome,
-    done_count, total)`` as each point settles (completion order, not
-    input order).  With the default :class:`SupervisionPolicy` and
-    healthy workers this is the plain sweep: supervision only decides
-    *whether and where* a point runs, never what it computes.
+    *jobs* ``<= 1`` runs inline, which is also the reference path the
+    determinism tests compare the pool against; otherwise every point
+    runs in a worker, so even a lone point gets its timeout.  *pool* (a
+    :class:`WorkerPool`) puts those workers in the caller's long-lived
+    pool, at most ``pool.jobs`` points at a time, and leaves it open;
+    without it the sweep spawns its own pool and closes it on return.
+    With *cache* (a :class:`~repro.perf.cache.ResultCache`), hits skip
+    simulation entirely and misses are persisted on completion.
+    *progress*, if given, is called as ``progress(outcome, done_count,
+    total)`` as each point settles (completion order, not input order).
+    With the default :class:`SupervisionPolicy` and healthy workers this
+    is the plain sweep: supervision only decides *whether and where* a
+    point runs, never what it computes.
 
     ``executor="batched"`` runs every point's functional machine in one
     lockstep batch inside this process (functional-only outcomes, see
@@ -441,12 +503,19 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
             )
         settle(task.index, outcome, key=task.key)
 
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs <= 1:
         _run_inline(tasks, policy, complete, telemetry=telemetry,
                     trace_store=trace_store)
     else:
-        _run_pool(tasks, jobs, policy, complete, telemetry=telemetry,
-                  trace_store=trace_store)
+        own_pool = pool is None
+        if own_pool:
+            pool = WorkerPool(min(jobs, len(tasks)))
+        try:
+            _run_pool(tasks, pool, policy, complete, telemetry=telemetry,
+                      trace_store=trace_store)
+        finally:
+            if own_pool:
+                pool.close()
     if telemetry is not None:
         telemetry.sweep_finished(outcomes)
     return outcomes
@@ -476,14 +545,18 @@ def _run_inline(tasks, policy, complete, degraded=False, telemetry=None,
             time.sleep(_backoff_delay(policy, task.attempts))
 
 
-def _run_pool(tasks, jobs, policy, complete, telemetry=None,
+def _run_pool(tasks, pool, policy, complete, telemetry=None,
               trace_store=None):
-    """Pool execution with restart-on-death and bounded degradation."""
+    """Pool execution with restart-on-death and bounded degradation.
+
+    The respawn budget is this sweep's own, however many pools *pool*
+    spawned before it.
+    """
     pending = deque(tasks)
     respawns = 0
     while pending:
         try:
-            _drive_pool(pending, jobs, policy, complete, telemetry=telemetry,
+            _drive_pool(pending, pool, policy, complete, telemetry=telemetry,
                         trace_store=trace_store)
         except _PoolRestart as restart:
             if restart.unexpected:
@@ -514,18 +587,18 @@ def _requeue_or_fail(task, pending, policy, complete, error, elapsed,
                  timed_out=timed_out)
 
 
-def _drive_pool(pending, jobs, policy, complete, telemetry=None,
+def _drive_pool(pending, pool, policy, complete, telemetry=None,
                 trace_store=None):
-    """Run one pool until *pending* drains or the pool must be replaced.
+    """Run *pool* until *pending* drains or the pool must be replaced.
 
-    At most ``workers`` tasks are in flight at once, so a submitted task
-    starts (almost) immediately and its submit time is an honest start
-    time for the wall-clock timeout.
+    At most ``pool.jobs`` tasks are in flight at once, so a submitted
+    task starts (almost) immediately and its submit time is an honest
+    start time for the wall-clock timeout.  A drained pool is left
+    running for the next sweep; a broken or killed one is discarded.
     """
-    workers = min(jobs, len(pending))
     store_root = trace_store.root if trace_store is not None else None
     spool_dir = telemetry.directory if telemetry is not None else None
-    pool = ProcessPoolExecutor(max_workers=workers)
+    executor = pool.executor()
     inflight = {}
 
     def abandon(error_text, unexpected):
@@ -536,103 +609,97 @@ def _drive_pool(pending, jobs, policy, complete, telemetry=None,
                              error_text, now - task.started,
                              telemetry=telemetry)
         inflight.clear()
-        pool.shutdown(wait=False)
+        pool.discard()
         raise _PoolRestart(unexpected)
 
-    try:
-        while pending or inflight:
-            now = time.monotonic()
-            while pending and len(inflight) < workers:
-                if pending[0].not_before > now:
-                    break
-                task = pending.popleft()
-                task.attempts += 1
-                task.started = now
-                try:
-                    future = pool.submit(_supervised_simulate_point,
+    while pending or inflight:
+        now = time.monotonic()
+        while pending and len(inflight) < pool.jobs:
+            if pending[0].not_before > now:
+                break
+            task = pending.popleft()
+            task.attempts += 1
+            task.started = now
+            try:
+                future = executor.submit(_supervised_simulate_point,
                                          task.point, spool_dir, task.key,
                                          store_root)
-                except BrokenProcessPool:
-                    task.attempts -= 1  # never launched; refund
-                    pending.appendleft(task)
-                    abandon("worker pool broke before submission:\n"
-                            + traceback.format_exc(), unexpected=True)
-                inflight[future] = task
+            except BrokenProcessPool:
+                task.attempts -= 1  # never launched; refund
+                pending.appendleft(task)
+                abandon("worker pool broke before submission:\n"
+                        + traceback.format_exc(), unexpected=True)
+            inflight[future] = task
 
-            if not inflight:
-                # Everything pending is backoff-gated; sleep to the gate.
-                soonest = min(task.not_before for task in pending)
-                time.sleep(min(max(soonest - now, 0.0), 1.0) or 0.01)
-                continue
+        if not inflight:
+            # Everything pending is backoff-gated; sleep to the gate.
+            soonest = min(task.not_before for task in pending)
+            time.sleep(min(max(soonest - now, 0.0), 1.0) or 0.01)
+            continue
 
-            if policy.timeout is None:
-                tick = 0.1 if pending else None
-            else:
-                deadline = min(t.started for t in inflight.values()) + policy.timeout
-                tick = max(0.01, min(deadline - now, 0.5))
-            finished, _ = wait(set(inflight), timeout=tick,
-                               return_when=FIRST_COMPLETED)
-            now = time.monotonic()
+        if policy.timeout is None:
+            tick = 0.1 if pending else None
+        else:
+            deadline = min(t.started for t in inflight.values()) + policy.timeout
+            tick = max(0.01, min(deadline - now, 0.5))
+        finished, _ = wait(set(inflight), timeout=tick,
+                           return_when=FIRST_COMPLETED)
+        now = time.monotonic()
 
-            for future in finished:
-                task = inflight.pop(future)
-                try:
-                    run = future.result()
-                except BrokenProcessPool:
-                    elapsed = now - task.started
-                    _requeue_or_fail(
-                        task, pending, policy, complete,
-                        "worker process died (BrokenProcessPool):\n"
-                        + traceback.format_exc(),
-                        elapsed, telemetry=telemetry,
-                    )
-                    abandon("worker pool died; point was in flight when the "
-                            "pool broke", unexpected=True)
-                except BaseException:
-                    run = PointRun(None, traceback.format_exc(), None,
-                                   0.0, None)
-                if run.error is not None and task.attempts <= policy.retries:
-                    task.not_before = now + _backoff_delay(policy, task.attempts)
-                    if telemetry is not None:
-                        telemetry.emit("retry", point=task.point.label(),
-                                       key=task.key, attempt=task.attempts)
-                    pending.append(task)
-                else:
-                    complete(task, run, now - task.started)
-
-            if policy.timeout is None:
-                continue
-            expired = [
-                (future, task) for future, task in inflight.items()
-                if now - task.started >= policy.timeout and not future.done()
-            ]
-            if not expired:
-                continue
-            # Kill the whole pool: there is no portable way to kill one
-            # worker's task, and the pool is cheap to respawn relative to
-            # a simulation point.
-            _kill_pool_processes(pool)
-            for future, task in expired:
-                inflight.pop(future)
-                if telemetry is not None:
-                    telemetry.emit("timeout", point=task.point.label(),
-                                   key=task.key, attempt=task.attempts,
-                                   timeout=policy.timeout)
+        for future in finished:
+            task = inflight.pop(future)
+            try:
+                run = future.result()
+            except BrokenProcessPool:
+                elapsed = now - task.started
                 _requeue_or_fail(
                     task, pending, policy, complete,
-                    "point timed out after %.1fs (worker killed)"
-                    % policy.timeout,
-                    now - task.started, timed_out=True,
-                    telemetry=telemetry,
+                    "worker process died (BrokenProcessPool):\n"
+                    + traceback.format_exc(),
+                    elapsed, telemetry=telemetry,
                 )
-            for future, task in list(inflight.items()):
-                # Innocent bystanders: refund the attempt, run again first.
-                inflight.pop(future)
-                task.attempts -= 1
-                pending.appendleft(task)
-            pool.shutdown(wait=False)
-            raise _PoolRestart(unexpected=False)
-    except _PoolRestart:
-        raise
-    else:
-        pool.shutdown(wait=True)
+                abandon("worker pool died; point was in flight when the "
+                        "pool broke", unexpected=True)
+            except BaseException:
+                run = PointRun(None, traceback.format_exc(), None,
+                               0.0, None)
+            if run.error is not None and task.attempts <= policy.retries:
+                task.not_before = now + _backoff_delay(policy, task.attempts)
+                if telemetry is not None:
+                    telemetry.emit("retry", point=task.point.label(),
+                                   key=task.key, attempt=task.attempts)
+                pending.append(task)
+            else:
+                complete(task, run, now - task.started)
+
+        if policy.timeout is None:
+            continue
+        expired = [
+            (future, task) for future, task in inflight.items()
+            if now - task.started >= policy.timeout and not future.done()
+        ]
+        if not expired:
+            continue
+        # Kill the whole pool: there is no portable way to kill one
+        # worker's task, and the pool is cheap to respawn relative to
+        # a simulation point.
+        pool.discard(kill=True)
+        for future, task in expired:
+            inflight.pop(future)
+            if telemetry is not None:
+                telemetry.emit("timeout", point=task.point.label(),
+                               key=task.key, attempt=task.attempts,
+                               timeout=policy.timeout)
+            _requeue_or_fail(
+                task, pending, policy, complete,
+                "point timed out after %.1fs (worker killed)"
+                % policy.timeout,
+                now - task.started, timed_out=True,
+                telemetry=telemetry,
+            )
+        for future, task in list(inflight.items()):
+            # Innocent bystanders: refund the attempt, run again first.
+            inflight.pop(future)
+            task.attempts -= 1
+            pending.appendleft(task)
+        raise _PoolRestart(unexpected=False)

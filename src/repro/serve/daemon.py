@@ -9,10 +9,15 @@ turns its submitted jobs into supervised sweeps:
   so one chatty client cannot monopolize the fleet;
 * **execution** — the leased batch runs through
   :func:`repro.rel.supervise.run_supervised_sweep`, inheriting the whole
-  PR-4 discipline: per-job wall-clock timeouts, bounded retries with
-  exponential backoff, pool SIGKILL + respawn, graceful degradation to
-  inline execution after ``max_pool_respawns`` — and results dedup into
-  the shared :class:`~repro.perf.cache.ResultCache`;
+  supervision discipline: per-job wall-clock timeouts, bounded retries
+  with exponential backoff, pool SIGKILL + respawn, graceful degradation
+  to inline execution after ``max_pool_respawns`` — and results dedup
+  into the shared :class:`~repro.perf.cache.ResultCache`.  With
+  ``jobs > 1`` every batch runs in the daemon's one
+  :class:`~repro.rel.supervise.WorkerPool`, forked at the first batch
+  and kept warm until the daemon exits (a timeout kill or a worker
+  death replaces it); every batch reports through one telemetry
+  session;
 * **liveness** — the daemon heartbeats into the
   :mod:`repro.obs.telemetry` spool (role ``daemon``) with queue depth,
   lease count and counters, alongside the sweep/worker events the
@@ -43,10 +48,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.fsio import atomic_replace
-from repro.obs.telemetry import TelemetrySpool
+from repro.obs.telemetry import SweepTelemetry, TelemetrySpool
 from repro.perf.cache import ResultCache
 from repro.rel.inject import maybe_trip_daemon_fault
-from repro.rel.supervise import SupervisionPolicy, run_supervised_sweep
+from repro.rel.supervise import (
+    SupervisionPolicy,
+    WorkerPool,
+    run_supervised_sweep,
+)
 from repro.serve.queue import JobQueue, point_from_spec
 
 #: WAL file name inside a service directory.
@@ -74,7 +83,7 @@ def service_paths(root):
 class ServiceConfig:
     """Knobs of one daemon (CLI flags map 1:1; see ``repro serve``)."""
 
-    #: Worker processes per supervised batch.
+    #: Worker processes in the daemon's pool, which every batch shares.
     jobs: int = 2
     #: Jobs leased (and run) per scheduling round.
     batch: int = 4
@@ -134,6 +143,10 @@ class ServiceDaemon:
         )
         self.cache = None if self.config.no_cache else ResultCache()
         self.spool = TelemetrySpool(self.paths["spool"], role="daemon")
+        # Both are lazy: the pool forks and the session first reads the
+        # spool at the first batch, then serve every later one.
+        self.pool = WorkerPool(self.config.jobs)
+        self.telemetry = SweepTelemetry(self.paths["spool"])
         self.counters = {
             "leased_total": 0,
             "done_total": 0,
@@ -143,6 +156,7 @@ class ServiceDaemon:
             "throttled_total": 0,
             "rounds_total": 0,
             "heartbeats_total": 0,
+            "pool_spawns_total": 0,
         }
         self.draining = False
         self.started = time.time()
@@ -294,8 +308,10 @@ class ServiceDaemon:
             jobs=self.config.jobs,
             cache=self.cache,
             policy=policy,
-            telemetry=self.paths["spool"],
+            telemetry=self.telemetry,
+            pool=self.pool,
         )
+        self.counters["pool_spawns_total"] = self.pool.spawns
         settled = len(batch) - len(runnable)
         for job, outcome in zip(runnable, outcomes):
             if outcome.ok:
@@ -360,6 +376,8 @@ class ServiceDaemon:
                     time.sleep(self.config.poll_interval)
         finally:
             self.drain_leases()
+            self.pool.close()
+            self.telemetry.close()
             self.heartbeat(force=True)
             self.spool.emit(
                 "daemon_stop", draining=self.draining,

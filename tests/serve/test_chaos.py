@@ -23,6 +23,8 @@ from repro.rel.inject import (
     DAEMON_FAULT_ENV,
     DAEMON_FAULT_TOKEN_ENV,
     arm_daemon_fault,
+    arm_worker_fault,
+    disarm_worker_fault,
     truncate_wal_tail,
 )
 from repro.rel.supervise import SupervisionPolicy, run_supervised_sweep
@@ -201,3 +203,45 @@ def test_heartbeat_delay_fault_stalls_but_does_not_kill(tmp_path, monkeypatch):
     daemon.heartbeat(force=True)
     assert time.monotonic() - start < 0.2
     daemon.spool.close()
+
+
+def in_process_daemon(tmp_path, policy):
+    return ServiceDaemon(str(tmp_path / "svc"), ServiceConfig(
+        jobs=2, batch=4, once=True, no_cache=True, poll_interval=0.01,
+        policy=policy,
+    ))
+
+
+def test_lone_hung_job_is_timed_out_and_retried_to_done(tmp_path):
+    """``--timeout`` covers a job leased alone: it runs in a pool worker,
+    whose hang is killed after the timeout and retried."""
+    daemon = in_process_daemon(
+        tmp_path, SupervisionPolicy(timeout=2, retries=1, backoff=0))
+    job, _, _ = daemon.queue.submit(SPECS[0])
+    token = tmp_path / "hang.token"
+    arm_worker_fault(os.environ, "hang:60", str(token))
+    try:
+        start = time.monotonic()
+        daemon.run_forever()
+        elapsed = time.monotonic() - start
+    finally:
+        disarm_worker_fault(os.environ)
+    assert token.exists()  # the worker fault hook ran
+    assert daemon.queue.get(job.job_id).state == "done"
+    assert 2.0 <= elapsed < 30.0
+    assert daemon.counters["pool_spawns_total"] == 2  # killed and replaced
+
+
+def test_killed_worker_respawns_the_daemon_pool(tmp_path):
+    daemon = in_process_daemon(
+        tmp_path, SupervisionPolicy(retries=2, backoff=0.01))
+    ids = [daemon.queue.submit(spec)[0].job_id for spec in SPECS]
+    token = tmp_path / "kill.token"
+    arm_worker_fault(os.environ, "kill", str(token))
+    try:
+        daemon.run_forever()
+    finally:
+        disarm_worker_fault(os.environ)
+    assert token.exists()
+    assert all(daemon.queue.get(i).state == "done" for i in ids)
+    assert daemon.counters["pool_spawns_total"] == 2

@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 from repro.obs.prom import render_service
+from repro.obs.telemetry import SweepAggregator
 from repro.perf.sweep import SweepPoint
 from repro.rel.supervise import SupervisionPolicy, run_supervised_sweep
 from repro.serve.daemon import (
@@ -216,3 +217,87 @@ def test_sigterm_handler_requests_drain(tmp_path):
     finally:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.default_int_handler)
+
+
+def test_one_pool_serves_every_batch(tmp_path):
+    daemon = make_daemon(tmp_path, jobs=2, batch=2)
+    ids = [daemon.queue.submit(dict(SPEC, seed=seed))[0].job_id
+           for seed in range(1, 7)]
+    daemon.run_forever()
+    assert all(daemon.queue.get(i).state == "done" for i in ids)
+    assert daemon.counters["rounds_total"] >= 3  # three 2-job batches
+    assert daemon.counters["pool_spawns_total"] == 1
+    assert daemon.health()["counters"]["pool_spawns_total"] == 1
+    assert "repro_service_pool_spawns_total 1" in render_service(
+        daemon.health())
+
+
+def test_incremental_spool_fold_matches_a_fresh_fold(tmp_path):
+    """The daemon's one telemetry session folds the spool batch by batch;
+    the result must equal folding the whole spool at once."""
+    daemon = make_daemon(tmp_path, jobs=2, batch=2)
+    for seed in range(1, 6):
+        daemon.queue.submit(dict(SPEC, seed=seed))
+    daemon.run_forever()
+    incremental = daemon.telemetry.aggregator
+    incremental.poll()  # the daemon's stop events, written after its last pump
+    fresh = SweepAggregator(daemon.paths["spool"])
+    fresh.poll()
+
+    def comparable(snapshot):
+        snapshot["totals"].pop("elapsed")
+        snapshot["points"] = {p["key"]: p for p in snapshot.pop("points")}
+        return snapshot
+
+    folded = comparable(incremental.snapshot())
+    assert folded["totals"]["settled"] == 5
+    assert folded == comparable(fresh.snapshot())
+
+
+def _running(pid):
+    """True while *pid* exists and is not a zombie (Linux procfs)."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_warm_workers_die_with_a_sigkilled_daemon(tmp_path):
+    """An idle warm pool must not outlive its daemon: its workers notice
+    they were reparented and exit."""
+    root = str(tmp_path / "svc")
+    queue = JobQueue(service_paths(root)["wal"])
+    ids = [queue.submit(dict(SPEC, seed=seed))[0].job_id
+           for seed in range(1, 5)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", root, "--jobs", "2",
+         "--batch", "4", "--poll-interval", "0.05", "--no-cache"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            queue.poll()
+            if all(queue.get(i).state == "done" for i in ids):
+                break
+            time.sleep(0.05)
+        assert all(queue.get(i).state == "done" for i in ids)
+        spool = service_paths(root)["spool"]
+        workers = [int(name[len("worker-"):-len(".jsonl")])
+                   for name in os.listdir(spool)
+                   if name.startswith("worker-")]
+        assert workers and all(_running(pid) for pid in workers)
+    finally:
+        server.kill()  # the SIGKILL under test
+        server.wait(timeout=30)
+    deadline = time.monotonic() + 5.0
+    while (any(_running(pid) for pid in workers)
+           and time.monotonic() < deadline):
+        time.sleep(0.1)
+    orphans = [pid for pid in workers if _running(pid)]
+    for pid in orphans:  # do not leak them past a failing test
+        os.kill(pid, signal.SIGKILL)
+    assert orphans == []
