@@ -12,8 +12,13 @@ what it schedules.
 the (deterministic) build recipe and ships the result back as the
 lossless snapshot dict from :func:`repro.perf.cache.snapshot_result`, so
 nothing heavyweight (live pipelines, cache hierarchies, predictor state)
-crosses the process boundary.  A point that raises is captured as a
-full traceback string without killing the sweep.
+crosses the process boundary.  Given the sweep's
+:class:`~repro.perf.cache.ResultCache`, it also owns the cache: having
+built the program, it computes the point's key (:func:`_probe_cache`),
+returns a stored entry without simulating, and stores a fresh result
+itself, so the parent builds nothing for a point it dispatches.  A
+point that raises is captured as a full traceback string without
+killing the sweep.
 :func:`prewarm_traces` records each sampled point group's shared warm
 trace once before the fan-out, and :func:`_run_batched_sweep` is the
 ``executor="batched"`` lockstep path.
@@ -96,14 +101,15 @@ class SweepOutcome:
     cached: bool = False
     elapsed: float = 0.0
     #: PID of the process that simulated the point (the pool worker, or
-    #: this process for inline/cache-key failures) — with the full
-    #: traceback in ``error``, enough to match a failed point against
-    #: worker logs or a core dump.  ``None`` for cache hits.
+    #: this process for inline runs) — with the full traceback in
+    #: ``error``, enough to match a failed point against worker logs or a
+    #: core dump.  ``None`` for cache hits.
     worker_pid: Optional[int] = None
     #: Wall-clock seconds of the final attempt, measured *inside* the
-    #: worker (build + simulate) — recorded on success and failure alike,
-    #: 0.0 for cache hits.  ``elapsed`` remains the parent-observed wall
-    #: time, which additionally covers queueing and transfer.
+    #: worker (build, simulate and cache store) — recorded on success and
+    #: failure alike, 0.0 for cache hits.  ``elapsed`` remains the
+    #: parent-observed wall time, which additionally covers queueing and
+    #: transfer.
     seconds: float = 0.0
     #: Simulation attempts actually launched (0 for cache hits and
     #: journal resumes; more than 1 after retries).
@@ -126,6 +132,10 @@ class SweepOutcome:
     resumed: bool = False
     #: Ran inline after the pool was declared unrecoverable.
     degraded: bool = False
+    #: The :class:`~repro.perf.cache.ResultCache` key the result was
+    #: served from or stored at; ``None`` without a cache, on failure,
+    #: for journal resumes and when the store could not be written.
+    cache_key: Optional[str] = None
 
     @property
     def ok(self):
@@ -133,9 +143,13 @@ class SweepOutcome:
 
 
 #: What one worker attempt produced, measured where it ran.  ``trace``
-#: carries the warm-trace provenance for sampled points (or ``None``).
-PointRun = namedtuple("PointRun", "payload error pid seconds resources trace")
-PointRun.__new__.__defaults__ = (None,)
+#: carries the warm-trace provenance for sampled points (or ``None``);
+#: ``cache_key`` is where the payload sits in the result cache and
+#: ``cached`` says it was served from there rather than simulated.
+PointRun = namedtuple(
+    "PointRun", "payload error pid seconds resources trace cache_key cached"
+)
+PointRun.__new__.__defaults__ = (None, None, False)
 
 
 #: Per-process memo of the last few workload builds.  Builds are
@@ -165,6 +179,22 @@ def _build_point(point):
     return built
 
 
+def _probe_cache(cache, point):
+    """``(key, hit)``: *point*'s key in *cache* and the stored
+    :class:`~repro.perf.cache.CachedSimResult` (``None`` on a miss).
+
+    Builds through :func:`_build_point` and holds no reference to the
+    program afterwards, so it lives only as long as the memo keeps it.
+    """
+    plan = point.sampling_plan()
+    key = cache.key_for(
+        _build_point(point).program, point.config,
+        point.max_instructions, point.warmup_instructions,
+        sampling=plan.fingerprint() if plan is not None else None,
+    )
+    return key, cache.load(key, config=point.config)
+
+
 def _workload_identity(point):
     return {
         "name": point.workload,
@@ -175,7 +205,8 @@ def _workload_identity(point):
     }
 
 
-def _simulate_point(point, spool_dir=None, key=None, trace_store=None):
+def _simulate_point(point, spool_dir=None, key=None, trace_store=None,
+                    cache=None):
     """Pool worker: build + simulate one point; never raises.
 
     Returns a :class:`PointRun` — the result snapshot (or a full
@@ -184,6 +215,12 @@ def _simulate_point(point, spool_dir=None, key=None, trace_store=None):
     on.  Per-point error capture means one bad point cannot take down
     the executor (or the figure driving it); the pid makes a failure
     attributable to a specific pool process.
+
+    *cache* (the sweep's :class:`~repro.perf.cache.ResultCache`, sent
+    along so its root, schema and size bound apply here) is probed once
+    the program is built: a hit returns the stored payload with
+    ``cached`` set and simulates nothing, and a miss stores the fresh
+    payload before returning.  The store's time counts in ``seconds``.
 
     *spool_dir* (telemetry enabled) makes the worker emit
     ``point_start`` / ``progress`` heartbeats / ``point_finish`` to its
@@ -205,6 +242,13 @@ def _simulate_point(point, spool_dir=None, key=None, trace_store=None):
         from repro.core.simulator import Simulator
 
         built = _build_point(point)
+        cache_key = None
+        if cache is not None:
+            cache_key, hit = _probe_cache(cache, point)
+            if hit is not None:
+                return PointRun(hit.payload, None, pid,
+                                time.perf_counter() - start, None,
+                                cache_key=cache_key, cached=True)
         config = point.config if point.config is not None else sandy_bridge_config()
         plan = point.sampling_plan()
         if plan is not None:
@@ -258,28 +302,32 @@ def _simulate_point(point, spool_dir=None, key=None, trace_store=None):
             result = simulator.run(
                 point.max_instructions, point.warmup_instructions
             )
+        payload = snapshot_result(
+            result,
+            workload=_workload_identity(point),
+            run={
+                "max_instructions": point.max_instructions,
+                "warmup_instructions": point.warmup_instructions,
+                "sampling": point.sampling,
+            },
+        )
+        if cache_key is not None and cache.store(cache_key, payload) is None:
+            cache_key = None  # not persisted: name no entry
         return PointRun(
-            snapshot_result(
-                result,
-                workload=_workload_identity(point),
-                run={
-                    "max_instructions": point.max_instructions,
-                    "warmup_instructions": point.warmup_instructions,
-                    "sampling": point.sampling,
-                },
-            ),
+            payload,
             None,
             pid,
             time.perf_counter() - start,
             resources,
             getattr(result, "trace_info", None),
+            cache_key,
         )
     except BaseException:
         return PointRun(None, traceback.format_exc(), pid,
                         time.perf_counter() - start, None)
 
 
-def prewarm_traces(points, trace_store, telemetry=None):
+def prewarm_traces(points, trace_store, telemetry=None, cache=None):
     """Record (or cache-hit) every sampled point group's shared warm trace.
 
     The warm pre-scan depends only on (program digest, warm fingerprint,
@@ -287,7 +335,11 @@ def prewarm_traces(points, trace_store, telemetry=None):
     group into far fewer *trace groups* than points (a 4-workload ×
     6-config figure has 4).  For each group this records the trace once
     in the calling process and persists it; the fan-out workers then
-    load it instead of re-scanning.
+    load it instead of re-scanning.  With *cache* (the sweep's
+    :class:`~repro.perf.cache.ResultCache`), a group not yet stored
+    whose points are all in the result cache is not recorded: its
+    workers answer from the cache and never read the trace.  Probing
+    stops at the group's first miss.
 
     Emits ``trace_hit`` (group already stored) and ``trace_record``
     (freshly recorded) telemetry per group, each with the group's point
@@ -313,14 +365,11 @@ def prewarm_traces(points, trace_store, telemetry=None):
             point.workload, point.variant, point.input_name, point.scale,
             point.seed, limit, warm_fingerprint(point.config),
         )
-        entry = groups.get(ident)
-        if entry is None:
-            groups[ident] = [point, limit, 1]
-        else:
-            entry[2] += 1
+        groups.setdefault(ident, (limit, []))[1].append(point)
     hits = 0
     recorded = 0
-    for point, limit, n in groups.values():
+    for limit, members in groups.values():
+        point, n = members[0], len(members)
         try:
             built = _build_point(point)
             key = trace_store.key_for(built.program, point.config, limit)
@@ -331,6 +380,11 @@ def prewarm_traces(points, trace_store, telemetry=None):
                         "trace_hit", point=point.label(),
                         key=point.label(), trace_key=key, points=n,
                     )
+                continue
+            if cache is not None and all(
+                _probe_cache(cache, member)[1] is not None
+                for member in members
+            ):
                 continue
             # Mirror SampledSimulator.run exactly (oracle horizon is part
             # of the recording environment for perfect-predictor configs)

@@ -8,6 +8,13 @@ stats byte-identical to an inline run.  A result cache serves hits
 without simulating, a trace store shares sampled points' warm pre-scans,
 and telemetry makes the sweep observable from outside the process.
 
+The cache is probed and filled by whoever builds the point's program:
+the worker, or this process inline
+(:func:`~repro.perf.sweep._simulate_point`).  A pooled sweep's parent
+probes too only while no pool is live, up to the first miss, so a fully
+cached one-shot sweep never forks and a warm pool's parent builds
+nothing.
+
 A bare pool would let a hung point occupy its worker forever, a
 SIGKILLed worker poison every outstanding future (``BrokenProcessPool``)
 and an interrupted sweep restart from zero, so the engine also
@@ -61,7 +68,7 @@ from repro.perf.cache import CachedSimResult, config_fingerprint
 from repro.perf.sweep import (
     PointRun,
     SweepOutcome,
-    _build_point,
+    _probe_cache,
     _run_batched_sweep,
     _simulate_point,
     default_jobs,
@@ -233,7 +240,7 @@ class SweepJournal:
 
 
 def _supervised_simulate_point(point, spool_dir=None, key=None,
-                               trace_store=None):
+                               trace_store=None, cache=None):
     """Pool-worker entry point: fault hook + the plain point simulation.
 
     The fault hook is how the fault-injection tests make a *worker* die or
@@ -245,20 +252,19 @@ def _supervised_simulate_point(point, spool_dir=None, key=None,
     from repro.rel.inject import maybe_trip_worker_fault
 
     maybe_trip_worker_fault()
-    return _simulate_point(point, spool_dir, key, trace_store)
+    return _simulate_point(point, spool_dir, key, trace_store, cache)
 
 
 class _Task:
     """Mutable supervision state for one not-yet-settled point."""
 
-    __slots__ = ("index", "point", "key", "cache_key", "attempts",
-                 "not_before", "started")
+    __slots__ = ("index", "point", "key", "attempts", "not_before",
+                 "started")
 
-    def __init__(self, index, point, key, cache_key=None):
+    def __init__(self, index, point, key):
         self.index = index
         self.point = point
         self.key = key
-        self.cache_key = cache_key
         self.attempts = 0
         self.not_before = 0.0
         self.started = 0.0
@@ -309,6 +315,11 @@ class WorkerPool:
         self.spawns = 0
         self._executor = None
 
+    @property
+    def live(self):
+        """True while a forked pool is ready, so using it forks nothing."""
+        return self._executor is not None
+
     def executor(self):
         """The live executor, forking a fresh pool if there is none."""
         if self._executor is None:
@@ -356,7 +367,9 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
     pool, at most ``pool.jobs`` points at a time, and leaves it open;
     without it the sweep spawns its own pool and closes it on return.
     With *cache* (a :class:`~repro.perf.cache.ResultCache`), hits skip
-    simulation entirely and misses are persisted on completion.
+    simulation entirely and misses are stored by the worker that ran
+    them; with *jobs* ``> 1`` the parent probes a point itself only
+    while no pool is live (see the module docstring).
     *progress*, if given, is called as ``progress(outcome, done_count,
     total)`` as each point settles (completion order, not input order).
     With the default :class:`SupervisionPolicy` and healthy workers this
@@ -416,10 +429,22 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
         if progress is not None:
             progress(outcome, done, total)
 
+    def settle_hit(index, point, key, result, cache_key):
+        if telemetry is not None:
+            telemetry.emit("cache_hit", point=point.label(), key=key)
+        settle(index, SweepOutcome(
+            point=point, result=result, cached=True, cache_key=cache_key,
+        ), key=key)
+
     journal = SweepJournal(policy.journal_path) if policy.journal_path else None
     journaled = journal.load() if (journal is not None and policy.resume) else {}
 
-    # Serve journal entries and cache hits up front; the rest become tasks.
+    # Serve journal entries and the cache hits the parent probes up front;
+    # the rest become tasks.  The parent probes only while that may save
+    # a fork, and stops at the first miss (or build failure): that point
+    # forks the pool, and the workers probe the rest.
+    probing = cache is not None and jobs > 1 and (pool is None
+                                                  or not pool.live)
     tasks = deque()
     for index, point in enumerate(points):
         if point.config is None:
@@ -441,33 +466,18 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
                 resumed=True,
             ), key=key)
             continue
-        cache_key = None
-        if cache is not None:
+        if probing:
             try:
-                built = _build_point(point)
-                plan = point.sampling_plan()
-                cache_key = cache.key_for(
-                    built.program, point.config,
-                    point.max_instructions, point.warmup_instructions,
-                    sampling=(
-                        plan.fingerprint() if plan is not None else None
-                    ),
-                )
+                cache_key, hit = _probe_cache(cache, point)
             except Exception:
-                settle(index, SweepOutcome(
-                    point=point, error=traceback.format_exc(),
-                    worker_pid=os.getpid(), attempts=1,
-                ), key=key)
-                continue
-            hit = cache.load(cache_key, config=point.config)
+                # The worker hits the same error and reports it, under
+                # the retry policy like any other point error.
+                hit = None
             if hit is not None:
-                if telemetry is not None:
-                    telemetry.emit("cache_hit", point=point.label(), key=key)
-                settle(index, SweepOutcome(
-                    point=point, result=hit, cached=True,
-                ), key=key)
+                settle_hit(index, point, key, hit, cache_key)
                 continue
-        tasks.append(_Task(index, point, key, cache_key=cache_key))
+            probing = False
+        tasks.append(_Task(index, point, key))
 
     if journal is not None and tasks:
         journal.open(total)
@@ -475,9 +485,15 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
     if trace_store is not None and tasks:
         prewarm_traces(
             [task.point for task in tasks], trace_store, telemetry=telemetry,
+            cache=cache,
         )
 
     def complete(task, run, elapsed, timed_out=False, degraded=False):
+        if run.cached:
+            settle_hit(task.index, task.point, task.key,
+                       CachedSimResult(run.payload, config=task.point.config),
+                       run.cache_key)
+            return
         if run.error is not None:
             outcome = SweepOutcome(
                 point=task.point, error=run.error, elapsed=elapsed,
@@ -486,8 +502,6 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
                 timed_out=timed_out, degraded=degraded,
             )
         else:
-            if cache is not None and task.cache_key is not None:
-                cache.store(task.cache_key, run.payload)
             if journal is not None:
                 journal.record(
                     task.key, task.point.label(), run.payload, elapsed,
@@ -499,20 +513,20 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
                 result=CachedSimResult(run.payload, config=task.point.config),
                 elapsed=elapsed, worker_pid=run.pid, attempts=task.attempts,
                 seconds=run.seconds, resources=run.resources,
-                degraded=degraded, trace=run.trace,
+                degraded=degraded, trace=run.trace, cache_key=run.cache_key,
             )
         settle(task.index, outcome, key=task.key)
 
     if jobs <= 1:
         _run_inline(tasks, policy, complete, telemetry=telemetry,
-                    trace_store=trace_store)
+                    trace_store=trace_store, cache=cache)
     else:
         own_pool = pool is None
         if own_pool:
             pool = WorkerPool(min(jobs, len(tasks)))
         try:
             _run_pool(tasks, pool, policy, complete, telemetry=telemetry,
-                      trace_store=trace_store)
+                      trace_store=trace_store, cache=cache)
         finally:
             if own_pool:
                 pool.close()
@@ -522,7 +536,7 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
 
 
 def _run_inline(tasks, policy, complete, degraded=False, telemetry=None,
-                trace_store=None):
+                trace_store=None, cache=None):
     """Serial in-process execution with the same retry discipline.
 
     No per-point timeout here: there is no worker process to kill.  This
@@ -534,7 +548,7 @@ def _run_inline(tasks, policy, complete, degraded=False, telemetry=None,
             task.attempts += 1
             start = time.monotonic()
             run = _simulate_point(task.point, spool_dir, task.key,
-                                  trace_store)
+                                  trace_store, cache)
             elapsed = time.monotonic() - start
             if run.error is None or task.attempts > policy.retries:
                 complete(task, run, elapsed, degraded=degraded)
@@ -546,7 +560,7 @@ def _run_inline(tasks, policy, complete, degraded=False, telemetry=None,
 
 
 def _run_pool(tasks, pool, policy, complete, telemetry=None,
-              trace_store=None):
+              trace_store=None, cache=None):
     """Pool execution with restart-on-death and bounded degradation.
 
     The respawn budget is this sweep's own, however many pools *pool*
@@ -557,7 +571,7 @@ def _run_pool(tasks, pool, policy, complete, telemetry=None,
     while pending:
         try:
             _drive_pool(pending, pool, policy, complete, telemetry=telemetry,
-                        trace_store=trace_store)
+                        trace_store=trace_store, cache=cache)
         except _PoolRestart as restart:
             if restart.unexpected:
                 respawns += 1
@@ -566,7 +580,8 @@ def _run_pool(tasks, pool, policy, complete, telemetry=None,
                         telemetry.emit("degraded", respawns=respawns,
                                        remaining=len(pending))
                     _run_inline(pending, policy, complete, degraded=True,
-                                telemetry=telemetry, trace_store=trace_store)
+                                telemetry=telemetry, trace_store=trace_store,
+                                cache=cache)
                     return
                 if telemetry is not None:
                     telemetry.emit("pool_respawn", respawns=respawns,
@@ -588,7 +603,7 @@ def _requeue_or_fail(task, pending, policy, complete, error, elapsed,
 
 
 def _drive_pool(pending, pool, policy, complete, telemetry=None,
-                trace_store=None):
+                trace_store=None, cache=None):
     """Run *pool* until *pending* drains or the pool must be replaced.
 
     At most ``pool.jobs`` tasks are in flight at once, so a submitted
@@ -623,7 +638,7 @@ def _drive_pool(pending, pool, policy, complete, telemetry=None,
             try:
                 future = executor.submit(_supervised_simulate_point,
                                          task.point, spool_dir, task.key,
-                                         store_root)
+                                         store_root, cache)
             except BrokenProcessPool:
                 task.attempts -= 1  # never launched; refund
                 pending.appendleft(task)

@@ -12,7 +12,8 @@ turns its submitted jobs into supervised sweeps:
   supervision discipline: per-job wall-clock timeouts, bounded retries
   with exponential backoff, pool SIGKILL + respawn, graceful degradation
   to inline execution after ``max_pool_respawns`` — and results dedup
-  into the shared :class:`~repro.perf.cache.ResultCache`.  With
+  into the shared :class:`~repro.perf.cache.ResultCache`, which the
+  workers probe and fill (each ``done`` record names its entry).  With
   ``jobs > 1`` every batch runs in the daemon's one
   :class:`~repro.rel.supervise.WorkerPool`, forked at the first batch
   and kept warm until the daemon exits (a timeout kill or a worker
@@ -321,6 +322,7 @@ class ServiceDaemon:
                 )
                 self.queue.complete(
                     job.job_id, payload,
+                    cache_key=outcome.cache_key,
                     seconds=outcome.seconds,
                     supervision=policy.to_dict(),
                 )

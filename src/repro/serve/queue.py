@@ -41,12 +41,16 @@ Cross-process safety: every mutating operation holds an ``flock`` on
 ``<wal>.lock`` and first folds any lines appended by other processes
 (:meth:`JobQueue.poll`), so ``repro submit --queue`` can enqueue work
 while the daemon is live (or down — the next daemon replays it).
+Within one process a lock serializes the fold, so the daemon's loop and
+its HTTP handler threads can share one queue.
 """
 
 import hashlib
 import json
 import os
+import threading
 import time
+from contextlib import contextmanager
 
 from repro.fsio import flock_exclusive, fsync_directory
 
@@ -201,12 +205,15 @@ class JobQueue:
     ``repro submit``, ``repro jobs`` — converge on the same state from
     the same bytes.  Mutations serialize on an ``flock``; reads never
     need it (appends are atomic at the line level and replay skips the
-    torn tail).
+    torn tail).  Threads of one process also share ``_mutex``: two
+    unserialized polls would both read the same new lines and advance
+    the offset twice, skipping the next record.
     """
 
     def __init__(self, path, max_lease_attempts=3):
         self.path = path
         self.max_lease_attempts = max_lease_attempts
+        self._mutex = threading.RLock()
         self.jobs = {}
         self._order = []        # job ids in first-submit order
         self._offset = 0
@@ -263,8 +270,11 @@ class JobQueue:
             fsync_directory(self.path)
         return doc
 
+    @contextmanager
     def _lock(self):
-        return flock_exclusive(self.path + ".lock")
+        # The thread lock first: only its holder waits on the flock.
+        with self._mutex, flock_exclusive(self.path + ".lock"):
+            yield
 
     # -- replay ---------------------------------------------------------
 
@@ -276,31 +286,32 @@ class JobQueue:
         partial UTF-8 sequence or a garbled record costs exactly that
         one line, never the replay.
         """
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(self._offset)
-                chunk = fh.read()
-        except OSError:
-            return 0
-        if not chunk:
-            return 0
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return 0
-        self._offset += end + 1
-        folded = 0
-        for raw in chunk[: end + 1].splitlines():
+        with self._mutex:
             try:
-                doc = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                continue
-            if not isinstance(doc, dict):
-                continue
-            if doc.get("v", WAL_VERSION) != WAL_VERSION:
-                continue
-            self._fold(doc)
-            folded += 1
-        return folded
+                with open(self.path, "rb") as fh:
+                    fh.seek(self._offset)
+                    chunk = fh.read()
+            except OSError:
+                return 0
+            if not chunk:
+                return 0
+            end = chunk.rfind(b"\n")
+            if end < 0:
+                return 0
+            self._offset += end + 1
+            folded = 0
+            for raw in chunk[: end + 1].splitlines():
+                try:
+                    doc = json.loads(raw.decode("utf-8"))
+                except (UnicodeDecodeError, ValueError):
+                    continue
+                if not isinstance(doc, dict):
+                    continue
+                if doc.get("v", WAL_VERSION) != WAL_VERSION:
+                    continue
+                self._fold(doc)
+                folded += 1
+            return folded
 
     def _fold(self, doc):
         op = doc.get("op")
@@ -515,16 +526,19 @@ class JobQueue:
 
     def depth(self):
         """Live jobs (submitted + leased): the backpressure measure."""
-        return sum(1 for job in self.jobs.values() if job.live)
+        with self._mutex:
+            return sum(1 for job in self.jobs.values() if job.live)
 
     def counts(self):
         counts = {state: 0 for state in LIVE_STATES + TERMINAL_STATES}
-        for job in self.jobs.values():
-            counts[job.state] = counts.get(job.state, 0) + 1
+        with self._mutex:
+            for job in self.jobs.values():
+                counts[job.state] = counts.get(job.state, 0) + 1
+            counts["total"] = len(self.jobs)
         counts["depth"] = counts["submitted"] + counts["leased"]
-        counts["total"] = len(self.jobs)
         return counts
 
     def list_jobs(self):
         """Job summaries in first-submit order (no result payloads)."""
-        return [self.jobs[job_id].to_dict() for job_id in self._order]
+        with self._mutex:
+            return [self.jobs[job_id].to_dict() for job_id in self._order]

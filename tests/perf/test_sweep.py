@@ -193,3 +193,27 @@ def test_trace_record_events_count_each_groups_points(tmp_path):
     assert [(e["point"], e["points"]) for e in records] == [
         ("astar_r1(Rivers)/base", 3), ("soplex(ref)/cfd", 1),
     ]
+
+
+def test_prewarm_skips_groups_the_result_cache_serves(tmp_path):
+    """A pool's workers answer cached points from the result cache, so
+    their trace group is not recorded, even past the parent's first
+    miss."""
+    from repro.obs.telemetry import SweepAggregator
+    from repro.perf.tracestore import TraceStore
+
+    cache = ResultCache(root=str(tmp_path / "cache"))
+    run_supervised_sweep(_sampled_points(), jobs=1, cache=cache)
+    soplex = SweepPoint(workload="soplex", variant="cfd", input_name="ref",
+                        scale=0.125, max_instructions=30_000, sampling=_PLAN)
+    store = TraceStore(root=str(tmp_path / "traces"))
+    spool = str(tmp_path / "spool")
+    outcomes = run_supervised_sweep([soplex] + _sampled_points(), jobs=2,
+                                    cache=cache, trace_store=store,
+                                    telemetry=spool)
+    records = [e for e in SweepAggregator(spool).poll()
+               if e["kind"] == "trace_record"]
+    assert [e["point"] for e in records] == ["soplex(ref)/cfd"]
+    assert store.counters()["stores"] == 1
+    assert outcomes[0].ok and not outcomes[0].cached
+    assert all(o.ok and o.cached and o.attempts == 0 for o in outcomes[1:])

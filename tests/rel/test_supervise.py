@@ -13,9 +13,11 @@ import os
 
 import pytest
 
-from repro.perf import SweepPoint
+from repro.obs.telemetry import SweepAggregator
+from repro.perf import ResultCache, SweepPoint
 from repro.rel import (
     SupervisionPolicy,
+    WorkerPool,
     arm_worker_fault,
     disarm_worker_fault,
     run_supervised_sweep,
@@ -183,6 +185,113 @@ def test_success_records_seconds_and_journal_carries_them(tmp_path):
     )
     assert all(o.resumed and o.seconds > 0 and o.attempts == 0
                for o in resumed)
+
+
+# ------------------------------------------------ where the cache is probed
+
+
+def test_live_pool_parent_builds_no_workload(tmp_path, monkeypatch):
+    """Once the pool is live, its workers probe and fill the cache: the
+    parent builds nothing, and misses and hits both match inline."""
+    import repro.perf.sweep as sweep
+
+    inline = run_supervised_sweep(_points(), jobs=1)
+    parent = os.getpid()
+    builds = []
+    real_build = sweep._build_point
+
+    def counting_build(point):
+        if os.getpid() == parent:  # workers forked later inherit this
+            builds.append(point.label())
+        return real_build(point)
+
+    cache = ResultCache(root=str(tmp_path / "cache"))
+    pool = WorkerPool(2)
+    try:
+        run_supervised_sweep(_points(1), jobs=2, pool=pool)
+        assert pool.live
+        monkeypatch.setattr(sweep, "_build_point", counting_build)
+        fresh = run_supervised_sweep(_points(), jobs=2, cache=cache,
+                                     pool=pool)
+        served = run_supervised_sweep(_points(), jobs=2, cache=cache,
+                                      pool=pool)
+    finally:
+        pool.close()
+    assert builds == []
+    assert pool.spawns == 1
+    assert all(o.ok and not o.cached and o.cache_key for o in fresh)
+    assert all(o.ok and o.cached for o in served)
+    assert [o.cache_key for o in served] == [o.cache_key for o in fresh]
+    assert _stats_blobs(fresh) == _stats_blobs(inline)
+    assert _stats_blobs(served) == _stats_blobs(inline)
+
+
+def test_fully_cached_one_shot_sweep_forks_no_pool(tmp_path, monkeypatch):
+    cache = ResultCache(root=str(tmp_path / "cache"))
+    run_supervised_sweep(_points(), jobs=1, cache=cache)
+    forks = []
+    monkeypatch.setattr(WorkerPool, "executor",
+                        lambda self: forks.append(self))
+    outcomes = run_supervised_sweep(_points(), jobs=2, cache=cache)
+    assert all(o.ok and o.cached for o in outcomes)
+    assert forks == []
+
+
+def test_inline_sweep_probes_each_point_once(tmp_path):
+    """Inline, the point's own build is the only probe: one load per
+    point, and hits keep the hit outcome shape."""
+    cache = ResultCache(root=str(tmp_path / "cache"))
+    fresh = run_supervised_sweep(_points(), jobs=1, cache=cache)
+    assert cache.counters()["misses"] == 2
+    assert cache.counters()["stores"] == 2
+    served = run_supervised_sweep(_points(), jobs=1, cache=cache)
+    assert cache.counters()["misses"] == 2
+    assert cache.counters()["hits"] == 2
+    assert all(o.ok and not o.cached and o.cache_key for o in fresh)
+    assert all(o.ok and o.cached and o.attempts == 0 and o.seconds == 0.0
+               and o.worker_pid is None for o in served)
+    assert [o.cache_key for o in served] == [o.cache_key for o in fresh]
+    assert _stats_blobs(served) == _stats_blobs(fresh)
+
+
+def test_worker_cache_hits_keep_the_hit_outcome_shape(tmp_path):
+    """Hits found in workers look like the parent's: no attempts, no
+    seconds, no pid, one ``cache_hit`` event each, no journal line."""
+    cache = ResultCache(root=str(tmp_path / "cache"))
+    journal = tmp_path / "journal.jsonl"
+    spool = str(tmp_path / "spool")
+    pool = WorkerPool(2)
+    try:
+        run_supervised_sweep(_points(), jobs=2, cache=cache, pool=pool)
+        assert pool.live  # so the parent leaves every probe to the workers
+        outcomes = run_supervised_sweep(
+            _points(), jobs=2, cache=cache, pool=pool, telemetry=spool,
+            policy=SupervisionPolicy(journal_path=str(journal)),
+        )
+    finally:
+        pool.close()
+    assert all(o.ok and o.cached and o.attempts == 0 and o.seconds == 0.0
+               and o.worker_pid is None for o in outcomes)
+    agg = SweepAggregator(spool)
+    agg.poll()
+    assert agg.counters["cache_hits"] == 2
+    assert agg.snapshot()["totals"]["by_status"] == {"cached": 2}
+    with open(journal) as fh:
+        assert [json.loads(line)["kind"] for line in fh] == ["header"]
+
+
+def test_build_failure_with_cache_is_retried_in_the_worker(tmp_path):
+    cache = ResultCache(root=str(tmp_path / "cache"))
+    points = [_points(1)[0], SweepPoint(workload="no-such-workload")]
+    outcomes = run_supervised_sweep(
+        points, jobs=2, cache=cache,
+        policy=SupervisionPolicy(retries=1, backoff=0.0),
+    )
+    assert outcomes[0].ok and outcomes[0].cache_key
+    bad = outcomes[1]
+    assert not bad.ok and bad.attempts == 2
+    assert "no-such-workload" in bad.error and bad.cache_key is None
+    assert bad.worker_pid and bad.worker_pid != os.getpid()
 
 
 def test_worker_resources_recorded_with_telemetry(tmp_path):

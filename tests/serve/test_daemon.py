@@ -16,6 +16,7 @@ from pathlib import Path
 
 from repro.obs.prom import render_service
 from repro.obs.telemetry import SweepAggregator
+from repro.perf.cache import CachedSimResult, ResultCache
 from repro.perf.sweep import SweepPoint
 from repro.rel.supervise import SupervisionPolicy, run_supervised_sweep
 from repro.serve.daemon import (
@@ -83,6 +84,33 @@ def test_done_record_carries_supervision_knobs(tmp_path):
              in open(daemon.queue.path, "rb").read().splitlines()]
     done = [doc for doc in lines if doc.get("op") == "done"]
     assert done[0]["supervision"] == policy.to_dict()
+
+
+def test_done_record_names_its_cache_entry(tmp_path, monkeypatch):
+    """A worker stores the result; the ``done`` record names the entry,
+    and a second service sharing the cache serves it as a hit."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    daemon = make_daemon(tmp_path, jobs=2, no_cache=False)
+    job, _, _ = daemon.queue.submit(SPEC)
+    daemon.run_forever()
+    done = JobQueue(daemon.paths["wal"]).get(job.job_id)
+    assert done.state == "done" and done.cache_key
+    entry = ResultCache().load(done.cache_key)
+    assert entry is not None
+    assert (entry.stats.to_dict()
+            == CachedSimResult(done.result).stats.to_dict())
+
+    other = ServiceDaemon(str(tmp_path / "svc2"), ServiceConfig(
+        jobs=2, once=True, poll_interval=0.01,
+        policy=SupervisionPolicy(retries=0),
+    ))
+    again, _, _ = other.queue.submit(SPEC)
+    other.run_forever()
+    served = JobQueue(other.paths["wal"]).get(again.job_id)
+    assert served.state == "done" and served.cache_key == done.cache_key
+    assert served.seconds == 0.0  # a hit: nothing was simulated
+    assert other.pool.spawns == 0
+    assert comparable(served.result) == comparable(done.result)
 
 
 def test_unbuildable_spec_fails_cleanly(tmp_path):
@@ -189,9 +217,14 @@ def test_drain_under_load_loses_no_leased_jobs(tmp_path):
         report = json.loads(proc.stdout)
         assert report["clean"] and report["queue"]["leased"] == 0
     finally:
-        if server.poll() is None:
+        # The daemon drops its pidfile (which ends ``drain``'s wait) a
+        # moment before its interpreter exits: wait for the exit, and
+        # kill it only if it never comes.
+        try:
+            server.wait(timeout=30)
+        except subprocess.TimeoutExpired:
             server.kill()
-        server.wait(timeout=30)
+            server.wait(timeout=30)
     assert server.returncode == 0
     # nothing lost: every job is done or durably submitted, none leased
     after = JobQueue(service_paths(root)["wal"])

@@ -7,6 +7,8 @@ the bytes directly.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -232,3 +234,52 @@ def test_wal_records_supervision_knobs(tmp_path):
              in open(queue.path, "rb").read().splitlines()]
     done = [doc for doc in lines if doc.get("op") == "done"]
     assert done[0]["supervision"] == {"timeout": 5.0, "retries": 2}
+
+
+# --------------------------------------------------------- threads
+
+
+def test_threads_sharing_a_queue_lose_no_record(tmp_path):
+    """The daemon's loop polls the queue its HTTP handler threads submit
+    into; a poll racing a submit must neither drop nor double-read a
+    record, nor make the submit miss the job it just wrote."""
+    queue = make_queue(tmp_path)
+    stop = threading.Event()
+    errors = []
+
+    def guarded(fn, *args):
+        def run():
+            try:
+                fn(*args)
+            except Exception as exc:  # reported below, not lost
+                errors.append(repr(exc))
+        return run
+
+    def poll():
+        while not stop.is_set():
+            queue.poll()
+            queue.counts()
+
+    def submit(first):
+        for seed in range(first, first + 60):
+            queue.submit(spec_for(seed=seed))
+
+    pollers = [threading.Thread(target=guarded(poll)) for _ in range(2)]
+    submitters = [threading.Thread(target=guarded(submit, first))
+                  for first in (0, 1000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in pollers + submitters:
+            thread.start()
+        for thread in submitters:
+            thread.join(timeout=60)
+    finally:
+        stop.set()
+        for thread in pollers:
+            thread.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pollers + submitters)
+    assert errors == []
+    assert queue.counts()["submitted"] == 120
+    assert queue.counts() == make_queue(tmp_path).counts()
