@@ -19,9 +19,9 @@ returns a stored entry without simulating, and stores a fresh result
 itself, so the parent builds nothing for a point it dispatches.  A
 point that raises is captured as a full traceback string without
 killing the sweep.
-:func:`prewarm_traces` records each sampled point group's shared warm
-trace once before the fan-out, and :func:`_run_batched_sweep` is the
-``executor="batched"`` lockstep path.
+:func:`prewarm_traces` records a sampled point group's shared warm
+trace once, in the sweep's own process, and :func:`_run_batched_sweep`
+is the ``executor="batched"`` lockstep path.
 """
 
 import os
@@ -327,15 +327,41 @@ def _simulate_point(point, spool_dir=None, key=None, trace_store=None,
                         time.perf_counter() - start, None)
 
 
+def _trace_groups(items, point_of=lambda item: item):
+    """``(ungrouped, groups)``: *items* split by warm-trace group.
+
+    A warm pre-scan depends only on the workload recipe, the budget and
+    the config's warm fingerprint; points that record none stay apart.
+    """
+    from repro.core.warm import warm_fingerprint
+
+    ungrouped, groups = [], {}
+    for item in items:
+        point = point_of(item)
+        if point.sampling is None or point.max_instructions is None:
+            ungrouped.append(item)
+            continue
+        if point.config is None:
+            from repro.core import sandy_bridge_config
+
+            point.config = sandy_bridge_config()
+        groups.setdefault((
+            point.workload, point.variant, point.input_name, point.scale,
+            point.seed, point.warmup_instructions + point.max_instructions,
+            warm_fingerprint(point.config),
+        ), []).append(item)
+    return ungrouped, list(groups.values())
+
+
 def prewarm_traces(points, trace_store, telemetry=None, cache=None):
     """Record (or cache-hit) every sampled point group's shared warm trace.
 
-    The warm pre-scan depends only on (program digest, warm fingerprint,
-    budget) — never on timing-only config fields — so a sweep's points
-    group into far fewer *trace groups* than points (a 4-workload ×
-    6-config figure has 4).  For each group this records the trace once
-    in the calling process and persists it; the fan-out workers then
-    load it instead of re-scanning.  With *cache* (the sweep's
+    A sweep's points group into far fewer *trace groups*
+    (:func:`_trace_groups`) than points: a 4-workload × 6-config figure
+    has 4.  For each group this records the trace once in the calling
+    process and persists it; the points' runners then load it instead
+    of re-scanning.  The sweep engine calls this once per group, while
+    its pool simulates earlier groups.  With *cache* (the sweep's
     :class:`~repro.perf.cache.ResultCache`), a group not yet stored
     whose points are all in the result cache is not recorded: its
     workers answer from the cache and never read the trace.  Probing
@@ -350,26 +376,14 @@ def prewarm_traces(points, trace_store, telemetry=None, cache=None):
     Returns ``{"groups": N, "hits": N, "recorded": N}``.
     """
     from repro.core.pipeline import Pipeline
-    from repro.core.warm import record_portable_trace, warm_fingerprint
+    from repro.core.warm import record_portable_trace
 
-    groups = {}
-    for point in points:
-        if point.sampling is None or point.max_instructions is None:
-            continue
-        if point.config is None:
-            from repro.core import sandy_bridge_config
-
-            point.config = sandy_bridge_config()
-        limit = point.warmup_instructions + point.max_instructions
-        ident = (
-            point.workload, point.variant, point.input_name, point.scale,
-            point.seed, limit, warm_fingerprint(point.config),
-        )
-        groups.setdefault(ident, (limit, []))[1].append(point)
+    _, groups = _trace_groups(points)
     hits = 0
     recorded = 0
-    for limit, members in groups.values():
+    for members in groups:
         point, n = members[0], len(members)
+        limit = point.warmup_instructions + point.max_instructions
         try:
             built = _build_point(point)
             key = trace_store.key_for(built.program, point.config, limit)

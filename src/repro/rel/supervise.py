@@ -15,6 +15,11 @@ probes too only while no pool is live, up to the first miss, so a fully
 cached one-shot sweep never forks and a warm pool's parent builds
 nothing.
 
+With a trace store, each warm-trace group's points are *held* until
+this process records the group's trace.  A runner records the next held
+group whenever it can dispatch nothing else, so a pool simulates earlier
+groups meanwhile.  Held groups survive pool restarts and degraded mode.
+
 A bare pool would let a hung point occupy its worker forever, a
 SIGKILLed worker poison every outstanding future (``BrokenProcessPool``)
 and an interrupted sweep restart from zero, so the engine also
@@ -44,7 +49,9 @@ supervises:
 
 Timeouts need worker processes to kill; inline execution (``jobs=1`` or
 degraded mode) runs without them, which is the documented trade-off of
-graceful degradation.
+graceful degradation.  The pool driver notices timeouts and pool deaths
+between held-group recordings, so a hung point can be killed late by at
+most one group's pre-scan.
 
 The workers live in a :class:`WorkerPool`.  A one-shot sweep makes its
 own and closes it on return; a long-lived caller (the service daemon)
@@ -71,6 +78,7 @@ from repro.perf.sweep import (
     _probe_cache,
     _run_batched_sweep,
     _simulate_point,
+    _trace_groups,
     default_jobs,
     prewarm_traces,
 )
@@ -326,6 +334,10 @@ class WorkerPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs, initializer=_exit_with_parent,
             )
+            # The executor forks at its first submit; a no-op forks the
+            # workers now, before this process records a warm trace.  A
+            # broken pool shows in the sweep's own futures, not this one.
+            self._executor.submit(int)
             self.spawns += 1
         return self._executor
 
@@ -392,10 +404,11 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
 
     *trace_store* (a :class:`~repro.perf.tracestore.TraceStore` or a
     store root path) turns on warm-trace reuse for sampled points: the
-    parent pre-records each workload group's shared trace
-    (:func:`~repro.perf.sweep.prewarm_traces`), workers load instead of
-    re-scanning, and each point's trace provenance lands on its outcome
-    and journal line.  Results are byte-identical with reuse on or off.
+    parent records each trace group's shared trace while a pool
+    simulates earlier groups (see the module docstring), runners load
+    it instead of re-scanning, and each point's trace provenance lands
+    on its outcome and journal line.  Results are byte-identical with
+    reuse on or off.
     """
     if executor not in (None, "process", "batched"):
         raise ValueError("unknown sweep executor %r" % (executor,))
@@ -482,11 +495,10 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
     if journal is not None and tasks:
         journal.open(total)
 
-    if trace_store is not None and tasks:
-        prewarm_traces(
-            [task.point for task in tasks], trace_store, telemetry=telemetry,
-            cache=cache,
-        )
+    # Sampled groups wait in *held* until their trace is recorded.
+    pending, held = (_trace_groups(tasks, lambda task: task.point)
+                     if trace_store is not None else (tasks, []))
+    pending, held = deque(pending), deque(held)
 
     def complete(task, run, elapsed, timed_out=False, degraded=False):
         if run.cached:
@@ -518,15 +530,16 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
         settle(task.index, outcome, key=task.key)
 
     if jobs <= 1:
-        _run_inline(tasks, policy, complete, telemetry=telemetry,
+        _run_inline(pending, held, policy, complete, telemetry=telemetry,
                     trace_store=trace_store, cache=cache)
     else:
         own_pool = pool is None
         if own_pool:
             pool = WorkerPool(min(jobs, len(tasks)))
         try:
-            _run_pool(tasks, pool, policy, complete, telemetry=telemetry,
-                      trace_store=trace_store, cache=cache)
+            _run_pool(pending, held, pool, policy, complete,
+                      telemetry=telemetry, trace_store=trace_store,
+                      cache=cache)
         finally:
             if own_pool:
                 pool.close()
@@ -535,15 +548,27 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
     return outcomes
 
 
-def _run_inline(tasks, policy, complete, degraded=False, telemetry=None,
-                trace_store=None, cache=None):
+def _release_group(held, pending, trace_store, telemetry, cache):
+    """Record the next held group's warm trace here; queue its tasks."""
+    group = held.popleft()
+    prewarm_traces([task.point for task in group], trace_store,
+                   telemetry=telemetry, cache=cache)
+    pending.extend(group)
+
+
+def _run_inline(pending, held, policy, complete, degraded=False,
+                telemetry=None, trace_store=None, cache=None):
     """Serial in-process execution with the same retry discipline.
 
     No per-point timeout here: there is no worker process to kill.  This
     is both the ``jobs=1`` reference path and the degraded last resort.
+    A held group is recorded once no task is ready.
     """
     spool_dir = telemetry.directory if telemetry is not None else None
-    for task in tasks:
+    while pending or held:
+        if not pending:
+            _release_group(held, pending, trace_store, telemetry, cache)
+        task = pending.popleft()
         while True:
             task.attempts += 1
             start = time.monotonic()
@@ -559,33 +584,34 @@ def _run_inline(tasks, policy, complete, degraded=False, telemetry=None,
             time.sleep(_backoff_delay(policy, task.attempts))
 
 
-def _run_pool(tasks, pool, policy, complete, telemetry=None,
+def _run_pool(pending, held, pool, policy, complete, telemetry=None,
               trace_store=None, cache=None):
     """Pool execution with restart-on-death and bounded degradation.
 
     The respawn budget is this sweep's own, however many pools *pool*
-    spawned before it.
+    spawned before it.  *pending* and *held* outlive each pool.
     """
-    pending = deque(tasks)
     respawns = 0
-    while pending:
+    while pending or held:
         try:
-            _drive_pool(pending, pool, policy, complete, telemetry=telemetry,
-                        trace_store=trace_store, cache=cache)
+            _drive_pool(pending, held, pool, policy, complete,
+                        telemetry=telemetry, trace_store=trace_store,
+                        cache=cache)
         except _PoolRestart as restart:
             if restart.unexpected:
                 respawns += 1
+                remaining = len(pending) + sum(map(len, held))
                 if respawns > policy.max_pool_respawns:
                     if telemetry is not None:
                         telemetry.emit("degraded", respawns=respawns,
-                                       remaining=len(pending))
-                    _run_inline(pending, policy, complete, degraded=True,
-                                telemetry=telemetry, trace_store=trace_store,
-                                cache=cache)
+                                       remaining=remaining)
+                    _run_inline(pending, held, policy, complete,
+                                degraded=True, telemetry=telemetry,
+                                trace_store=trace_store, cache=cache)
                     return
                 if telemetry is not None:
                     telemetry.emit("pool_respawn", respawns=respawns,
-                                   remaining=len(pending))
+                                   remaining=remaining)
                 time.sleep(_backoff_delay(policy, respawns))
 
 
@@ -602,14 +628,17 @@ def _requeue_or_fail(task, pending, policy, complete, error, elapsed,
                  timed_out=timed_out)
 
 
-def _drive_pool(pending, pool, policy, complete, telemetry=None,
+def _drive_pool(pending, held, pool, policy, complete, telemetry=None,
                 trace_store=None, cache=None):
-    """Run *pool* until *pending* drains or the pool must be replaced.
+    """Run *pool* until no task is left or the pool must be replaced.
 
     At most ``pool.jobs`` tasks are in flight at once, so a submitted
     task starts (almost) immediately and its submit time is an honest
-    start time for the wall-clock timeout.  A drained pool is left
-    running for the next sweep; a broken or killed one is discarded.
+    start time for the wall-clock timeout.  When nothing more can be
+    dispatched, a held group is recorded and finished futures are
+    collected without blocking; ``wait`` blocks only once none is held.
+    A drained pool is left running for the next sweep; a broken or
+    killed one is discarded.
     """
     store_root = trace_store.root if trace_store is not None else None
     spool_dir = telemetry.directory if telemetry is not None else None
@@ -627,7 +656,7 @@ def _drive_pool(pending, pool, policy, complete, telemetry=None,
         pool.discard()
         raise _PoolRestart(unexpected)
 
-    while pending or inflight:
+    while pending or inflight or held:
         now = time.monotonic()
         while pending and len(inflight) < pool.jobs:
             if pending[0].not_before > now:
@@ -646,13 +675,15 @@ def _drive_pool(pending, pool, policy, complete, telemetry=None,
                         + traceback.format_exc(), unexpected=True)
             inflight[future] = task
 
-        if not inflight:
+        if held:
+            _release_group(held, pending, trace_store, telemetry, cache)
+            tick = 0
+        elif not inflight:
             # Everything pending is backoff-gated; sleep to the gate.
             soonest = min(task.not_before for task in pending)
             time.sleep(min(max(soonest - now, 0.0), 1.0) or 0.01)
             continue
-
-        if policy.timeout is None:
+        elif policy.timeout is None:
             tick = 0.1 if pending else None
         else:
             deadline = min(t.started for t in inflight.values()) + policy.timeout

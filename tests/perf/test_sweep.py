@@ -217,3 +217,83 @@ def test_prewarm_skips_groups_the_result_cache_serves(tmp_path):
     assert store.counters()["stores"] == 1
     assert outcomes[0].ok and not outcomes[0].cached
     assert all(o.ok and o.cached and o.attempts == 0 for o in outcomes[1:])
+
+
+# -- recording overlapped with the pool ------------------------------------
+
+
+def _two_group_points():
+    """Two astar machine sizes (one trace group) and soplex (another)."""
+    return _sampled_points() + [
+        SweepPoint(workload="soplex", variant="cfd", input_name="ref",
+                   scale=0.125, max_instructions=30_000, sampling=_PLAN),
+    ]
+
+
+def test_pool_runs_first_group_before_second_is_recorded(tmp_path,
+                                                        monkeypatch):
+    """The parent records group 2 while the pool simulates group 1,
+    not every group before it submits anything."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    import repro.rel.supervise as supervise
+
+    calls = []
+    real_prewarm = supervise.prewarm_traces
+    real_submit = ProcessPoolExecutor.submit
+
+    def prewarm(points, *args, **kwargs):
+        calls.append(("prewarm", tuple(p.workload for p in points)))
+        return real_prewarm(points, *args, **kwargs)
+
+    def submit(self, fn, *args, **kwargs):
+        if fn is supervise._supervised_simulate_point:
+            calls.append(("submit", args[0].workload))
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(supervise, "prewarm_traces", prewarm)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    outcomes = run_supervised_sweep(_two_group_points(), jobs=2,
+                                    trace_store=str(tmp_path / "traces"))
+    assert all(o.ok for o in outcomes)
+    prewarms = [call for call in calls if call[0] == "prewarm"]
+    assert prewarms == [("prewarm", ("astar_r1", "astar_r1")),
+                        ("prewarm", ("soplex",))]
+    assert calls.index(("submit", "astar_r1")) < calls.index(prewarms[1])
+
+
+def test_pooled_trace_reuse_records_each_group_once(tmp_path):
+    from repro.obs.telemetry import SweepAggregator
+    from repro.perf.tracestore import TraceStore
+
+    baseline = run_supervised_sweep(_two_group_points(), jobs=1)
+    store = TraceStore(root=str(tmp_path / "traces"))
+    spool = str(tmp_path / "spool")
+    outcomes = run_supervised_sweep(_two_group_points(), jobs=2,
+                                    trace_store=store, telemetry=spool)
+    assert all(o.ok for o in outcomes)
+    assert _stats_blobs(outcomes) == _stats_blobs(baseline)
+    assert store.counters()["stores"] == 2
+    assert [(o.trace or {}).get("source") for o in outcomes] == ["hit"] * 3
+    records = [e for e in SweepAggregator(spool).poll()
+               if e["kind"] == "trace_record"]
+    assert sorted((e["point"], e["points"]) for e in records) == [
+        ("astar_r1(Rivers)/base", 2), ("soplex(ref)/cfd", 1),
+    ]
+
+
+def test_one_shot_pool_is_sized_from_held_points_too(tmp_path, monkeypatch):
+    import repro.rel.supervise as supervise
+
+    pools = []
+
+    class RecordingPool(supervise.WorkerPool):
+        def __init__(self, jobs):
+            super().__init__(jobs)
+            pools.append(self)
+
+    monkeypatch.setattr(supervise, "WorkerPool", RecordingPool)
+    outcomes = run_supervised_sweep(_sampled_points(), jobs=2,
+                                    trace_store=str(tmp_path / "traces"))
+    assert all(o.ok for o in outcomes)
+    assert [pool.jobs for pool in pools] == [2]

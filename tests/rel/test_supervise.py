@@ -358,6 +358,109 @@ def test_hung_worker_without_retries_reports_timeout(tmp_path):
     assert all(o.ok for o in outcomes if not o.timed_out)
 
 
+def _two_trace_groups():
+    """Sampled points in two warm-trace groups: astar at two machine
+    sizes, and soplex."""
+    from repro.core import sandy_bridge_config
+    from repro.core.config import scale_window
+
+    plan = "interval=200,warmup=50,period=5000,head=300,tail=300"
+    return [
+        SweepPoint(workload="astar_r1", variant="base", input_name="Rivers",
+                   config=scale_window(sandy_bridge_config(), rob),
+                   scale=0.125, max_instructions=30_000, sampling=plan)
+        for rob in (64, 128)
+    ] + [
+        SweepPoint(workload="soplex", variant="cfd", input_name="ref",
+                   scale=0.125, max_instructions=30_000, sampling=plan),
+    ]
+
+
+@pytest.mark.faultinject
+def test_sigkilled_worker_recovers_with_held_trace_groups(tmp_path):
+    from repro.perf.tracestore import TraceStore
+
+    baseline = run_supervised_sweep(_two_trace_groups(), jobs=1)
+    store = TraceStore(root=str(tmp_path / "traces"))
+    arm_worker_fault(os.environ, "kill", str(tmp_path / "kill.token"))
+    try:
+        outcomes = run_supervised_sweep(
+            _two_trace_groups(), jobs=2, trace_store=store,
+            policy=SupervisionPolicy(retries=2, backoff=0.01),
+        )
+    finally:
+        disarm_worker_fault(os.environ)
+    assert os.path.exists(str(tmp_path / "kill.token"))
+    assert all(o.ok for o in outcomes)
+    assert any(o.attempts > 1 for o in outcomes)
+    assert _stats_blobs(outcomes) == _stats_blobs(baseline)
+    assert store.counters()["stores"] == 2
+    assert all(o.trace["source"] == "hit" for o in outcomes)
+
+
+@pytest.mark.faultinject
+def test_degraded_sweep_records_held_groups_before_their_points(
+        tmp_path, monkeypatch):
+    """A full-detail point goes to the pool at once and its worker dies
+    while the groups are held; with no respawns allowed, every point
+    then runs inline, each group's trace recorded before its points."""
+    import repro.rel.supervise as supervise
+    from repro.perf.tracestore import TraceStore
+
+    def points():
+        return _points(1) + _two_trace_groups()
+
+    baseline = run_supervised_sweep(points(), jobs=1)
+    parent = os.getpid()
+    recorded, ran = set(), []
+    real_prewarm = supervise.prewarm_traces
+    real_simulate = supervise._simulate_point
+
+    def prewarm(group, *args, **kwargs):
+        recorded.update(id(point) for point in group)
+        return real_prewarm(group, *args, **kwargs)
+
+    def simulate(point, *args):
+        if os.getpid() == parent:
+            ran.append(point.sampling is None or id(point) in recorded)
+        return real_simulate(point, *args)
+
+    monkeypatch.setattr(supervise, "prewarm_traces", prewarm)
+    monkeypatch.setattr(supervise, "_simulate_point", simulate)
+    store = TraceStore(root=str(tmp_path / "traces"))
+    arm_worker_fault(os.environ, "kill", str(tmp_path / "kill.token"))
+    try:
+        outcomes = run_supervised_sweep(
+            points(), jobs=2, trace_store=store,
+            policy=SupervisionPolicy(max_pool_respawns=0, backoff=0.01),
+        )
+    finally:
+        disarm_worker_fault(os.environ)
+    assert os.path.exists(str(tmp_path / "kill.token"))
+    assert all(o.ok for o in outcomes)
+    assert any(o.degraded for o in outcomes)
+    assert _stats_blobs(outcomes) == _stats_blobs(baseline)
+    assert ran and all(ran)
+    assert store.counters()["stores"] == 2
+
+
+@pytest.mark.faultinject
+def test_hung_worker_with_held_trace_groups_is_killed_and_retried(tmp_path):
+    baseline = run_supervised_sweep(_two_trace_groups(), jobs=1)
+    arm_worker_fault(os.environ, "hang:120", str(tmp_path / "hang.token"))
+    try:
+        outcomes = run_supervised_sweep(
+            _two_trace_groups(), jobs=2,
+            trace_store=str(tmp_path / "traces"),
+            policy=SupervisionPolicy(timeout=3.0, retries=2, backoff=0.01),
+        )
+    finally:
+        disarm_worker_fault(os.environ)
+    assert all(o.ok for o in outcomes)
+    assert any(o.attempts > 1 for o in outcomes)
+    assert _stats_blobs(outcomes) == _stats_blobs(baseline)
+
+
 # --------------------------------------------------- sampled + batched
 
 
