@@ -63,10 +63,6 @@ class _ArchQueue:
         self.total_pops += 1
         return self._entries.popleft()
 
-    def peek(self, index=0):
-        """Entry *index* positions from the head (without popping)."""
-        return self._entries[index]
-
     def entries(self):
         """Snapshot of entries, head first."""
         return list(self._entries)

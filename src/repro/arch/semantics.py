@@ -55,14 +55,6 @@ _BRANCH = {
 ALU_OPCODES = frozenset(_ALU_R) | frozenset(_ALU_I) | {Opcode.LUI}
 
 
-def is_alu_r(opcode):
-    return opcode in _ALU_R
-
-
-def is_alu_i(opcode):
-    return opcode in _ALU_I
-
-
 def alu_compute(opcode, a, b=0, imm=0):
     """Compute the 32-bit result of any ALU opcode (R- or I-form)."""
     fn = _ALU_R.get(opcode)

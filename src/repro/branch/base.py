@@ -86,16 +86,6 @@ class BranchPredictor:
         return registry
 
 
-class _SaturatingCounter:
-    """Small helper: saturating counter arithmetic on plain ints."""
-
-    @staticmethod
-    def bump(value, taken, max_value):
-        if taken:
-            return min(value + 1, max_value)
-        return max(value - 1, 0)
-
-
 def saturate(value, delta, lo, hi):
     """Add *delta* to *value*, clamped to [lo, hi]."""
     return max(lo, min(hi, value + delta))

@@ -28,11 +28,6 @@ class PerfectPredictor(BranchPredictor):
         self._outcomes = {pc: list(seq) for pc, seq in (outcomes or {}).items()}
         self._cursors = defaultdict(int)
 
-    def load_outcomes(self, outcomes):
-        """Install per-PC outcome sequences (retirement order)."""
-        self._outcomes = {pc: list(seq) for pc, seq in outcomes.items()}
-        self._cursors = defaultdict(int)
-
     def predict(self, pc):
         seq = self._outcomes.get(pc)
         if seq is None:

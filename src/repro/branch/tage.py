@@ -95,10 +95,6 @@ class TAGEPredictor(BranchPredictor):
         self._use_alt_on_na = 8  # 4-bit counter, >=8 means "use alt"
         self._update_count = 0
         self._alloc_tick = 0
-        # Memoized XOR-folds backing _folds_for (cold path helpers only;
-        # the hot predict path uses the incremental registers below).
-        self._fold_cache = {}
-        self._len_masks = tuple((1 << l) - 1 for l in self.history_lengths)
         # pc ^ (pc >> (table + 1)) per table, memoized per static PC.
         self._pc_parts = {}
         # Incrementally-maintained folded histories (the hardware CSR
@@ -115,8 +111,6 @@ class TAGEPredictor(BranchPredictor):
         self._hist_mask = (1 << (self.history_lengths[-1] + 1)) - 1
         self._build_shift()
         self._build_index_tags()
-
-    _FOLD_CACHE_LIMIT = 1 << 17
 
     def _build_shift(self):
         """Compile the history-shift step with every constant inlined.
@@ -182,34 +176,6 @@ class TAGEPredictor(BranchPredictor):
             length = lm1 + 1
             regs[i] = _fold(h & ((1 << length) - 1), length, bm1 + 1)
             i += 1
-
-    # -- indexing ------------------------------------------------------------
-
-    def _folds_for(self, table):
-        """The (index, tag, tag-1) folds of the current history for *table*."""
-        length = self.history_lengths[table]
-        masked = self._history & ((1 << length) - 1)
-        key = (length, masked)
-        cache = self._fold_cache
-        folds = cache.get(key)
-        if folds is None:
-            folds = (
-                _fold(masked, length, self.table_bits),
-                _fold(masked, length, self.tag_bits),
-                _fold(masked, length, self.tag_bits - 1),
-            )
-            if len(cache) >= self._FOLD_CACHE_LIMIT:
-                cache.clear()
-            cache[key] = folds
-        return folds
-
-    def _compute_index(self, pc, table):
-        folded = self._folds_for(table)[0]
-        return (pc ^ (pc >> (table + 1)) ^ folded) & self._index_mask
-
-    def _compute_tag(self, pc, table):
-        _, folded, folded2 = self._folds_for(table)
-        return (pc ^ folded ^ (folded2 << 1)) & self._tag_mask
 
     # -- predict -------------------------------------------------------------
 

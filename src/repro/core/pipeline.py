@@ -393,12 +393,6 @@ class Pipeline:
         else:
             bucket.append(uop)
 
-    def _inst_addr(self, pc):
-        return CODE_BASE + pc * 4
-
-    def _read_src(self, phys):
-        return self.prf_value[phys]
-
     # ------------------------------------------------------------------ fetch
 
     def _capture_fe_snapshot(self):
@@ -1766,31 +1760,11 @@ class Pipeline:
         self.stats = SimStats()
         self._cycle_base = self.cycle
         self.warmup_stats = None
-        self.memory.l1i.reset_stats()
-        self.memory.l1d.reset_stats()
-        self.memory.l2.reset_stats()
-        self.memory.l3.reset_stats()
-        self.mshr.occupancy_histogram.clear()
-        self.mshr.allocations = self.mshr.merges = self.mshr.full_stalls = 0
+        self._reset_structure_counters()
         self.sim_done = False
         self.last_retire_cycle = self.cycle
         self.retire_limit = (warmup_instructions or 0) + max_instructions
-        warm_target = warmup_instructions if warmup_instructions else None
-        stall_guard = getattr(self.config, "deadlock_cycles", 100_000)
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            self._run_loop(warm_target, stall_guard, self.config.max_cycles,
-                           self.stage_retire, self.stage_complete,
-                           self.stage_memory, self.stage_issue,
-                           self.stage_rename, self.stage_fetch,
-                           self.mshr.sample)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        self.stats.cycles = self.cycle - self._cycle_base
-        return self.stats
+        return self._run_loop(warmup_instructions)
 
     # ------------------------------------------------------------------- run
 
@@ -1803,9 +1777,18 @@ class Pipeline:
         methodology.
         """
         self.retire_limit = None
-        warm_target = warmup_instructions if warmup_instructions else None
         if max_instructions is not None:
             self.retire_limit = (warmup_instructions or 0) + max_instructions
+        return self._run_loop(warmup_instructions)
+
+    def _run_loop(self, warmup_instructions):
+        """Cycle until done (HALT, retire limit or ``max_cycles``).
+
+        Statistics reset once *warmup_instructions* retire.  The stage
+        methods are looked up on ``self`` at each call, so wrappers
+        installed on the class take effect.  Returns :attr:`stats`.
+        """
+        warm_target = warmup_instructions if warmup_instructions else None
         stall_guard = getattr(self.config, "deadlock_cycles", 100_000)
         stage_retire = self.stage_retire
         stage_complete = self.stage_complete
@@ -1823,56 +1806,48 @@ class Pipeline:
         if gc_was_enabled:
             gc.disable()
         try:
-            self._run_loop(warm_target, stall_guard, max_cycles,
-                           stage_retire, stage_complete, stage_memory,
-                           stage_issue, stage_rename, stage_fetch,
-                           mshr_sample)
+            while not self.sim_done:
+                stage_retire()
+                if self.sim_done:
+                    break
+                if (
+                    self.fetch_halted
+                    and not self.rob
+                    and not self.fetch_pipe
+                    and not self.serialize_pending
+                ):
+                    # Ran off the end of the code segment (implicit halt).
+                    self.sim_done = True
+                    break
+                stage_complete()
+                stage_memory()
+                stage_issue()
+                stage_rename()
+                stage_fetch()
+                mshr_sample(self.cycle)
+                if self.obs is not None:
+                    self.obs.on_cycle_end(self)
+                    self.cycle += 1
+                    self.stats.cycles = self.cycle - self._cycle_base
+                else:
+                    # Fast path: stats.cycles is derived from self.cycle, so
+                    # the per-cycle store is deferred to the warmup boundary
+                    # and to run() exit — observers are the only per-cycle
+                    # readers.
+                    self.cycle += 1
+                if warm_target is not None and self.stats.retired >= warm_target:
+                    self.stats.cycles = self.cycle - self._cycle_base
+                    self._reset_stats_after_warmup()
+                    warm_target = None
+                if self.cycle - self.last_retire_cycle > stall_guard:
+                    raise SimulationError(self._deadlock_report(stall_guard))
+                if self.cycle >= max_cycles:
+                    break
         finally:
             if gc_was_enabled:
                 gc.enable()
         self.stats.cycles = self.cycle - self._cycle_base
         return self.stats
-
-    def _run_loop(self, warm_target, stall_guard, max_cycles,
-                  stage_retire, stage_complete, stage_memory,
-                  stage_issue, stage_rename, stage_fetch, mshr_sample):
-        while not self.sim_done:
-            stage_retire()
-            if self.sim_done:
-                break
-            if (
-                self.fetch_halted
-                and not self.rob
-                and not self.fetch_pipe
-                and not self.serialize_pending
-            ):
-                # Ran off the end of the code segment (implicit halt).
-                self.sim_done = True
-                break
-            stage_complete()
-            stage_memory()
-            stage_issue()
-            stage_rename()
-            stage_fetch()
-            mshr_sample(self.cycle)
-            if self.obs is not None:
-                self.obs.on_cycle_end(self)
-                self.cycle += 1
-                self.stats.cycles = self.cycle - self._cycle_base
-            else:
-                # Fast path: stats.cycles is derived from self.cycle, so
-                # the per-cycle store is deferred to the warmup boundary
-                # and to run() exit — observers are the only per-cycle
-                # readers.
-                self.cycle += 1
-            if warm_target is not None and self.stats.retired >= warm_target:
-                self.stats.cycles = self.cycle - self._cycle_base
-                self._reset_stats_after_warmup()
-                warm_target = None
-            if self.cycle - self.last_retire_cycle > stall_guard:
-                raise SimulationError(self._deadlock_report(stall_guard))
-            if self.cycle >= max_cycles:
-                break
 
     def _deadlock_report(self, stall_guard, event_limit=20):
         """Diagnostics for the no-retire-progress watchdog.
@@ -1932,6 +1907,10 @@ class Pipeline:
         if self.retire_limit is not None:
             self.retire_limit -= warm_retired
         self._cycle_base = self.cycle
+        self._reset_structure_counters()
+
+    def _reset_structure_counters(self):
+        """Zero the cache and MSHR counters (the state itself stays warm)."""
         self.memory.l1i.reset_stats()
         self.memory.l1d.reset_stats()
         self.memory.l2.reset_stats()

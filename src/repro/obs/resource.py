@@ -79,10 +79,3 @@ class ResourceSample:
             ),
             "maxrss_kb": end.maxrss_kb,
         }
-
-
-def measure_around(fn, *args, **kwargs):
-    """Run ``fn(*args, **kwargs)``; returns ``(result, resources_dict)``."""
-    start = ResourceSample.capture()
-    result = fn(*args, **kwargs)
-    return result, start.delta(ResourceSample.capture())

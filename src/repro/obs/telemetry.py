@@ -66,7 +66,6 @@ EVENT_KINDS = (
     "point_finish",
     "cache_hit",
     "sampling",
-    "batch",
     "trace_record",
     "trace_hit",
     "trace_reuse",
@@ -288,10 +287,9 @@ class SweepAggregator:
             "events": 0, "heartbeats": 0, "cache_hits": 0,
             "journal_resumes": 0, "retries": 0, "timeouts": 0,
             "pool_respawns": 0, "degraded": 0, "workers": 0,
-            "sampled_points": 0, "batches": 0,
+            "sampled_points": 0,
             "trace_records": 0, "trace_hits": 0, "trace_reuses": 0,
         }
-        self.batch_width = 0
         self.points = {}
         self._worker_pids = set()
         self.peak_rss_kb = 0
@@ -423,11 +421,6 @@ class SweepAggregator:
                     "measured_fraction": event.get("measured_fraction"),
                     "ipc_rel_ci95": event.get("ipc_rel_ci95"),
                 }
-        elif kind == "batch":
-            # A lockstep batched fan-out started; remember its width.
-            self.counters["batches"] += 1
-            if event.get("width"):
-                self.batch_width = max(self.batch_width, event["width"])
         elif kind == "trace_record":
             # The scheduler recorded a workload group's shared warm
             # trace (event carries how many points will reuse it).
@@ -533,7 +526,6 @@ class SweepAggregator:
                 "elapsed": round(elapsed, 3),
                 "peak_rss_kb": self.peak_rss_kb,
                 "cpu_seconds": round(self.cpu_seconds, 3),
-                "batch_width": self.batch_width,
             },
             "points": [s.to_dict() for s in points],
         }

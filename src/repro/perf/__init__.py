@@ -26,15 +26,10 @@ each point expensive.  This package makes the grid cheap two ways:
     warm gaps, with honest per-stat extrapolation error bars
     (``repro run --sample``, ``repro bench-speed --sample``).
 
-:mod:`repro.perf.batch`
-    Lockstep batched functional execution of independent points
-    (``run_supervised_sweep(..., executor="batched")``).
-
 See docs/PERFORMANCE.md for the cache layout, invalidation rules, the
-KIPS methodology and the sampling/batching design.
+KIPS methodology and the sampling design.
 """
 
-from repro.perf.batch import BatchedFunctionalExecutor
 from repro.perf.cache import (
     CACHE_SCHEMA_VERSION,
     CachedSimResult,
@@ -59,7 +54,6 @@ from repro.perf.speed import (
 from repro.perf.sweep import SweepOutcome, SweepPoint, default_jobs
 
 __all__ = [
-    "BatchedFunctionalExecutor",
     "CACHE_SCHEMA_VERSION",
     "CachedSimResult",
     "REFERENCE_CASES",

@@ -147,11 +147,6 @@ class SamplingPlan:
         """Functional-warming instructions per period."""
         return self.period - self.interval_length - self.detail_warmup
 
-    @property
-    def detail_fraction(self):
-        """Fraction of instructions simulated in detail (speed ceiling)."""
-        return (self.interval_length + self.detail_warmup) / self.period
-
     def fingerprint(self):
         """Canonical identity string; enters cache keys and journal keys.
 

@@ -20,8 +20,7 @@ itself, so the parent builds nothing for a point it dispatches.  A
 point that raises is captured as a full traceback string without
 killing the sweep.
 :func:`prewarm_traces` records a sampled point group's shared warm
-trace once, in the sweep's own process, and :func:`_run_batched_sweep`
-is the ``executor="batched"`` lockstep path.
+trace once, in the sweep's own process.
 """
 
 import os
@@ -88,11 +87,8 @@ class SweepOutcome:
     launched) and ``resources`` (CPU/RSS delta when telemetry was on) —
     are first-class output: ``repro compare --json`` surfaces them per
     point alongside the stats, so bench tooling consumes them without
-    digging through supervision journals.  ``functional`` is set instead
-    of ``result`` for ``executor="batched"`` sweeps, which run the
-    points' functional machines in one lockstep batch and report
-    architectural outcomes only (no timing stats).  ``timed_out``,
-    ``resumed`` and ``degraded`` record the supervision history.
+    digging through supervision journals.  ``timed_out``, ``resumed``
+    and ``degraded`` record the supervision history.
     """
 
     point: SweepPoint
@@ -117,10 +113,6 @@ class SweepOutcome:
     #: Worker resource usage of the final attempt when telemetry was on
     #: (:meth:`repro.obs.resource.ResourceSample.delta`); ``None`` otherwise.
     resources: Optional[dict] = None
-    #: Functional-only outcome dict (``executor="batched"``): retired
-    #: count, halt flag, final PC and the batch width.  ``None`` for
-    #: detailed (process/inline) sweeps.
-    functional: Optional[dict] = None
     #: Warm-trace provenance for sampled points run against a trace
     #: store ({source, key, budget, events}); ``None`` otherwise.  Kept
     #: out of ``result``/the cached payload so trace reuse never changes
@@ -418,85 +410,3 @@ def prewarm_traces(points, trace_store, telemetry=None, cache=None):
                 trace_key=key, points=n, events=len(trace.kinds),
             )
     return {"groups": len(groups), "hits": hits, "recorded": recorded}
-
-
-def _run_batched_sweep(points, telemetry, progress):
-    """``executor="batched"``: one lockstep batch over all points.
-
-    Builds every point's workload, instantiates its functional machine
-    (CFD queue geometry from the point's config), and advances all of
-    them together in one :class:`BatchedFunctionalExecutor`.  A point
-    whose build fails settles as an error without removing its
-    neighbours from the batch.  Sampling specs are irrelevant here —
-    the batch is already functional-only.
-    """
-    from repro.perf.batch import BatchedFunctionalExecutor
-
-    if telemetry is not None:
-        telemetry.sweep_started(len(points), 1,
-                                label="run_supervised_sweep[batched]")
-    outcomes = [None] * len(points)
-    lanes = []  # (input index, executor lane index) via parallel append
-    lane_points = []
-    start = time.perf_counter()
-    for index, point in enumerate(points):
-        if point.config is None:
-            from repro.core import sandy_bridge_config
-
-            point.config = sandy_bridge_config()
-        try:
-            from repro.arch.executor import FunctionalExecutor
-            from repro.arch.state import ArchState
-
-            built = _build_point(point)
-            config = point.config
-            state = ArchState(
-                built.program,
-                bq_size=config.bq_size,
-                vq_size=config.vq_size,
-                tq_size=config.tq_size,
-                tq_bits=config.tq_bits,
-            )
-            budget = (
-                point.max_instructions if point.max_instructions is not None
-                else 100_000_000
-            )
-            lanes.append(FunctionalExecutor(built.program, state, budget))
-            lane_points.append(index)
-        except Exception:
-            outcomes[index] = SweepOutcome(
-                point=point, error=traceback.format_exc(),
-                worker_pid=os.getpid(), attempts=1,
-            )
-    batch = BatchedFunctionalExecutor(lanes)
-    if telemetry is not None:
-        telemetry.emit("batch", width=batch.width, points=len(points))
-    batch.run()
-    elapsed = time.perf_counter() - start
-    retired, halted = batch.retired(), batch.halted()
-    for lane_index, index in enumerate(lane_points):
-        lane = batch.lanes[lane_index]
-        outcomes[index] = SweepOutcome(
-            point=points[index],
-            functional={
-                "mode": "functional",
-                "retired": retired[lane_index],
-                "halted": halted[lane_index],
-                "final_pc": lane.state.pc,
-                "batch_width": batch.width,
-            },
-            elapsed=elapsed,
-            worker_pid=os.getpid(),
-            seconds=elapsed,
-            attempts=1,
-        )
-    done = 0
-    for outcome in outcomes:
-        done += 1
-        if telemetry is not None:
-            telemetry.point_settled(outcome, key=outcome.point.label())
-        if progress is not None:
-            progress(outcome, done, len(outcomes))
-    if telemetry is not None:
-        telemetry.sweep_finished(outcomes)
-    return outcomes

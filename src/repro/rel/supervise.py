@@ -76,7 +76,6 @@ from repro.perf.sweep import (
     PointRun,
     SweepOutcome,
     _probe_cache,
-    _run_batched_sweep,
     _simulate_point,
     _trace_groups,
     default_jobs,
@@ -121,14 +120,6 @@ class SupervisionPolicy:
             "backoff_factor": self.backoff_factor,
             "max_pool_respawns": self.max_pool_respawns,
         }
-
-    @classmethod
-    def from_dict(cls, doc, **overrides):
-        """Rebuild a policy from :meth:`to_dict` output (tolerant)."""
-        known = {f for f in cls.__dataclass_fields__}
-        fields = {k: v for k, v in (doc or {}).items() if k in known}
-        fields.update(overrides)
-        return cls(**fields)
 
 
 def point_key(point):
@@ -388,11 +379,8 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
     is the plain sweep: supervision only decides *whether and where* a
     point runs, never what it computes.
 
-    ``executor="batched"`` runs every point's functional machine in one
-    lockstep batch inside this process (functional-only outcomes, see
-    :class:`~repro.perf.batch.BatchedFunctionalExecutor`); timeouts,
-    retries, the cache and the journal do not apply there — a batch has
-    no workers to supervise and completes or fails as a unit.
+    *executor* is ``None`` or ``"process"``, both this engine; any other
+    value raises :class:`ValueError`.
 
     *telemetry* — a spool directory or
     :class:`~repro.obs.telemetry.SweepTelemetry` (default: enabled when
@@ -410,12 +398,10 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
     on its outcome and journal line.  Results are byte-identical with
     reuse on or off.
     """
-    if executor not in (None, "process", "batched"):
+    if executor not in (None, "process"):
         raise ValueError("unknown sweep executor %r" % (executor,))
     points = list(points)
     telemetry = SweepTelemetry.resolve(telemetry)
-    if executor == "batched":
-        return _run_batched_sweep(points, telemetry, progress)
     policy = SupervisionPolicy() if policy is None else policy
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
     if isinstance(trace_store, str):

@@ -316,12 +316,8 @@ class ServiceDaemon:
         settled = len(batch) - len(runnable)
         for job, outcome in zip(runnable, outcomes):
             if outcome.ok:
-                payload = (
-                    outcome.result.payload if outcome.result is not None
-                    else {"functional": outcome.functional}
-                )
                 self.queue.complete(
-                    job.job_id, payload,
+                    job.job_id, outcome.result.payload,
                     cache_key=outcome.cache_key,
                     seconds=outcome.seconds,
                     supervision=policy.to_dict(),
@@ -474,13 +470,6 @@ def wait_for_job(queue, job_id, timeout=300.0, poll=0.2):
             return job
         time.sleep(poll)
     return queue.get(job_id)
-
-
-def load_result_payload(job):
-    """A done job's result payload (WAL copy, or ``None``)."""
-    if job is None or job.state != "done":
-        return None
-    return job.result
 
 
 def summarize_wal(path):

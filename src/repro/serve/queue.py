@@ -45,7 +45,6 @@ Within one process a lock serializes the fold, so the daemon's loop and
 its HTTP handler threads can share one queue.
 """
 
-import hashlib
 import json
 import os
 import threading
@@ -140,12 +139,6 @@ def job_key(spec):
     from repro.rel.supervise import point_key
 
     return point_key(point_from_spec(spec))
-
-
-def wal_digest(doc):
-    """Short content digest of one WAL record (torn-tail forensics)."""
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 class Job:

@@ -72,9 +72,3 @@ def run_lengths(count, max_run=9, zero_fraction=0.2, seed=0):
 def to_words(values):
     """Clamp numpy values into unsigned 32-bit words for ``.word`` data."""
     return [int(v) & _WORD for v in np.asarray(values).tolist()]
-
-
-def word_list(values):
-    """Format values as a ``.word`` directive operand string."""
-    words = to_words(values)
-    return ", ".join(str(w if w < 0x80000000 else w - 0x100000000) for w in words)

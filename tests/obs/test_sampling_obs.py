@@ -1,9 +1,9 @@
-"""Observability of sampled and batched runs.
+"""Observability of sampled runs.
 
 Sampled runs must be visible end to end: the run manifest carries the
 sampling accounting, sweep workers emit ``sampling`` telemetry events
-the aggregator folds onto the point, batched sweeps announce their
-width, and the bench-history label selector can pin a named baseline.
+the aggregator folds onto the point, and the bench-history label
+selector can pin a named baseline.
 """
 
 import io
@@ -72,25 +72,6 @@ def test_sampled_sweep_emits_sampling_event(tmp_path):
     snap = agg.snapshot()
     [point_row] = snap["points"]
     assert point_row["sampling"]["fingerprint"].startswith("sample/v")
-
-
-def test_batched_sweep_emits_batch_event(tmp_path):
-    points = [
-        SweepPoint("bzip2", "tq", "chicken", scale=0.125,
-                   max_instructions=2000),
-        SweepPoint("soplex", "cfd", "ref", scale=0.125,
-                   max_instructions=2000),
-    ]
-    outcomes = run_supervised_sweep(points, executor="batched",
-                                    telemetry=str(tmp_path))
-    assert all(o.ok for o in outcomes)
-    agg = SweepAggregator(str(tmp_path))
-    events = agg.poll()
-    batch = [e for e in events if e["kind"] == "batch"]
-    assert len(batch) == 1
-    assert batch[0]["width"] == 2
-    assert agg.counters["batches"] == 1
-    assert agg.snapshot()["totals"]["batch_width"] == 2
 
 
 # ------------------------------------------------- history label selector

@@ -108,6 +108,23 @@ def test_aggregator_skips_foreign_versions_and_junk(tmp_path):
     assert agg.points["p"].cached
 
 
+def test_aggregator_keeps_legacy_batch_events_unfolded(tmp_path):
+    # Older sweeps spooled a ``batch`` event for the lockstep batched
+    # executor, which no longer exists.  Unknown kinds are kept but
+    # ignored by folding: only the event count moves.
+    spool = TelemetrySpool(str(tmp_path), role="sweep", pid=5)
+    spool.emit("batch", width=2, points=2)
+    spool.close()
+    agg = SweepAggregator(str(tmp_path))
+    before = dict(agg.counters)
+    events = agg.poll()
+    assert [e["kind"] for e in events] == ["batch"]
+    assert agg.counters == dict(before, events=1)
+    snap = agg.snapshot()
+    assert "batches" not in snap["counters"]
+    assert "batch_width" not in snap["totals"]
+
+
 def test_aggregator_folds_a_full_point_lifecycle(tmp_path):
     spool = TelemetrySpool(str(tmp_path), role="sweep", pid=7)
     spool.emit("sweep_start", total=1, jobs=2, label="t")

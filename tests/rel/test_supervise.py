@@ -461,7 +461,7 @@ def test_hung_worker_with_held_trace_groups_is_killed_and_retried(tmp_path):
     assert _stats_blobs(outcomes) == _stats_blobs(baseline)
 
 
-# --------------------------------------------------- sampled + batched
+# ------------------------------------------------------------- sampled
 
 
 def _sampled_point():
@@ -503,27 +503,18 @@ def test_sampled_point_resumes_from_its_own_journal_entry(tmp_path):
     assert fresh.result.sampling is None
 
 
-def test_supervised_batched_executor_delegates(tmp_path):
-    # The batch has no workers to supervise: the journal does not apply.
-    journal = tmp_path / "journal.jsonl"
-    outcomes = run_supervised_sweep(
-        _points(2), executor="batched",
-        policy=SupervisionPolicy(journal_path=str(journal)),
-    )
-    assert len(outcomes) == 2
-    for outcome in outcomes:
-        assert outcome.ok
-        assert outcome.functional["retired"] == 2000
-        assert outcome.functional["batch_width"] == 2
-    assert not journal.exists()
-
-
 def test_supervised_unknown_executor_rejected(tmp_path):
     # Rejected before any point runs or the journal is opened.
     journal = tmp_path / "journal.jsonl"
     with pytest.raises(ValueError):
         run_supervised_sweep(
             _points(1), executor="threads",
+            policy=SupervisionPolicy(journal_path=str(journal)),
+        )
+    # The lockstep batched executor is gone; its name is unknown too.
+    with pytest.raises(ValueError):
+        run_supervised_sweep(
+            _points(1), executor="batched",
             policy=SupervisionPolicy(journal_path=str(journal)),
         )
     assert not journal.exists()
