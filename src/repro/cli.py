@@ -1274,10 +1274,6 @@ def build_parser():
         help="overlap case measurement across N processes (faster but "
              "noisier; keep 1 for trustworthy numbers)")
     speed_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="accepted for flag uniformity; bench-speed always times "
-             "fresh simulations and never consults the result cache")
-    speed_parser.add_argument(
         "--artifact-dir", default=None,
         help="where to write BENCH_speed.json "
              "(default $REPRO_BENCH_ARTIFACT_DIR or .)")

@@ -317,14 +317,15 @@ class Pipeline:
             elif not self.obs.observers:
                 self.obs = None
 
-    def register_metrics(self, registry):
+    def register_metrics(self, registry, stats=None):
         """Register every component's instruments into *registry*.
 
-        Wires the stats counters, the cache hierarchy, the L1D MSHR file,
-        the branch predictor and BTB, and the fetch-unit CFD hardware into
-        one :class:`~repro.obs.metrics.MetricsRegistry`.
+        Wires the stats counters (*stats*, default this pipeline's own),
+        the cache hierarchy, the L1D MSHR file, the branch predictor and
+        BTB, and the fetch-unit CFD hardware into one
+        :class:`~repro.obs.metrics.MetricsRegistry`.
         """
-        self.stats.register_metrics(registry)
+        (self.stats if stats is None else stats).register_metrics(registry)
         self.memory.register_metrics(registry)
         self.mshr.register_metrics(registry)
         self.predictor.register_metrics(registry)

@@ -54,11 +54,13 @@ class SimResult:
     def metrics_registry(self):
         """A fresh :class:`MetricsRegistry` with every pipeline instrument.
 
-        Instruments are callback-backed, so the registry stays live: a
-        snapshot taken later reflects the pipeline's state at that moment.
+        The stats instruments read this result's :attr:`stats` (a live
+        run's are the pipeline's own).  Instruments are callback-backed,
+        so the registry stays live: a snapshot taken later reflects the
+        pipeline's state at that moment.
         """
         registry = MetricsRegistry()
-        self.pipeline.register_metrics(registry)
+        self.pipeline.register_metrics(registry, self.stats)
         registry.gauge("energy.total_nj", fn=lambda: self.energy.total_nj)
         return registry
 

@@ -1,18 +1,19 @@
 """Per-cycle pipeline tracing.
 
-A :class:`PipelineTracer` steps a pipeline one cycle at a time and records
-a compact snapshot after each: front-end state (fetch PC, BQ/TQ pointers,
-speculative TCR), window occupancies, and the cycle's deltas (fetched /
-renamed / issued / retired / squashed).  ``render()`` prints a timeline —
-the fastest way to *see* a BQ miss storm, a recovery, or a fetch stall.
+A :class:`PipelineTracer` is a pipeline observer that records a compact
+snapshot at the end of each cycle: front-end state (fetch PC, BQ/TQ
+pointers, speculative TCR), window occupancies, and the cycle's deltas
+(fetched / renamed / issued / retired / squashed).  ``render()`` prints
+a timeline — the fastest way to *see* a BQ miss storm, a recovery, or a
+fetch stall.
 
-The per-cycle deltas come from the pipeline's observer hooks
-(:class:`~repro.obs.events.PipelineObserver`), not from subtracting stats
-snapshots — the tracer counts the same ``on_fetch`` / ``on_retire`` /
-``on_squash`` / ``on_recovery`` events every other observer sees, so the
-timeline cannot drift from the pipeline's instrumentation.  Other
-observers (e.g. :class:`~repro.obs.events.EventTracer`) can be attached
-to the same pipeline and record alongside the tracer.
+The per-cycle deltas are counted from the same ``on_fetch`` /
+``on_retire`` / ``on_squash`` / ``on_recovery`` hooks every other
+observer (:class:`~repro.obs.events.PipelineObserver`) sees, and
+:meth:`PipelineTracer.run` drives the pipeline's own run loop, so the
+timeline cannot drift from the simulation.  Other observers (e.g.
+:class:`~repro.obs.events.EventTracer`) can be attached to the same
+pipeline and record alongside the tracer.
 
 Usage::
 
@@ -65,23 +66,22 @@ class CycleRecord:
         return marks
 
 
-class _CycleDeltas(PipelineObserver):
-    """Counts this cycle's stage events; reset at each tracer step.
+class PipelineTracer(PipelineObserver):
+    """Records one :class:`CycleRecord` per cycle of the pipeline it watches.
 
     ``bq_misses`` counts retiring speculative BQ pops — exactly the
     retirements that bump ``SimStats.bq_misses`` — and ``recoveries``
     counts every ``on_recovery`` hook (both the execute-time repair and
-    the retirement recovery), matching the tracer's historical
-    ``recoveries + retire_recoveries`` delta.
+    the retirement recovery).
     """
 
-    __slots__ = ("fetched", "renamed", "issued", "retired", "squashed",
-                 "recoveries", "bq_misses")
+    def __init__(self, pipeline):
+        self.pipeline = pipeline
+        self.records: List[CycleRecord] = []
+        self._reset_deltas()
+        pipeline.attach_observer(self)
 
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
+    def _reset_deltas(self):
         self.fetched = 0
         self.renamed = 0
         self.issued = 0
@@ -110,70 +110,55 @@ class _CycleDeltas(PipelineObserver):
     def on_recovery(self, uop, cycle, kind):
         self.recoveries += 1
 
-
-class PipelineTracer:
-    """Steps a pipeline cycle-by-cycle and records :class:`CycleRecord`s."""
-
-    def __init__(self, pipeline):
-        self.pipeline = pipeline
-        self.records: List[CycleRecord] = []
-        self._deltas = _CycleDeltas()
-        pipeline.attach_observer(self._deltas)
-
-    def step(self):
-        """Advance one cycle; returns the new record (None when done)."""
-        pipeline = self.pipeline
-        if pipeline.sim_done:
-            return None
-        deltas = self._deltas
-        deltas.reset()
-        pipeline.stage_retire()
-        if not pipeline.sim_done:
-            pipeline.stage_complete()
-            pipeline.stage_memory()
-            pipeline.stage_issue()
-            pipeline.stage_rename()
-            pipeline.stage_fetch()
-            pipeline.mshr.sample(pipeline.cycle)
-        if pipeline.obs is not None:
-            pipeline.obs.on_cycle_end(pipeline)
-        pipeline.cycle += 1
-        pipeline.stats.cycles = pipeline.cycle
-        if (
-            pipeline.fetch_halted
-            and not pipeline.rob
-            and not pipeline.fetch_pipe
-            and not pipeline.serialize_pending
-        ):
-            pipeline.sim_done = True
-        record = CycleRecord(
-            cycle=pipeline.cycle,
+    def on_cycle_end(self, pipeline):
+        # The hook runs before the cycle counter advances; the record
+        # is stamped with the cycle count after this one.
+        cycle = pipeline.cycle + 1
+        self.records.append(CycleRecord(
+            cycle=cycle,
             fetch_pc=pipeline.fetch_pc,
-            fetched=deltas.fetched,
-            renamed=deltas.renamed,
-            issued=deltas.issued,
-            retired=deltas.retired,
-            squashed=deltas.squashed,
-            recoveries=deltas.recoveries,
+            fetched=self.fetched,
+            renamed=self.renamed,
+            issued=self.issued,
+            retired=self.retired,
+            squashed=self.squashed,
+            recoveries=self.recoveries,
             rob_occupancy=len(pipeline.rob),
             iq_occupancy=len(pipeline.iq),
             bq_length=pipeline.hw_bq.length,
-            bq_misses=deltas.bq_misses,
+            bq_misses=self.bq_misses,
             tq_length=pipeline.hw_tq.length,
             spec_tcr=pipeline.spec_tcr,
             fetch_stalled=(
-                pipeline.cycle < pipeline.next_fetch_cycle
-                or pipeline.fetch_halted
+                cycle < pipeline.next_fetch_cycle or pipeline.fetch_halted
             ),
-        )
-        self.records.append(record)
-        return record
+        ))
+        self._reset_deltas()
 
     def run(self, max_cycles=10_000):
-        """Step until completion or *max_cycles*; returns the records."""
-        while len(self.records) < max_cycles:
-            if self.step() is None:
-                break
+        """Run until completion or *max_cycles* records; returns them.
+
+        Drives :meth:`Pipeline.run` with the pipeline's own retire
+        limit and a cycle cap, which is restored on return.
+        """
+        pipeline = self.pipeline
+        budget = max_cycles - len(self.records)
+        if pipeline.sim_done or budget <= 0:
+            return self.records
+        config = pipeline.config
+        saved = config.max_cycles
+        config.max_cycles = pipeline.cycle + budget
+        try:
+            pipeline.run(max_instructions=pipeline.retire_limit)
+        finally:
+            config.max_cycles = saved
+        if pipeline.sim_done:
+            # The run loop stops right after the retire stage of its
+            # last cycle, before the cycle-end hook: end that cycle for
+            # every attached observer, as a completed cycle is.
+            pipeline.obs.on_cycle_end(pipeline)
+            pipeline.cycle += 1
+            pipeline.stats.cycles = pipeline.cycle - pipeline._cycle_base
         return self.records
 
     def render(self, start=0, count=50):

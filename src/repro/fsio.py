@@ -1,27 +1,34 @@
 """Shared durable-filesystem primitives for the service stack.
 
 Every multi-process component of the repro — the WAL job queue
-(:mod:`repro.serve.queue`), the result/trace caches
+(:mod:`repro.serve.queue`), the result cache and trace store
 (:mod:`repro.perf.cache`, :mod:`repro.perf.tracestore`), the sweep
-journal (:mod:`repro.rel.supervise`) and the daemon's runtime files
-(:mod:`repro.serve.daemon`) — relies on the same three disciplines:
+journal (:mod:`repro.rel.supervise`), the bench history
+(:mod:`repro.obs.history`), the telemetry readers and the daemon's
+runtime files (:mod:`repro.serve.daemon`) — writes and replays its
+protocol files through this module, which holds each discipline once:
 
 * **flock critical sections** — writers of a shared file serialize on an
   ``flock`` of a sidecar lock file (:func:`flock_exclusive`);
-* **atomic publication** — a durable file is never truncated in place;
+* **atomic publication** — a whole file is never truncated in place;
   it is written to a same-directory temp file, flushed, fsync'd,
   ``os.replace``'d over the target and the directory entry is fsync'd
   (:func:`atomic_replace`);
+* **append-only logs** — one JSON record per line; an append first
+  seals a torn tail left by a crashed writer, then writes and fsyncs
+  its line (:func:`append_record`); replay reads bytes, consumes only
+  complete lines and decodes each on its own (:func:`read_records`);
 * **directory durability** — a freshly *created* file is only durable
   once its directory entry is too (:func:`fsync_directory`).
 
-These used to be re-implemented per module; centralizing them here gives
-the host lint (:mod:`repro.lint.host`) one blessed vocabulary to check
-against — ``with flock_exclusive(...)`` is a recognized lock context and
-``atomic_replace``/``fsync_directory`` are recognized publishers.
+The host lint (:mod:`repro.lint.host`) trusts these helpers: ``with
+flock_exclusive(...)`` is a recognized lock context, ``atomic_replace``
+is a publish and ``append_record`` an append that are durable unless
+called with ``durable=False``, and ``read_records`` reads binary.
 """
 
 import contextlib
+import json
 import os
 import tempfile
 
@@ -106,3 +113,62 @@ def atomic_replace(path, data, durable=True):
     if durable:
         fsync_directory(path)
     return path
+
+
+def append_record(path, doc, durable=True):
+    """Append *doc* as one JSON line to the log at *path*; returns *doc*.
+
+    A crash mid-append leaves an unterminated tail.  Every append first
+    checks the last byte and, if the tail is torn, starts its line with
+    a newline, so the torn bytes become a line of their own that replay
+    skips instead of swallowing this record with them.  The check runs
+    before *every* append because another process may have torn the
+    tail since this one last wrote.  With *durable* the line is fsync'd
+    before this returns, and so is the directory entry of a log this
+    append creates.
+    """
+    line = (json.dumps(doc) + "\n").encode()
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    with open(path, "ab+") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                line = b"\n" + line
+        fh.write(line)
+        fh.flush()
+        if durable:
+            os.fsync(fh.fileno())
+    if durable and not end:
+        fsync_directory(path)
+    return doc
+
+
+def read_records(path, offset=0):
+    """The JSON-object records of the log at *path* past byte *offset*.
+
+    Returns ``(records, next_offset)``.  Only newline-terminated lines
+    are consumed, so a tail still being written (or torn by a crash)
+    stays for the next read from *next_offset*.  Each line is decoded
+    and parsed on its own: one that is not UTF-8, not JSON or not an
+    object costs that line, never the log.  A missing or unreadable
+    file has no records.
+    """
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            chunk = fh.read()
+    except OSError:
+        return [], offset
+    end = chunk.rfind(b"\n") + 1
+    records = []
+    for raw in chunk[:end].splitlines():
+        try:
+            doc = json.loads(raw.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError is a ValueError too
+            continue
+        if isinstance(doc, dict):
+            records.append(doc)
+    return records, offset + end

@@ -19,8 +19,11 @@ Four definite-only passes over the registered modules
 * **atomic-write discipline** (HW2xx) — no truncating ``open`` on a
   protocol path; ``os.replace`` publishes of durable classes need an
   ``os.fsync`` of the written file and a directory fsync; durable
-  appends need ``os.fsync``.  ``repro.fsio.atomic_replace`` is the
-  blessed publisher and satisfies the discipline by construction.
+  appends need ``os.fsync``.  The :mod:`repro.fsio` helpers satisfy the
+  discipline by construction: ``atomic_replace`` is a publish and
+  ``append_record`` an append, each fsync'd unless called with
+  ``durable=False`` — which on a durable class is HW202 + HW203 for a
+  publish and HW204 for an append.
 * **torn-tail decode** (HT3xx) — append-only classes must be read in
   binary mode (their readers decode per record; a text-mode read turns
   a torn multi-byte tail into ``UnicodeDecodeError`` for the file).
@@ -41,7 +44,10 @@ from repro.lint.host.rules import host_finding
 
 #: ``open`` modes are decomposed into flags; anything with "w" truncates,
 #: anything with "a" appends, anything else reads.
-_MUTATING_KINDS = ("append", "trunc", "publish", "publish_helper")
+_MUTATING_KINDS = ("append", "trunc", "publish")
+
+#: The :mod:`repro.fsio` writers the lint trusts, by the event they are.
+_HELPER_KINDS = {"atomic_replace": "publish", "append_record": "append"}
 
 
 class _FuncFacts:
@@ -51,7 +57,10 @@ class _FuncFacts:
         self.owner = owner            # enclosing class name, "" at module level
         self.name = name
         self.lineno = lineno
-        self.events = []              # (kind, class_name, lineno, locked)
+        # (kind, class_name, lineno, locked, durable): *durable* is the
+        # fsio helper's flag, or None for a raw operation (judged by the
+        # function's own fsyncs).
+        self.events = []
         self.calls = []               # ((owner, callee), lineno, locked)
         self.has_fsync = False
         self.has_dir_fsync = False
@@ -221,10 +230,10 @@ class _FunctionAnalyzer(ast.NodeVisitor):
 
     # -- events ----------------------------------------------------------
 
-    def _record(self, kind, classes, lineno):
+    def _record(self, kind, classes, lineno, durable=None):
         for class_name in sorted(classes):
             self.facts.events.append(
-                (kind, class_name, lineno, self.lock_depth > 0)
+                (kind, class_name, lineno, self.lock_depth > 0, durable)
             )
 
     def visit_Call(self, node):
@@ -242,9 +251,10 @@ class _FunctionAnalyzer(ast.NodeVisitor):
             self._record("publish", self.classes_of(node.args[1]),
                          node.lineno)
             return
-        if attr == "atomic_replace" and node.args:
-            self._record("publish_helper", self.classes_of(node.args[0]),
-                         node.lineno)
+        if attr in _HELPER_KINDS and node.args:
+            durable = not _passes_false(node, "durable")
+            self._record(_HELPER_KINDS[attr], self.classes_of(node.args[0]),
+                         node.lineno, durable=durable)
             return
         if (base, attr) == ("os", "fsync"):
             self.facts.has_fsync = True
@@ -281,6 +291,15 @@ class _FunctionAnalyzer(ast.NodeVisitor):
             self._record("append", classes, node.lineno)
         elif "b" not in mode:
             self._record("read_text", classes, node.lineno)
+
+
+def _passes_false(call, keyword):
+    """True when *call* passes a literal ``False`` for *keyword*."""
+    return any(
+        item.arg == keyword and isinstance(item.value, ast.Constant)
+        and item.value.value is False
+        for item in call.keywords
+    )
 
 
 def _collect_functions(tree, spec, relpath):
@@ -323,7 +342,7 @@ def _lockset_findings(functions, spec, relpath):
     for facts in functions:
         if is_waived(facts):
             continue
-        for kind, class_name, lineno, locked in facts.events:
+        for kind, class_name, lineno, locked, _durable in facts.events:
             if kind not in _MUTATING_KINDS or locked:
                 continue
             if not PATH_CLASSES[class_name].locked:
@@ -377,8 +396,10 @@ def _durability_findings(functions, spec, relpath):
     for facts in functions:
         if facts.qualname in spec.waivers:
             continue
-        for kind, class_name, lineno, _locked in facts.events:
+        for kind, class_name, lineno, _locked, durable in facts.events:
             cls = PATH_CLASSES[class_name]
+            fsynced = facts.has_fsync if durable is None else durable
+            dir_fsynced = facts.has_dir_fsync if durable is None else durable
             if kind == "trunc" and (cls.atomic or cls.append_only):
                 findings.append(host_finding(
                     "HW201", relpath, lineno,
@@ -387,21 +408,21 @@ def _durability_findings(functions, spec, relpath):
                     % (facts.qualname, class_name),
                 ))
             elif kind == "publish" and cls.durable:
-                if not facts.has_fsync:
+                if not fsynced:
                     findings.append(host_finding(
                         "HW202", relpath, lineno,
                         "%s publishes the %s file via os.replace but "
                         "never fsyncs the written temp file"
                         % (facts.qualname, class_name),
                     ))
-                if not facts.has_dir_fsync:
+                if not dir_fsynced:
                     findings.append(host_finding(
                         "HW203", relpath, lineno,
                         "%s publishes the durable %s file without a "
                         "directory fsync (fsio.fsync_directory) after "
                         "os.replace" % (facts.qualname, class_name),
                     ))
-            elif kind == "append" and cls.durable and not facts.has_fsync:
+            elif kind == "append" and cls.durable and not fsynced:
                 findings.append(host_finding(
                     "HW204", relpath, lineno,
                     "%s appends to the durable %s file without os.fsync "

@@ -160,7 +160,6 @@ HOST_MODULES = {
             "service_paths": {"wal": "wal", "spool": "spool",
                               "pid": "pid", "addr": "addr"},
         },
-        param_seeds={("summarize_wal", "path"): "wal"},
     ),
     "serve/api.py": ModuleSpec(
         subscript_seeds={
@@ -169,11 +168,13 @@ HOST_MODULES = {
         },
         param_seeds={("merged_events", "spool_dir"): "spool"},
     ),
+    # EntryStore publishes both result-cache entries and trace blobs;
+    # the two classes share one contract, checked here as cache-entry.
     "perf/cache.py": ModuleSpec(
-        call_seeds={("ResultCache", "path_for"): "cache-entry"},
+        call_seeds={("EntryStore", "path_for"): "cache-entry"},
         param_seeds={("_quarantine", "path"): "cache-entry"},
         waivers={
-            "ResultCache._quarantine":
+            "EntryStore._quarantine":
                 "rename-aside of a damaged entry; atomic, and racing "
                 "quarantiners are harmless (the loser's rename fails "
                 "ENOENT and is swallowed)",
@@ -181,12 +182,6 @@ HOST_MODULES = {
     ),
     "perf/tracestore.py": ModuleSpec(
         call_seeds={("TraceStore", "path_for"): "trace-blob"},
-        param_seeds={("_quarantine", "path"): "trace-blob"},
-        waivers={
-            "TraceStore._quarantine":
-                "rename-aside of a damaged entry; same waiver as "
-                "ResultCache._quarantine",
-        },
     ),
     "rel/supervise.py": ModuleSpec(
         attr_seeds={("SweepJournal", "path"): "journal"},

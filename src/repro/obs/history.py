@@ -23,8 +23,9 @@ Both sides of the diff accept either artifact kind: a
 """
 
 import json
-import os
 import time
+
+from repro.fsio import append_record, read_records
 
 #: Bump when the history line schema changes; old lines are then ignored.
 HISTORY_VERSION = 1
@@ -65,46 +66,33 @@ def history_entry(payload, label=None, recorded=None, extra=None):
 
 
 def append_history(path, entry):
-    """Append one entry line to the history database; returns *path*."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        fh.flush()
+    """Append one entry line to the history database; returns *path*.
+
+    The history claims no durability (a lost line costs one
+    measurement), so the line is not fsync'd; a tail torn by an
+    interrupted append is still sealed first, so this entry survives.
+    """
+    append_record(path, entry, durable=False)
     return path
 
 
 def load_history(path):
     """Every parseable current-version entry of a history file, in order.
 
-    The file is read as **bytes** and each line decoded on its own
-    (the journal/WAL tolerance rules): an append interrupted inside a
-    multi-byte UTF-8 sequence costs exactly that line — a text-mode
-    read would raise ``UnicodeDecodeError`` for the whole history.
+    :func:`~repro.fsio.read_records` reads **bytes** and decodes each
+    line on its own (the journal/WAL tolerance rules): an append
+    interrupted inside a multi-byte UTF-8 sequence costs exactly that
+    line — a text-mode read would raise ``UnicodeDecodeError`` for the
+    whole history.
     """
-    entries = []
-    try:
-        fh = open(path, "rb")
-    except OSError:
-        return entries
-    with fh:
-        for raw in fh.read().splitlines():
-            if not raw.strip():
-                continue
-            try:
-                doc = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                continue  # torn tail from an interrupted append
-            if (
-                isinstance(doc, dict)
-                and doc.get("kind") == "repro.bench_history"
-                and doc.get("version") == HISTORY_VERSION
-                and isinstance(doc.get("cases"), dict)
-                and isinstance(doc.get("geomean_kips"), (int, float))
-            ):
-                entries.append(doc)
-    return entries
+    records, _ = read_records(path)
+    return [
+        doc for doc in records
+        if doc.get("kind") == "repro.bench_history"
+        and doc.get("version") == HISTORY_VERSION
+        and isinstance(doc.get("cases"), dict)
+        and isinstance(doc.get("geomean_kips"), (int, float))
+    ]
 
 
 def _measurement_from_entry(entry, source):

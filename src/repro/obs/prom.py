@@ -21,6 +21,8 @@ settle, so a node-exporter-style textfile collector (or a human with
 
 import re
 
+from repro.fsio import atomic_replace
+
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_ESCAPE = str.maketrans({
     "\\": "\\\\", '"': '\\"', "\n": "\\n",
@@ -259,18 +261,10 @@ def render_service(health, prefix=NAMESPACE):
 
 
 def write_prom(path, text):
-    """Atomically replace *path* with *text* (tmp + rename)."""
-    import os
-    import tempfile
+    """Atomically replace *path* with *text* (tmp + rename).
 
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".prom.tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
+    Scrapers poll the file, so a partial write must never be visible;
+    a snapshot lost to a power cut is simply rendered again, so the
+    fsyncs are skipped.
+    """
+    return atomic_replace(path, text, durable=False)

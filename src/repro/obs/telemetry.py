@@ -42,6 +42,7 @@ import json
 import os
 import time
 
+from repro.fsio import read_records
 from repro.obs.events import PipelineObserver
 from repro.obs.resource import ResourceSample
 
@@ -312,30 +313,15 @@ class SweepAggregator:
         """Fold newly appended events; returns them sorted by timestamp."""
         fresh = []
         for path in self._spool_paths():
-            offset = self._offsets.get(path, 0)
-            try:
-                with open(path, "rb") as fh:
-                    fh.seek(offset)
-                    chunk = fh.read()
-            except OSError:
-                continue
-            if not chunk:
-                continue
-            # Only consume complete lines; a torn tail stays for later.
-            end = chunk.rfind(b"\n")
-            if end < 0:
-                continue
-            self._offsets[path] = offset + end + 1
-            for line in chunk[: end + 1].splitlines():
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue
-                if not isinstance(event, dict) or "kind" not in event:
-                    continue
-                if event.get("v", TELEMETRY_VERSION) != TELEMETRY_VERSION:
-                    continue
-                fresh.append(event)
+            # Only complete lines are consumed; a torn tail stays for later.
+            records, self._offsets[path] = read_records(
+                path, self._offsets.get(path, 0)
+            )
+            fresh.extend(
+                event for event in records
+                if "kind" in event
+                and event.get("v", TELEMETRY_VERSION) == TELEMETRY_VERSION
+            )
         fresh.sort(key=lambda e: e.get("ts") or 0)
         for event in fresh:
             self._fold(event)

@@ -22,22 +22,23 @@ whose ``stats.to_dict()`` is byte-identical to the live run's.
 Corrupt or schema-mismatched entries are treated as misses, but not
 silently: the damaged file is quarantined (renamed to ``*.corrupt``) so
 it can be inspected, and the entry is recomputed.  Writes are atomic
-(tempfile + rename) and additionally serialized across processes by an
-``flock``-based write lock (``.write.lock`` in the schema directory), so
-concurrent sweep workers and bench processes can share one cache.
+(:func:`repro.fsio.atomic_replace`) and additionally serialized across
+processes by an ``flock``-based write lock (``.write.lock`` in the
+schema directory), so concurrent sweep workers and bench processes can
+share one cache.  :class:`EntryStore` holds this discipline for both
+the cache and the warm-trace store.
 """
 
 import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from array import array
 
 from repro.core.stats import SimStats
-from repro.fsio import flock_exclusive, fsync_directory
 from repro.energy.mcpat import EnergyReport
+from repro.fsio import atomic_replace, flock_exclusive
 from repro.obs.export import jsonable, run_manifest, write_json
 
 #: Bump when the simulator's timing semantics or this entry layout change:
@@ -301,73 +302,69 @@ class CachedSimResult:
         return info
 
 
-class ResultCache:
-    """The on-disk cache: ``<root>/v<schema>/<key[:2]>/<key>.json``."""
+class EntryStore:
+    """Atomically published store entries.
 
-    def __init__(self, root=None, schema_version=None, max_mb=None):
-        self.root = root or default_cache_dir()
-        self.schema_version = (
-            CACHE_SCHEMA_VERSION if schema_version is None else schema_version
-        )
-        #: Size bound in bytes (``REPRO_CACHE_MAX_MB`` or the *max_mb*
-        #: argument); ``None`` = unbounded.  Enforced LRU-by-mtime on
-        #: every store (:func:`prune_lru`).
+    The ``<root>/v<schema>/<key[:2]>/<key><suffix>`` layout,
+    load-with-quarantine, the cross-process write lock, LRU pruning and
+    the counters shared by :class:`ResultCache` and
+    :class:`~repro.perf.tracestore.TraceStore`.  Entries are published
+    whole with :func:`~repro.fsio.atomic_replace`, so no reader ever
+    observes a partial one.
+    """
+
+    #: The entry file extension.
+    suffix = ""
+
+    def __init__(self, root, schema_version, max_mb, max_mb_env):
+        self.root = root
+        self.schema_version = schema_version
+        #: Size bound in bytes (the *max_mb* argument or the
+        #: *max_mb_env* variable); ``None`` = unbounded.  Enforced
+        #: LRU-by-mtime on every store (:func:`prune_lru`).
         self.max_bytes = (
             int(max_mb * 1024 * 1024) if max_mb
-            else max_bytes_from_env(_ENV_MAX_MB)
+            else max_bytes_from_env(max_mb_env)
         )
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.quarantined = 0
         self.evicted = 0
-        #: Duplicate-submit stores skipped because a valid entry was
-        #: already on disk when the write lock was acquired (the
-        #: first writer won; this client raced and lost, harmlessly).
+        #: Stores skipped because a valid entry was already on disk
+        #: when the write lock was acquired (the first writer won; this
+        #: one raced and lost, harmlessly).
         self.deduped = 0
-
-    def key_for(self, program, config, max_instructions=None,
-                warmup_instructions=0, sampling=None):
-        return result_key(
-            program, config, max_instructions, warmup_instructions,
-            schema_version=self.schema_version, sampling=sampling,
-        )
 
     def _schema_dir(self):
         return os.path.join(self.root, "v%d" % self.schema_version)
 
     def path_for(self, key):
-        return os.path.join(self._schema_dir(), key[:2], key + ".json")
+        return os.path.join(self._schema_dir(), key[:2], key + self.suffix)
 
-    def load(self, key, config=None):
-        """The :class:`CachedSimResult` for *key*, or ``None``.
+    def _load(self, key, decode, damaged):
+        """``decode(fh)`` of the entry for *key*, or ``None`` on a miss.
 
-        A missing entry is a plain miss.  An entry that *exists* but does
-        not parse/rehydrate (truncated write, bit rot, foreign schema) is
-        quarantined — renamed to ``<entry>.corrupt`` so it can be
-        inspected — and then counts as a miss; the caller recomputes and
-        the fresh store lands at the original path.
+        *fh* is the entry opened in binary mode.  A missing entry is a
+        plain miss.  An entry that exists but whose decode raises one of
+        the *damaged* exceptions is quarantined — renamed to
+        ``<entry>.corrupt`` so it can be inspected — and then counts as
+        a miss; the caller recomputes and the fresh store lands at the
+        original path.
         """
         path = self.path_for(key)
         try:
-            # Bytes, not text: decode failures (bit rot) must reach the
-            # quarantine handler below, not escape as UnicodeDecodeError.
             with open(path, "rb") as fh:
-                raw = fh.read()
+                entry = decode(fh)
         except OSError:
             self.misses += 1
             return None
-        try:
-            payload = json.loads(raw)
-            if payload.get("schema") != self.schema_version:
-                raise ValueError("schema mismatch")
-            result = CachedSimResult(payload, config=config)
-        except (ValueError, KeyError, TypeError):
+        except damaged:
             self._quarantine(path)
             self.misses += 1
             return None
         self.hits += 1
-        return result
+        return entry
 
     def _quarantine(self, path):
         """Move a damaged entry aside as ``<entry>.corrupt`` (best effort)."""
@@ -388,6 +385,101 @@ class ResultCache:
         return flock_exclusive(
             os.path.join(self._schema_dir(), ".write.lock")
         )
+
+    def _valid_entry_exists(self, path):
+        """True if *path* already holds an entry that makes a write
+        redundant; a store that dedups concurrent writers overrides it."""
+        return False
+
+    def publish(self, key, data):
+        """Atomically write encoded *data* under *key*; returns the path.
+
+        Each store's ``store`` encodes its entry and calls this.  A
+        failure to persist (read-only store, disk full) is not an error:
+        the entry is simply not stored, and ``None`` is returned.
+        """
+        path = self.path_for(key)
+        try:
+            with self._write_lock():
+                if self._valid_entry_exists(path):
+                    self.deduped += 1
+                    return path
+                atomic_replace(path, data)
+                if self.max_bytes is not None:
+                    # Still under the write lock: concurrent writers
+                    # prune serially, and the entry just written is
+                    # never the eviction victim.  Scoped to this
+                    # schema's directory — another store under the
+                    # same root has its own bound.
+                    report = prune_lru(
+                        self._schema_dir(), self.max_bytes, protect=(path,)
+                    )
+                    self.evicted += report["removed"]
+        except OSError:
+            return None
+        self.stores += 1
+        return path
+
+    def prune(self, max_mb=None):
+        """Shrink the store to *max_mb* (or the configured bound) now.
+
+        The manual entry point behind ``repro cache-prune``; returns the
+        :func:`prune_lru` report (with ``max_bytes`` ``None`` and no
+        configured bound, reports current usage without deleting).
+        """
+        max_bytes = (
+            int(max_mb * 1024 * 1024) if max_mb is not None
+            else self.max_bytes
+        )
+        with self._write_lock():
+            report = prune_lru(self._schema_dir(), max_bytes)
+        self.evicted += report["removed"]
+        return report
+
+    def counters(self):
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "stores": self.stores,
+            "quarantined": self.quarantined,
+            "evicted": self.evicted,
+        }
+
+
+class ResultCache(EntryStore):
+    """The on-disk cache: ``<root>/v<schema>/<key[:2]>/<key>.json``."""
+
+    suffix = ".json"
+
+    def __init__(self, root=None, schema_version=None, max_mb=None):
+        super().__init__(
+            root or default_cache_dir(),
+            CACHE_SCHEMA_VERSION if schema_version is None else schema_version,
+            max_mb, _ENV_MAX_MB,
+        )
+
+    def key_for(self, program, config, max_instructions=None,
+                warmup_instructions=0, sampling=None):
+        return result_key(
+            program, config, max_instructions, warmup_instructions,
+            schema_version=self.schema_version, sampling=sampling,
+        )
+
+    def load(self, key, config=None):
+        """The :class:`CachedSimResult` for *key*, or ``None``.
+
+        An entry that does not parse or rehydrate (truncated write, bit
+        rot, foreign schema) is quarantined and counts as a miss.
+        """
+        def decode(fh):
+            # Bytes, not text: decode failures (bit rot) must reach the
+            # quarantine, not escape as UnicodeDecodeError.
+            payload = json.loads(fh.read())
+            if payload.get("schema") != self.schema_version:
+                raise ValueError("schema mismatch")
+            return CachedSimResult(payload, config=config)
+
+        return self._load(key, decode, (ValueError, KeyError, TypeError))
 
     def _valid_entry_exists(self, path):
         """True if *path* already holds a complete, schema-current entry.
@@ -411,50 +503,10 @@ class ResultCache:
         write lock serializes them, the loser finds the winner's
         complete entry already in place and skips its own write
         (counted in ``deduped``).  Simulation is deterministic, so the
-        payloads are interchangeable — and atomic tmp+rename means no
-        reader ever observes a partial entry either way.
-
-        A failure to persist (read-only cache dir, disk full) is not an
-        error — the result is simply not cached.
+        payloads are interchangeable.  A failure to persist returns
+        ``None``: the result is simply not cached.
         """
-        path = self.path_for(key)
-        try:
-            with self._write_lock():
-                if self._valid_entry_exists(path):
-                    self.deduped += 1
-                    return path
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=os.path.dirname(path), suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "w") as fh:
-                        json.dump(payload, fh)
-                        fh.write("\n")
-                        fh.flush()
-                        os.fsync(fh.fileno())
-                    os.replace(tmp, path)
-                finally:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-                # The rename publishes the entry atomically; it is
-                # *durable* only once the directory entry is flushed
-                # too.
-                fsync_directory(path)
-                if self.max_bytes is not None:
-                    # Still under the write lock: concurrent writers
-                    # prune serially, and the entry just written is
-                    # never the eviction victim.  Scoped to this
-                    # schema's directory — the trace store under the
-                    # same root has its own bound.
-                    report = prune_lru(
-                        self._schema_dir(), self.max_bytes, protect=(path,)
-                    )
-                    self.evicted += report["removed"]
-        except OSError:
-            return None
-        self.stores += 1
-        return path
+        return self.publish(key, json.dumps(payload) + "\n")
 
     def store_result(self, key, result, workload=None, run=None):
         """Snapshot a live SimResult and persist it; returns the payload."""
@@ -462,28 +514,5 @@ class ResultCache:
         self.store(key, payload)
         return payload
 
-    def prune(self, max_mb=None):
-        """Shrink the cache to *max_mb* (or the configured bound) now.
-
-        The manual entry point behind ``repro cache-prune``; returns the
-        :func:`prune_lru` report (with ``max_bytes`` ``None`` and no
-        configured bound, reports current usage without deleting).
-        """
-        max_bytes = (
-            int(max_mb * 1024 * 1024) if max_mb is not None
-            else self.max_bytes
-        )
-        with self._write_lock():
-            report = prune_lru(self._schema_dir(), max_bytes)
-        self.evicted += report["removed"]
-        return report
-
     def counters(self):
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "quarantined": self.quarantined,
-            "evicted": self.evicted,
-            "deduped": self.deduped,
-        }
+        return dict(super().counters(), deduped=self.deduped)

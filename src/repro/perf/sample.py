@@ -49,7 +49,6 @@ from repro.core.warm import (
 )
 from repro.energy.mcpat import EnergyModel
 from repro.errors import ConfigError
-from repro.obs.metrics import MetricsRegistry, register_stats_dict
 
 #: Bump when sampled-result semantics change; part of the cache key.
 #: v2: trace-replay warm engine + long self-correcting intervals.
@@ -240,24 +239,6 @@ class SampledSimResult(SimResult):
     def mshr_histogram(self):
         """Aggregated per-cycle MSHR occupancy over measured intervals."""
         return dict(self._mshr_histogram or {})
-
-    def metrics_registry(self):
-        # Mirrors Pipeline.register_metrics, but wires the extrapolated
-        # stats in place of the pipeline's last-interval SimStats.
-        pipeline = self.pipeline
-        registry = MetricsRegistry()
-        self.stats.register_metrics(registry)
-        pipeline.memory.register_metrics(registry)
-        pipeline.mshr.register_metrics(registry)
-        pipeline.predictor.register_metrics(registry)
-        register_stats_dict(registry, "branch.btb", pipeline.btb.stats)
-        pipeline.hw_bq.register_metrics(registry)
-        pipeline.hw_tq.register_metrics(registry)
-        registry.gauge(
-            "checkpoint.available", fn=lambda: pipeline.checkpoints.available
-        )
-        registry.gauge("energy.total_nj", fn=lambda: self.energy.total_nj)
-        return registry
 
 
 class SampledSimulator:

@@ -13,8 +13,9 @@ inputs and persists it once:
 
 * entries live under ``$REPRO_TRACE_DIR`` (default
   ``<result cache root>/traces``) as ``v<schema>/<key[:2]>/<key>.rwt``;
-* writes are atomic (tempfile + rename) and serialized by the same
-  ``flock`` discipline as :class:`~repro.perf.cache.ResultCache`;
+* writes are atomic and serialized by the same ``flock`` discipline as
+  :class:`~repro.perf.cache.ResultCache` (both are
+  :class:`~repro.perf.cache.EntryStore` s);
 * a damaged entry (CRC mismatch, truncation, foreign schema) is
   quarantined as ``*.corrupt`` and treated as a miss — never an error;
 * the store is size-bounded by ``REPRO_TRACE_MAX_MB`` with the shared
@@ -32,7 +33,6 @@ load the shared entry instead of re-scanning — see docs/PERFORMANCE.md.
 import hashlib
 import mmap
 import os
-import tempfile
 
 from repro.core.warm import (
     PortableWarmTrace,
@@ -40,13 +40,7 @@ from repro.core.warm import (
     record_portable_trace,
     warm_fingerprint,
 )
-from repro.fsio import flock_exclusive, fsync_directory
-from repro.perf.cache import (
-    default_cache_dir,
-    max_bytes_from_env,
-    program_digest,
-    prune_lru,
-)
+from repro.perf.cache import EntryStore, default_cache_dir, program_digest
 
 #: Bump when the trace key recipe or store layout changes; the
 #: serialized trace format itself is versioned separately
@@ -83,112 +77,53 @@ def trace_key(program, config, budget):
     return hasher.hexdigest()
 
 
-class TraceStore:
+def _read_trace(fh):
+    """Deserialize the trace entry open as *fh* (binary).
+
+    The entry is ``mmap``-ed read-only when the platform allows it
+    (falling back to a plain read), so concurrent workers share the
+    page cache.
+    """
+    try:
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            return PortableWarmTrace.from_bytes(view)
+    except TraceFormatError:
+        raise
+    except (ValueError, OSError):
+        # Empty file (mmap refuses length 0) or no mmap support: fall
+        # back to a plain read.
+        fh.seek(0)
+        return PortableWarmTrace.from_bytes(fh.read())
+
+
+class TraceStore(EntryStore):
     """On-disk warm-trace store: ``<root>/v<schema>/<key[:2]>/<key>.rwt``."""
 
+    suffix = ".rwt"
+
     def __init__(self, root=None, max_mb=None):
-        self.root = root or default_trace_dir()
-        self.schema_version = TRACE_STORE_SCHEMA
-        self.max_bytes = (
-            int(max_mb * 1024 * 1024) if max_mb
-            else max_bytes_from_env(_ENV_MAX_MB)
-        )
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.quarantined = 0
-        self.evicted = 0
+        super().__init__(root or default_trace_dir(), TRACE_STORE_SCHEMA,
+                         max_mb, _ENV_MAX_MB)
 
     def key_for(self, program, config, budget):
         return trace_key(program, config, budget)
 
-    def _schema_dir(self):
-        return os.path.join(self.root, "v%d" % self.schema_version)
-
-    def path_for(self, key):
-        return os.path.join(self._schema_dir(), key[:2], key + ".rwt")
-
     def load(self, key):
         """The stored :class:`PortableWarmTrace`, or ``None`` on a miss.
 
-        The entry is ``mmap``-ed read-only when the platform allows it
-        (falling back to a plain read), so concurrent workers share the
-        page cache.  A present-but-damaged entry is quarantined as
+        A present-but-damaged entry is quarantined as
         ``<entry>.corrupt`` and counts as a miss.
         """
-        path = self.path_for(key)
-        try:
-            with open(path, "rb") as fh:
-                try:
-                    with mmap.mmap(fh.fileno(), 0,
-                                   access=mmap.ACCESS_READ) as view:
-                        trace = PortableWarmTrace.from_bytes(view)
-                except (ValueError, OSError) as exc:
-                    if isinstance(exc, TraceFormatError):
-                        raise
-                    # Empty file (mmap refuses length 0) or no mmap
-                    # support: fall back to a plain read.
-                    fh.seek(0)
-                    trace = PortableWarmTrace.from_bytes(fh.read())
-        except OSError:
-            self.misses += 1
-            return None
-        except TraceFormatError:
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return trace
-
-    def _quarantine(self, path):
-        try:
-            os.replace(path, path + ".corrupt")
-        except OSError:
-            return
-        self.quarantined += 1
-
-    def _write_lock(self):
-        """Cross-process writer lock; same discipline as the result
-        cache (atomic rename keeps readers safe regardless)."""
-        return flock_exclusive(
-            os.path.join(self._schema_dir(), ".write.lock")
-        )
+        return self._load(key, _read_trace, TraceFormatError)
 
     def store(self, key, trace):
         """Atomically persist *trace* under *key*; returns the path.
 
         Persistence failures (read-only store, disk full) are not
-        errors — the trace is simply not shared.
+        errors — the trace is simply not shared, and ``None`` is
+        returned.
         """
-        path = self.path_for(key)
-        payload = trace.to_bytes()
-        try:
-            with self._write_lock():
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=os.path.dirname(path), suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        fh.write(payload)
-                        fh.flush()
-                        os.fsync(fh.fileno())
-                    os.replace(tmp, path)
-                finally:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-                # Rename + directory flush: the published entry
-                # survives a crash, not just a racing reader.
-                fsync_directory(path)
-                if self.max_bytes is not None:
-                    report = prune_lru(
-                        self._schema_dir(), self.max_bytes, protect=(path,)
-                    )
-                    self.evicted += report["removed"]
-        except OSError:
-            return None
-        self.stores += 1
-        return path
+        return self.publish(key, trace.to_bytes())
 
     def get_or_record(self, pipeline, budget, key=None):
         """The trace for (*pipeline*, *budget*): a store hit, or a fresh
@@ -205,23 +140,3 @@ class TraceStore:
         trace = record_portable_trace(pipeline, budget)
         self.store(key, trace)
         return trace, "record"
-
-    def prune(self, max_mb=None):
-        """Shrink the store now (``repro cache-prune`` entry point)."""
-        max_bytes = (
-            int(max_mb * 1024 * 1024) if max_mb is not None
-            else self.max_bytes
-        )
-        with self._write_lock():
-            report = prune_lru(self._schema_dir(), max_bytes)
-        self.evicted += report["removed"]
-        return report
-
-    def counters(self):
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "quarantined": self.quarantined,
-            "evicted": self.evicted,
-        }

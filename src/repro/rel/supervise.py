@@ -69,7 +69,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.fsio import fsync_directory
+from repro.fsio import append_record, read_records
 from repro.obs.telemetry import SweepTelemetry
 from repro.perf.cache import CachedSimResult, config_fingerprint
 from repro.perf.sweep import (
@@ -156,9 +156,11 @@ class SweepJournal:
 
     One header line (version stamp), then one ``{"kind": "point", ...}``
     line per successfully completed point carrying its key and full result
-    snapshot.  Appends are fsync'd per line, so after a crash at worst the
-    final line is truncated — and :meth:`load` skips anything that does
-    not parse as a complete point record.
+    snapshot.  The journal is the resume checkpoint, so each line is
+    fsync'd before :meth:`record` returns, and an append first seals a
+    tail torn by a crash (:func:`~repro.fsio.append_record`): a crash
+    loses at worst the line being written, and :meth:`load` skips
+    anything that does not parse as a complete point record.
     """
 
     def __init__(self, path):
@@ -167,43 +169,27 @@ class SweepJournal:
     def load(self):
         """``{key: entry}`` for every complete point line (empty if absent).
 
-        The file is read as **bytes** and each line decoded on its own:
-        a tail torn mid-record *or* mid-UTF-8-sequence (a crash can cut
-        an append anywhere, including inside a multi-byte character)
-        costs exactly that line — a text-mode read would raise
-        ``UnicodeDecodeError`` for the whole file instead.
+        :func:`~repro.fsio.read_records` reads **bytes** and decodes
+        each line on its own: a tail torn mid-record *or*
+        mid-UTF-8-sequence (a crash can cut an append anywhere,
+        including inside a multi-byte character) costs exactly that
+        line — a text-mode read would raise ``UnicodeDecodeError`` for
+        the whole file instead.
         """
-        entries = {}
-        try:
-            fh = open(self.path, "rb")
-        except OSError:
-            return entries
-        with fh:
-            for raw in fh.read().splitlines():
-                if not raw.strip():
-                    continue
-                try:
-                    doc = json.loads(raw.decode("utf-8"))
-                except (UnicodeDecodeError, ValueError):
-                    continue  # truncated tail from an interrupted append
-                if (
-                    isinstance(doc, dict)
-                    and doc.get("kind") == "point"
-                    and doc.get("version", JOURNAL_VERSION) == JOURNAL_VERSION
-                    and isinstance(doc.get("key"), str)
-                    and isinstance(doc.get("payload"), dict)
-                ):
-                    entries[doc["key"]] = doc
-        return entries
+        records, _ = read_records(self.path)
+        return {
+            doc["key"]: doc for doc in records
+            if doc.get("kind") == "point"
+            and doc.get("version", JOURNAL_VERSION) == JOURNAL_VERSION
+            and isinstance(doc.get("key"), str)
+            and isinstance(doc.get("payload"), dict)
+        }
 
     def open(self, total):
         """Ensure the journal exists and starts with a header line."""
         if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
             return
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._append({
+        append_record(self.path, {
             "kind": "header",
             "version": JOURNAL_VERSION,
             "total": total,
@@ -212,7 +198,7 @@ class SweepJournal:
 
     def record(self, key, label, payload, elapsed, seconds=0.0, attempts=0,
                resources=None, trace=None):
-        self._append({
+        append_record(self.path, {
             "kind": "point",
             "version": JOURNAL_VERSION,
             "key": key,
@@ -224,18 +210,6 @@ class SweepJournal:
             "trace": trace,
             "payload": payload,
         })
-
-    def _append(self, doc):
-        created = not os.path.exists(self.path)
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(doc) + "\n")
-            fh.flush()
-            # flush() alone only reaches the OS page cache; the journal
-            # is the resume checkpoint, so a crash must not be able to
-            # take completed-point lines with it.
-            os.fsync(fh.fileno())
-        if created:
-            fsync_directory(self.path)
 
 
 def _supervised_simulate_point(point, spool_dir=None, key=None,

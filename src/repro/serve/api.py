@@ -28,7 +28,7 @@ import json
 import os
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.fsio import atomic_replace
+from repro.fsio import atomic_replace, read_records
 from repro.obs.prom import render_service
 
 #: Largest request body accepted (a job spec is tiny; anything bigger
@@ -39,8 +39,9 @@ MAX_BODY_BYTES = 64 * 1024
 def merged_events(spool_dir):
     """Every event of every spool file in *spool_dir*, time-ordered.
 
-    Reads bytes and decodes per line (same tolerance rules as the WAL):
-    a torn spool tail costs one line, never the stream.
+    :func:`~repro.fsio.read_records` reads bytes and decodes per line
+    (same tolerance rules as the WAL): a torn spool tail costs one
+    line, never the stream.
     """
     events = []
     try:
@@ -48,20 +49,9 @@ def merged_events(spool_dir):
     except OSError:
         return events
     for name in names:
-        if not name.endswith(".jsonl"):
-            continue
-        try:
-            with open(os.path.join(spool_dir, name), "rb") as fh:
-                raw_lines = fh.read().splitlines()
-        except OSError:
-            continue
-        for raw in raw_lines:
-            try:
-                doc = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                continue
-            if isinstance(doc, dict):
-                events.append(doc)
+        if name.endswith(".jsonl"):
+            records, _ = read_records(os.path.join(spool_dir, name))
+            events.extend(records)
     events.sort(key=lambda doc: doc.get("ts", 0.0))
     return events
 

@@ -41,7 +41,6 @@ themselves observable and fault-injectable
 ``heartbeat`` fault points).
 """
 
-import json
 import os
 import signal
 import time
@@ -470,22 +469,3 @@ def wait_for_job(queue, job_id, timeout=300.0, poll=0.2):
             return job
         time.sleep(poll)
     return queue.get(job_id)
-
-
-def summarize_wal(path):
-    """Quick forensic summary of a WAL file (the CI artifact check)."""
-    queue = JobQueue(path)
-    ops = {}
-    try:
-        with open(path, "rb") as fh:
-            for raw in fh.read().splitlines():
-                try:
-                    doc = json.loads(raw.decode("utf-8"))
-                except (UnicodeDecodeError, ValueError):
-                    ops["torn"] = ops.get("torn", 0) + 1
-                    continue
-                if isinstance(doc, dict):
-                    ops[doc.get("op", "?")] = ops.get(doc.get("op", "?"), 0) + 1
-    except OSError:
-        pass
-    return {"counts": queue.counts(), "ops": ops}

@@ -11,9 +11,9 @@ checkpoint-journal rules from :mod:`repro.rel.supervise`:
 * a line that ends in a partial UTF-8 sequence is skipped the same way
   (the WAL is read as bytes and decoded per line);
 * unknown operations and foreign versions are ignored, never fatal;
-* on re-open, an unterminated tail is sealed with a lone newline so the
-  next append starts a fresh line instead of concatenating onto
-  garbage.
+* before every append, an unterminated tail is sealed with a newline
+  so the record starts a fresh line instead of concatenating onto
+  garbage (:func:`repro.fsio.append_record`).
 
 Job lifecycle::
 
@@ -45,13 +45,12 @@ Within one process a lock serializes the fold, so the daemon's loop and
 its HTTP handler threads can share one queue.
 """
 
-import json
 import os
 import threading
 import time
 from contextlib import contextmanager
 
-from repro.fsio import flock_exclusive, fsync_directory
+from repro.fsio import append_record, flock_exclusive, read_records
 
 #: Bump when the WAL line format changes; foreign-version lines are
 #: ignored on replay (never misinterpreted).
@@ -211,57 +210,14 @@ class JobQueue:
         self._order = []        # job ids in first-submit order
         self._offset = 0
         self._rr = 0            # round-robin cursor over tenants
-        self._sealed = False
         self.poll()
 
     # -- durability -----------------------------------------------------
 
-    def _seal_torn_tail(self):
-        """Terminate an unterminated final line before the next append.
-
-        A crash mid-append leaves a torn tail; replay already skips it,
-        but a subsequent append must not concatenate onto it.  One lone
-        newline turns the torn bytes into a standalone non-parsing line
-        that every future replay skips too.
-        """
-        if self._sealed:
-            return
-        self._sealed = True
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return
-        if size == 0:
-            return
-        with open(self.path, "rb") as fh:
-            fh.seek(size - 1)
-            last = fh.read(1)
-        if last != b"\n":
-            with open(self.path, "ab") as fh:
-                fh.write(b"\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-
     def _append(self, doc):
         """One fsync'd WAL line; the record is durable when this returns."""
         doc = dict(doc, v=WAL_VERSION, ts=time.time(), pid=os.getpid())
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._seal_torn_tail()
-        line = (json.dumps(doc, sort_keys=False) + "\n").encode()
-        created = not os.path.exists(self.path)
-        with open(self.path, "ab") as fh:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())
-        if created:
-            # A freshly created WAL is durable only once its directory
-            # entry is: without this, a crash right after the first
-            # submit could lose the whole file even though the line
-            # itself was fsync'd.
-            fsync_directory(self.path)
-        return doc
+        return append_record(self.path, doc)
 
     @contextmanager
     def _lock(self):
@@ -272,34 +228,17 @@ class JobQueue:
     # -- replay ---------------------------------------------------------
 
     def poll(self):
-        """Fold WAL lines appended since the last poll; returns how many.
+        """Fold WAL records appended since the last poll; returns how many.
 
-        Reads bytes, consumes only complete (newline-terminated) lines,
-        and decodes/parses each line independently — a torn tail, a
-        partial UTF-8 sequence or a garbled record costs exactly that
-        one line, never the replay.
+        :func:`~repro.fsio.read_records` consumes complete lines only
+        and parses each on its own, so a torn tail, a partial UTF-8
+        sequence or a garbled record costs exactly that one line, never
+        the replay.
         """
         with self._mutex:
-            try:
-                with open(self.path, "rb") as fh:
-                    fh.seek(self._offset)
-                    chunk = fh.read()
-            except OSError:
-                return 0
-            if not chunk:
-                return 0
-            end = chunk.rfind(b"\n")
-            if end < 0:
-                return 0
-            self._offset += end + 1
+            records, self._offset = read_records(self.path, self._offset)
             folded = 0
-            for raw in chunk[: end + 1].splitlines():
-                try:
-                    doc = json.loads(raw.decode("utf-8"))
-                except (UnicodeDecodeError, ValueError):
-                    continue
-                if not isinstance(doc, dict):
-                    continue
+            for doc in records:
                 if doc.get("v", WAL_VERSION) != WAL_VERSION:
                     continue
                 self._fold(doc)

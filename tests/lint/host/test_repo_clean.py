@@ -7,7 +7,6 @@ that lets a rule land before its last violation is fixed.
 
 import io
 import json
-import os
 from pathlib import Path
 
 from repro.cli import EXIT_HOST_LINT_FINDINGS, main

@@ -222,25 +222,29 @@ class S:
     assert lint(source, "obs/telemetry.py", spec) == []
 
 
+def _store_publish_not_durable():
+    # Both stores publish through EntryStore.publish's atomic_replace.
+    source = mutate("perf/cache.py", "atomic_replace(path, data)",
+                    "atomic_replace(path, data, durable=False)")
+    return analyze_source(source, spec_for("perf/cache.py"), "perf/cache.py")
+
+
 def test_hw_mutation_cache_store_fsync_removed():
-    source = mutate("perf/cache.py",
-                    "                        os.fsync(fh.fileno())\n", "")
-    findings = analyze_source(source, spec_for("perf/cache.py"),
-                              "perf/cache.py")
-    assert rules_of(findings) == ["HW202"]
+    assert "HW202" in rules_of(_store_publish_not_durable())
 
 
 def test_hw_mutation_tracestore_dir_fsync_removed():
-    source = mutate("perf/tracestore.py",
-                    "                fsync_directory(path)\n", "")
-    findings = analyze_source(source, spec_for("perf/tracestore.py"),
-                              "perf/tracestore.py")
-    assert rules_of(findings) == ["HW203"]
+    tracestore = (SRC / "perf" / "tracestore.py").read_text()
+    assert "return self.publish(key, trace.to_bytes())" in tracestore
+    assert "HW203" in rules_of(_store_publish_not_durable())
 
 
 def test_hw_mutation_journal_append_fsync_removed():
-    source = mutate("rel/supervise.py",
-                    "            os.fsync(fh.fileno())\n", "")
+    source = mutate(
+        "rel/supervise.py",
+        '            "payload": payload,\n        })',
+        '            "payload": payload,\n        }, durable=False)',
+    )
     findings = analyze_source(source, spec_for("rel/supervise.py"),
                               "rel/supervise.py")
     assert rules_of(findings) == ["HW204"]
@@ -295,7 +299,9 @@ def read_pid(path):
 
 def test_ht_mutation_history_loader_reads_text():
     source = mutate("obs/history.py",
-                    'fh = open(path, "rb")', 'fh = open(path, "r")')
+                    "    records, _ = read_records(path)\n",
+                    "    with open(path) as fh:\n"
+                    "        records = [json.loads(line) for line in fh]\n")
     findings = analyze_source(source, spec_for("obs/history.py"),
                               "obs/history.py")
     assert "HT301" in rules_of(findings)

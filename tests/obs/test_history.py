@@ -62,6 +62,17 @@ def test_history_loader_is_tolerant(tmp_path):
     assert load_history(str(tmp_path / "missing.jsonl")) == []
 
 
+def test_history_append_after_torn_tail_keeps_the_entry(tmp_path):
+    from repro.rel.inject import truncate_wal_tail
+
+    path = str(tmp_path / "BENCH_history.jsonl")
+    append_history(path, history_entry(_payload(40.0, a=50.0), label="one"))
+    append_history(path, history_entry(_payload(41.0, a=51.0), label="torn"))
+    truncate_wal_tail(path, mode="mid-record")
+    append_history(path, history_entry(_payload(42.0, a=52.0), label="two"))
+    assert [e["label"] for e in load_history(path)] == ["one", "two"]
+
+
 def test_load_measurement_sniffs_both_artifact_kinds(tmp_path):
     speed = tmp_path / "BENCH_speed.json"
     speed.write_text(json.dumps({

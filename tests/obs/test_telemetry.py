@@ -8,7 +8,6 @@ single ``is None`` test when no spool directory is configured.
 
 import io
 import json
-import os
 
 from repro.cli import main
 from repro.obs.resource import ResourceSample

@@ -131,6 +131,22 @@ def test_journal_tolerates_a_tail_torn_mid_utf8(tmp_path):
     assert [o.resumed for o in resumed] == [True, False]
 
 
+def test_resume_after_a_torn_tail_keeps_the_next_recorded_point(tmp_path):
+    """The resumed sweep's first record is sealed off from the torn
+    bytes instead of glued onto them, so a second resume simulates
+    nothing."""
+    from repro.rel.inject import truncate_wal_tail
+
+    journal = str(tmp_path / "journal.jsonl")
+    policy = SupervisionPolicy(journal_path=journal, resume=True)
+    run_supervised_sweep(_points(2), jobs=1, policy=policy)
+    truncate_wal_tail(journal, mode="mid-record")
+    resumed = run_supervised_sweep(_points(3), jobs=1, policy=policy)
+    assert [o.resumed for o in resumed] == [True, False, False]
+    again = run_supervised_sweep(_points(3), jobs=1, policy=policy)
+    assert all(o.ok and o.resumed for o in again)
+
+
 def test_error_retries_are_bounded_and_attributed():
     policy = SupervisionPolicy(retries=2, backoff=0.0)
     outcomes = run_supervised_sweep(

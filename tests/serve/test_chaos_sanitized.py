@@ -11,8 +11,6 @@ the crash-recovery paths, zero durability-discipline violations.
 Part of the fault-injection suite (``pytest -m faultinject``).
 """
 
-import os
-
 import pytest
 
 from repro.lint.host.sanitizer import validate_trace_dir

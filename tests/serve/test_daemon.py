@@ -17,7 +17,6 @@ from pathlib import Path
 from repro.obs.prom import render_service
 from repro.obs.telemetry import SweepAggregator
 from repro.perf.cache import CachedSimResult, ResultCache
-from repro.perf.sweep import SweepPoint
 from repro.rel.supervise import SupervisionPolicy, run_supervised_sweep
 from repro.serve.daemon import (
     ServiceConfig,

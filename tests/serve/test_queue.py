@@ -1,7 +1,7 @@
 """The durable WAL job queue: transitions, dedup, torn tails, leases.
 
 Everything here runs against real files — the WAL's crash-safety
-properties (torn-tail replay, seal-on-reopen, cross-instance
+properties (torn-tail replay, seal-before-append, cross-instance
 convergence) are file-format properties, so the tests read and damage
 the bytes directly.
 """
@@ -210,6 +210,20 @@ def test_append_after_torn_tail_seals_the_damage(tmp_path):
     final = make_queue(tmp_path)
     assert final.get(job.job_id).state == "submitted"
     assert final.counts()["total"] == 1
+
+
+def test_long_lived_queue_seals_a_tail_torn_by_another_writer(tmp_path):
+    """A WAL-direct submit dying mid-append while the daemon stays live
+    must not cost the daemon its next record: the seal runs before
+    every append, not once per instance."""
+    daemon = make_queue(tmp_path)
+    job, _, _ = daemon.submit(SPEC)
+    daemon.lease(owner=1)
+    make_queue(tmp_path).submit(spec_for(variant="base"))
+    truncate_wal_tail(daemon.path, mode="mid-record")
+    assert daemon.complete(job.job_id, {"v": 1})
+    assert make_queue(tmp_path).get(job.job_id).state == "done"
+    assert daemon.get(job.job_id).state == "done"
 
 
 def test_orphan_transition_lines_are_ignored(tmp_path):
