@@ -1492,10 +1492,11 @@ def build_parser():
     serve_parser.add_argument(
         "--jobs", type=int, default=2,
         help="worker processes in the daemon's pool, shared by every "
-             "batch (default 2)")
+             "round; 1 runs jobs inline (default 2)")
     serve_parser.add_argument(
         "--batch", type=int, default=4,
-        help="jobs leased per scheduling round (default 4)")
+        help="lease window: jobs held leased at once, running plus "
+             "ready; a round leases more as jobs settle (default 4)")
     serve_parser.add_argument(
         "--lease-seconds", type=float, default=300.0,
         help="lease duration; a daemon dead longer than this loses its "

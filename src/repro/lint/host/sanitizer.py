@@ -52,6 +52,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX host
     fcntl = None
 
+from repro.fsio import read_records
 from repro.lint.host.registry import classify_path
 
 TRACE_ENV = "REPRO_FS_SANITIZE"
@@ -344,7 +345,8 @@ def validate_trace_dir(directory):
     """Fold every ``fsops-*.jsonl`` trace in *directory*; returns a report.
 
     The per-operation checks already ran inside the traced processes;
-    this reads their verdicts back (torn-tolerantly, like every other
+    this reads their verdicts back through
+    :func:`~repro.fsio.read_records` (torn-tolerantly, like every other
     spool) and summarizes: ``{"files", "ops", "violations": [...]}``.
     """
     report = {"directory": directory, "files": 0, "ops": 0, "violations": []}
@@ -356,19 +358,8 @@ def validate_trace_dir(directory):
         if not (name.startswith("fsops-") and name.endswith(".jsonl")):
             continue
         report["files"] += 1
-        try:
-            with open(os.path.join(directory, name), "rb") as fh:
-                raw_lines = fh.read().splitlines()
-        except OSError:  # pragma: no cover - racing cleanup
-            continue
-        for raw in raw_lines:
-            try:
-                doc = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                continue
-            if not isinstance(doc, dict):
-                continue
-            report["ops"] += 1
-            if doc.get("op") == "violation":
-                report["violations"].append(doc)
+        records, _ = read_records(os.path.join(directory, name))
+        report["ops"] += len(records)
+        report["violations"].extend(
+            doc for doc in records if doc.get("op") == "violation")
     return report

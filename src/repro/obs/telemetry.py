@@ -500,7 +500,9 @@ class SweepAggregator:
             "counters": dict(self.counters),
             "totals": {
                 "points": len(points),
-                "expected": self.sweep["total"] or len(points),
+                # A stream outgrows its sweep_start total, and a daemon's
+                # fold spans many sweeps: never below what was seen.
+                "expected": max(self.sweep["total"] or 0, len(points)),
                 "settled": settled,
                 "running": len(running),
                 "by_status": by_status,

@@ -475,6 +475,8 @@ class ResultCache(EntryStore):
             # Bytes, not text: decode failures (bit rot) must reach the
             # quarantine, not escape as UnicodeDecodeError.
             payload = json.loads(fh.read())
+            if not isinstance(payload, dict):
+                raise ValueError("entry is not a JSON object")
             if payload.get("schema") != self.schema_version:
                 raise ValueError("schema mismatch")
             return CachedSimResult(payload, config=config)

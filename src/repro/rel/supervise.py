@@ -56,6 +56,12 @@ most one group's pre-scan.
 The workers live in a :class:`WorkerPool`.  A one-shot sweep makes its
 own and closes it on return; a long-lived caller (the service daemon)
 passes one in with ``pool=`` so its workers stay warm across sweeps.
+
+A sweep can also be a *stream*: given ``refill=``, the runners ask it
+for more points on every pass, and a freed worker gets its next task
+before the points that just finished settle, so no worker waits on the
+caller's bookkeeping or on the end of a batch.  The service daemon runs
+each scheduling round this way.
 """
 
 import hashlib
@@ -334,7 +340,7 @@ class WorkerPool:
 
 def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
                          progress=None, telemetry=None, executor=None,
-                         trace_store=None, pool=None):
+                         trace_store=None, pool=None, refill=None):
     """Run every point under supervision; ``[SweepOutcome]`` in order.
 
     *jobs* ``<= 1`` runs inline, which is also the reference path the
@@ -371,6 +377,16 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
     it instead of re-scanning, and each point's trace provenance lands
     on its outcome and journal line.  Results are byte-identical with
     reuse on or off.
+
+    *refill*, if given, makes the sweep a stream.  The runners call
+    ``refill()`` on every pass of their loop before they start tasks —
+    so whenever fewer than ``pool.jobs`` tasks are ready to start, and
+    in the pool runner at least every 0.1 s while points run — and the
+    points it returns join the sweep as new tasks, their outcomes
+    appended in arrival order (*progress*'s *total* counts the points
+    so far).  The sweep ends once nothing is left and ``refill``
+    returns nothing.  A degraded sweep stops calling it: it finishes
+    what it holds inline.
     """
     if executor not in (None, "process"):
         raise ValueError("unknown sweep executor %r" % (executor,))
@@ -382,13 +398,12 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
         from repro.perf.tracestore import TraceStore
 
         trace_store = TraceStore(root=trace_store)
-    outcomes = [None] * len(points)
-    total = len(points)
+    outcomes = []
     done = 0
 
     if telemetry is not None:
         telemetry.sweep_started(
-            total, jobs, label="run_supervised_sweep",
+            len(points), jobs, label="run_supervised_sweep",
             policy={"timeout": policy.timeout, "retries": policy.retries,
                     "journal": policy.journal_path, "resume": policy.resume},
         )
@@ -400,7 +415,7 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
         if telemetry is not None:
             telemetry.point_settled(outcome, key=key)
         if progress is not None:
-            progress(outcome, done, total)
+            progress(outcome, done, len(outcomes))
 
     def settle_hit(index, point, key, result, cache_key):
         if telemetry is not None:
@@ -412,53 +427,72 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
     journal = SweepJournal(policy.journal_path) if policy.journal_path else None
     journaled = journal.load() if (journal is not None and policy.resume) else {}
 
-    # Serve journal entries and the cache hits the parent probes up front;
-    # the rest become tasks.  The parent probes only while that may save
-    # a fork, and stops at the first miss (or build failure): that point
-    # forks the pool, and the workers probe the rest.
+    # Tasks ready to start, and sampled groups *held* until their trace
+    # is recorded.
+    pending, held = deque(), deque()
+    # The parent probes the cache only while that may save a fork, and
+    # stops at the first miss (or build failure): that point forks the
+    # pool, and the workers probe the rest.
     probing = cache is not None and jobs > 1 and (pool is None
                                                   or not pool.live)
-    tasks = deque()
-    for index, point in enumerate(points):
-        if point.config is None:
-            from repro.core import sandy_bridge_config
 
-            point.config = sandy_bridge_config()
-        key = point_key(point)
-        entry = journaled.get(key)
-        if entry is not None:
-            if telemetry is not None:
-                telemetry.emit("journal_resume", point=point.label(), key=key)
-            settle(index, SweepOutcome(
-                point=point,
-                result=CachedSimResult(entry["payload"], config=point.config),
-                elapsed=entry.get("elapsed", 0.0),
-                seconds=entry.get("seconds", 0.0),
-                resources=entry.get("resources"),
-                trace=entry.get("trace"),
-                resumed=True,
-            ), key=key)
-            continue
-        if probing:
-            try:
-                cache_key, hit = _probe_cache(cache, point)
-            except Exception:
-                # The worker hits the same error and reports it, under
-                # the retry policy like any other point error.
-                hit = None
-            if hit is not None:
-                settle_hit(index, point, key, hit, cache_key)
+    def intake(new_points):
+        """Serve journal entries and parent cache hits; queue the rest."""
+        nonlocal probing
+        base = len(outcomes)
+        outcomes.extend([None] * len(new_points))
+        tasks = []
+        for index, point in enumerate(new_points, base):
+            if point.config is None:
+                from repro.core import sandy_bridge_config
+
+                point.config = sandy_bridge_config()
+            key = point_key(point)
+            entry = journaled.get(key)
+            if entry is not None:
+                if telemetry is not None:
+                    telemetry.emit("journal_resume", point=point.label(),
+                                   key=key)
+                settle(index, SweepOutcome(
+                    point=point,
+                    result=CachedSimResult(entry["payload"],
+                                           config=point.config),
+                    elapsed=entry.get("elapsed", 0.0),
+                    seconds=entry.get("seconds", 0.0),
+                    resources=entry.get("resources"),
+                    trace=entry.get("trace"),
+                    resumed=True,
+                ), key=key)
                 continue
-            probing = False
-        tasks.append(_Task(index, point, key))
+            if probing:
+                try:
+                    cache_key, hit = _probe_cache(cache, point)
+                except Exception:
+                    # The worker hits the same error and reports it,
+                    # under the retry policy like any other point error.
+                    hit = None
+                if hit is not None:
+                    settle_hit(index, point, key, hit, cache_key)
+                    continue
+                probing = False
+            tasks.append(_Task(index, point, key))
+        if journal is not None and tasks:
+            journal.open(len(outcomes))
+        if trace_store is None:
+            pending.extend(tasks)
+        else:
+            ready, groups = _trace_groups(tasks, lambda task: task.point)
+            pending.extend(ready)
+            held.extend(groups)
 
-    if journal is not None and tasks:
-        journal.open(total)
+    def top_up():
+        """Take *refill*'s next points; True if it gave any."""
+        fresh = list(refill())
+        intake(fresh)
+        return bool(fresh)
 
-    # Sampled groups wait in *held* until their trace is recorded.
-    pending, held = (_trace_groups(tasks, lambda task: task.point)
-                     if trace_store is not None else (tasks, []))
-    pending, held = deque(pending), deque(held)
+    intake(points)
+    feed = top_up if refill is not None else None
 
     def complete(task, run, elapsed, timed_out=False, degraded=False):
         if run.cached:
@@ -490,14 +524,15 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
         settle(task.index, outcome, key=task.key)
 
     if jobs <= 1:
-        _run_inline(pending, held, policy, complete, telemetry=telemetry,
-                    trace_store=trace_store, cache=cache)
+        _run_inline(pending, held, policy, complete, refill=feed,
+                    telemetry=telemetry, trace_store=trace_store, cache=cache)
     else:
         own_pool = pool is None
         if own_pool:
-            pool = WorkerPool(min(jobs, len(tasks)))
+            pool = WorkerPool(jobs if refill is not None else min(
+                jobs, len(pending) + sum(map(len, held))))
         try:
-            _run_pool(pending, held, pool, policy, complete,
+            _run_pool(pending, held, pool, policy, complete, refill=feed,
                       telemetry=telemetry, trace_store=trace_store,
                       cache=cache)
         finally:
@@ -517,17 +552,24 @@ def _release_group(held, pending, trace_store, telemetry, cache):
 
 
 def _run_inline(pending, held, policy, complete, degraded=False,
-                telemetry=None, trace_store=None, cache=None):
+                refill=None, telemetry=None, trace_store=None, cache=None):
     """Serial in-process execution with the same retry discipline.
 
     No per-point timeout here: there is no worker process to kill.  This
-    is both the ``jobs=1`` reference path and the degraded last resort.
-    A held group is recorded once no task is ready.
+    is both the ``jobs=1`` reference path and the degraded last resort,
+    which gets no *refill*.  *refill* is asked for more before each
+    point; a held group is recorded once no task is ready.
     """
     spool_dir = telemetry.directory if telemetry is not None else None
-    while pending or held:
+    while True:
+        fed = refill is not None and refill()
         if not pending:
-            _release_group(held, pending, trace_store, telemetry, cache)
+            if held:
+                _release_group(held, pending, trace_store, telemetry, cache)
+            elif fed:
+                continue  # its points settled on arrival; ask again
+            else:
+                return
         task = pending.popleft()
         while True:
             task.attempts += 1
@@ -544,19 +586,22 @@ def _run_inline(pending, held, policy, complete, degraded=False,
             time.sleep(_backoff_delay(policy, task.attempts))
 
 
-def _run_pool(pending, held, pool, policy, complete, telemetry=None,
-              trace_store=None, cache=None):
+def _run_pool(pending, held, pool, policy, complete, refill=None,
+              telemetry=None, trace_store=None, cache=None):
     """Pool execution with restart-on-death and bounded degradation.
 
     The respawn budget is this sweep's own, however many pools *pool*
-    spawned before it.  *pending* and *held* outlive each pool.
+    spawned before it.  *pending* and *held* outlive each pool.  Once
+    the budget is spent, the sweep finishes what it holds inline and
+    stops calling *refill*.
     """
     respawns = 0
-    while pending or held:
+    while True:
         try:
-            _drive_pool(pending, held, pool, policy, complete,
+            _drive_pool(pending, held, pool, policy, complete, refill=refill,
                         telemetry=telemetry, trace_store=trace_store,
                         cache=cache)
+            return
         except _PoolRestart as restart:
             if restart.unexpected:
                 respawns += 1
@@ -588,21 +633,25 @@ def _requeue_or_fail(task, pending, policy, complete, error, elapsed,
                  timed_out=timed_out)
 
 
-def _drive_pool(pending, held, pool, policy, complete, telemetry=None,
-                trace_store=None, cache=None):
+def _drive_pool(pending, held, pool, policy, complete, refill=None,
+                telemetry=None, trace_store=None, cache=None):
     """Run *pool* until no task is left or the pool must be replaced.
 
     At most ``pool.jobs`` tasks are in flight at once, so a submitted
     task starts (almost) immediately and its submit time is an honest
-    start time for the wall-clock timeout.  When nothing more can be
-    dispatched, a held group is recorded and finished futures are
-    collected without blocking; ``wait`` blocks only once none is held.
-    A drained pool is left running for the next sweep; a broken or
-    killed one is discarded.
+    start time for the wall-clock timeout.  Each pass first asks
+    *refill* for more.  When nothing more can be dispatched, a held
+    group is recorded and finished futures are collected without
+    blocking; ``wait`` blocks only once none is held, and for at most
+    0.1 s while a task waits or a stream may grow.  Freed workers get
+    their next tasks before the finished points settle, so the settle
+    work (journal, telemetry, the caller's *progress*) overlaps
+    simulation.  The pool forks at its first dispatch or recording; a
+    drained pool is left running for the next sweep; a broken or killed
+    one is discarded.
     """
     store_root = trace_store.root if trace_store is not None else None
     spool_dir = telemetry.directory if telemetry is not None else None
-    executor = pool.executor()
     inflight = {}
 
     def abandon(error_text, unexpected):
@@ -616,8 +665,8 @@ def _drive_pool(pending, held, pool, policy, complete, telemetry=None,
         pool.discard()
         raise _PoolRestart(unexpected)
 
-    while pending or inflight or held:
-        now = time.monotonic()
+    def start(now):
+        """Submit ready tasks while a worker is free."""
         while pending and len(inflight) < pool.jobs:
             if pending[0].not_before > now:
                 break
@@ -625,9 +674,9 @@ def _drive_pool(pending, held, pool, policy, complete, telemetry=None,
             task.attempts += 1
             task.started = now
             try:
-                future = executor.submit(_supervised_simulate_point,
-                                         task.point, spool_dir, task.key,
-                                         store_root, cache)
+                future = pool.executor().submit(
+                    _supervised_simulate_point, task.point, spool_dir,
+                    task.key, store_root, cache)
             except BrokenProcessPool:
                 task.attempts -= 1  # never launched; refund
                 pending.appendleft(task)
@@ -635,37 +684,43 @@ def _drive_pool(pending, held, pool, policy, complete, telemetry=None,
                         + traceback.format_exc(), unexpected=True)
             inflight[future] = task
 
+    while True:
+        fed = refill is not None and refill()
+        now = time.monotonic()
+        start(now)
+        if not (pending or inflight or held):
+            if fed:
+                continue  # its points settled on arrival; ask again
+            return
         if held:
+            # Fork first, so the workers do not inherit the trace.
+            pool.executor()
             _release_group(held, pending, trace_store, telemetry, cache)
             tick = 0
         elif not inflight:
             # Everything pending is backoff-gated; sleep to the gate.
             soonest = min(task.not_before for task in pending)
-            time.sleep(min(max(soonest - now, 0.0), 1.0) or 0.01)
+            cap = 0.1 if refill is not None else 1.0
+            time.sleep(min(max(soonest - now, 0.0), cap) or 0.01)
             continue
         elif policy.timeout is None:
-            tick = 0.1 if pending else None
+            tick = 0.1 if pending or refill is not None else None
         else:
             deadline = min(t.started for t in inflight.values()) + policy.timeout
-            tick = max(0.01, min(deadline - now, 0.5))
+            cap = 0.1 if refill is not None else 0.5
+            tick = max(0.01, min(deadline - now, cap))
         finished, _ = wait(set(inflight), timeout=tick,
                            return_when=FIRST_COMPLETED)
         now = time.monotonic()
 
+        ended, broken = [], []
         for future in finished:
             task = inflight.pop(future)
             try:
                 run = future.result()
             except BrokenProcessPool:
-                elapsed = now - task.started
-                _requeue_or_fail(
-                    task, pending, policy, complete,
-                    "worker process died (BrokenProcessPool):\n"
-                    + traceback.format_exc(),
-                    elapsed, telemetry=telemetry,
-                )
-                abandon("worker pool died; point was in flight when the "
-                        "pool broke", unexpected=True)
+                broken.append((task, traceback.format_exc()))
+                continue
             except BaseException:
                 run = PointRun(None, traceback.format_exc(), None,
                                0.0, None)
@@ -676,6 +731,24 @@ def _drive_pool(pending, held, pool, policy, complete, telemetry=None,
                                    key=task.key, attempt=task.attempts)
                 pending.append(task)
             else:
+                ended.append((task, run))
+        try:
+            for task, trace in broken:
+                _requeue_or_fail(
+                    task, pending, policy, complete,
+                    "worker process died (BrokenProcessPool):\n" + trace,
+                    now - task.started, telemetry=telemetry,
+                )
+            if broken:
+                abandon("worker pool died; point was in flight when the "
+                        "pool broke", unexpected=True)
+            if refill is not None:
+                refill()
+            start(now)
+        finally:
+            # Settled after the freed workers started, and even when the
+            # pool broke: a finished result is never re-run.
+            for task, run in ended:
                 complete(task, run, now - task.started)
 
         if policy.timeout is None:

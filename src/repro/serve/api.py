@@ -85,6 +85,9 @@ class ServiceAPIHandler(BaseHTTPRequestHandler):
 
     def _read_body(self):
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up.
+            raise ValueError("negative Content-Length")
         if length > MAX_BODY_BYTES:
             raise ValueError("request body too large")
         raw = self.rfile.read(length) if length else b""

@@ -3,36 +3,43 @@
 One daemon process owns one :class:`~repro.serve.queue.JobQueue` and
 turns its submitted jobs into supervised sweeps:
 
-* **leasing** — each scheduling round leases up to ``batch`` jobs,
-  fairly across tenants (the queue's round-robin) and gated by a
-  per-tenant **token bucket** (``rate`` jobs/second, ``burst`` capacity)
-  so one chatty client cannot monopolize the fleet;
-* **execution** — the leased batch runs through
-  :func:`repro.rel.supervise.run_supervised_sweep`, inheriting the whole
-  supervision discipline: per-job wall-clock timeouts, bounded retries
-  with exponential backoff, pool SIGKILL + respawn, graceful degradation
-  to inline execution after ``max_pool_respawns`` — and results dedup
-  into the shared :class:`~repro.perf.cache.ResultCache`, which the
-  workers probe and fill (each ``done`` record names its entry).  With
-  ``jobs > 1`` every batch runs in the daemon's one
-  :class:`~repro.rel.supervise.WorkerPool`, forked at the first batch
+* **leasing** — the daemon holds at most ``batch`` leased jobs
+  (running plus ready), leased fairly across tenants (the queue's
+  round-robin) and gated by a per-tenant **token bucket** (``rate``
+  jobs/second, ``burst`` capacity) so one chatty client cannot
+  monopolize the fleet;
+* **execution** — each scheduling round is one stream through
+  :func:`repro.rel.supervise.run_supervised_sweep`: it leases more as
+  workers free up and writes each job's ``done``/``failed`` record as
+  soon as that job settles, so no worker waits for a batch to end.  The
+  round inherits the whole supervision discipline: per-job wall-clock
+  timeouts, bounded retries with exponential backoff, pool SIGKILL +
+  respawn, graceful degradation to inline execution after
+  ``max_pool_respawns`` (per round: a degraded round finishes what it
+  holds and leases nothing more) — and results dedup into the shared
+  :class:`~repro.perf.cache.ResultCache`, which the workers probe and
+  fill (each ``done`` record names its entry).  With ``jobs > 1`` every
+  round runs in the daemon's one
+  :class:`~repro.rel.supervise.WorkerPool`, forked at the first round
   and kept warm until the daemon exits (a timeout kill or a worker
-  death replaces it); every batch reports through one telemetry
+  death replaces it); every round reports through one telemetry
   session;
 * **liveness** — the daemon heartbeats into the
   :mod:`repro.obs.telemetry` spool (role ``daemon``) with queue depth,
   lease count and counters, alongside the sweep/worker events the
   supervised sweep already emits, so ``repro tail`` and ``GET /events``
-  see the whole fleet;
+  see the whole fleet; heartbeats and lease expiry keep running while a
+  round streams;
 * **backpressure** — the HTTP API (and direct submits that opt in)
   sheds new work beyond ``max_depth`` live jobs with an explicit
   reject, counted in ``shed_total``, instead of accepting work it
   cannot durably finish;
-* **drain** — SIGTERM (or ``POST /drain``) finishes the currently
-  leased batch, releases nothing to limbo (anything still leased is
-  durably returned to ``submitted``), writes a final heartbeat and
-  exits 0.  SIGKILL needs no cooperation at all: leases expire and the
-  next daemon picks the jobs back up — the chaos suite proves it.
+* **drain** — SIGTERM (or ``POST /drain``) stops leasing, finishes
+  the jobs already leased (running and ready), releases nothing to
+  limbo (anything still leased is durably returned to ``submitted``),
+  writes a final heartbeat and exits 0.  SIGKILL needs no cooperation
+  at all: leases expire and the next daemon picks the jobs back up —
+  the chaos suite proves it.
 
 Crash safety is the queue's job; this module's job is to make sure the
 daemon's *decisions* (what to lease, when to refuse, how to stop) are
@@ -83,9 +90,11 @@ def service_paths(root):
 class ServiceConfig:
     """Knobs of one daemon (CLI flags map 1:1; see ``repro serve``)."""
 
-    #: Worker processes in the daemon's pool, which every batch shares.
+    #: Worker processes in the daemon's pool, which every round shares.
     jobs: int = 2
-    #: Jobs leased (and run) per scheduling round.
+    #: The lease window: jobs the daemon holds leased at once (running
+    #: plus ready).  A round's first lease takes up to this many; the
+    #: round then leases more as jobs settle.
     batch: int = 4
     #: Lease duration; a daemon dead longer than this loses its claims.
     lease_seconds: float = 300.0
@@ -144,7 +153,7 @@ class ServiceDaemon:
         self.cache = None if self.config.no_cache else ResultCache()
         self.spool = TelemetrySpool(self.paths["spool"], role="daemon")
         # Both are lazy: the pool forks and the session first reads the
-        # spool at the first batch, then serve every later one.
+        # spool at the first round, then serve every later one.
         self.pool = WorkerPool(self.config.jobs)
         self.telemetry = SweepTelemetry(self.paths["spool"])
         self.counters = {
@@ -162,6 +171,9 @@ class ServiceDaemon:
         self.started = time.time()
         self._buckets = {}
         self._last_heartbeat = 0.0
+        self._housekept = float("-inf")
+        # The jobs the current round holds, by id() of their sweep point.
+        self._round = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -180,7 +192,7 @@ class ServiceDaemon:
                 pass
 
     def request_drain(self, why="signal"):
-        """Ask the loop to stop after the in-flight batch (idempotent)."""
+        """Stop leasing; the round finishes what it holds (idempotent)."""
         if not self.draining:
             self.draining = True
             self.spool.emit("daemon_drain", why=why)
@@ -262,71 +274,112 @@ class ServiceDaemon:
         }
 
     def run_round(self):
-        """One scheduling round; returns how many jobs settled."""
+        """One scheduling round; returns how many jobs settled.
+
+        The round's first lease takes up to ``batch`` jobs and starts one
+        supervised sweep over them.  That sweep is a stream: as workers
+        free up it asks :meth:`_refill` for more, which keeps the daemon
+        holding ``batch`` leases (running plus ready), and each job's
+        ``done``/``failed`` record is written the moment the job settles
+        (:meth:`_settle`).  The round ends once nothing it leased is left
+        and nothing more can be leased.
+        """
         self.counters["rounds_total"] += 1
+        settled = self.counters["done_total"] + self.counters["failed_total"]
+        self._round = {}
+        self._housekeep(force=True)
+        points = self._lease()
+        if points:
+            run_supervised_sweep(
+                points,
+                jobs=self.config.jobs,
+                cache=self.cache,
+                policy=self.config.policy,
+                progress=self._settle,
+                telemetry=self.telemetry,
+                pool=self.pool,
+                refill=self._refill,
+            )
+        return (self.counters["done_total"] + self.counters["failed_total"]
+                - settled)
+
+    def _housekeep(self, force=False):
+        """Fold the WAL, expire dead leases and heartbeat.
+
+        Runs at most once per ``poll_interval`` unless *force*d; the
+        heartbeat itself is rate-limited to about once a second.  The
+        jobs this round holds are alive by definition, so their leases
+        are never expired here, however long they run.
+        """
+        now = time.monotonic()
+        if not force and now - self._housekept < self.config.poll_interval:
+            return
+        self._housekept = now
         self.queue.poll()
-        expired = self.queue.expire_leases()
+        expired = self.queue.expire_leases(
+            keep={job.job_id for job in self._round.values()})
         if expired:
             self.counters["expired_total"] += len(expired)
             self.spool.emit("daemon_expired", jobs=expired)
         self.heartbeat()
-        if self.draining:
-            return 0
-        batch = self.queue.lease(
+
+    def _refill(self):
+        """The round's stream intake: housekeeping, then top the leases up."""
+        self._housekeep()
+        return self._lease()
+
+    def _lease(self):
+        """Lease jobs until this round holds ``batch``; their points.
+
+        Nothing is leased while draining.  A job whose spec does not
+        build fails at once; the next refill leases into its slot.
+        """
+        room = self.config.batch - len(self._round)
+        if self.draining or room <= 0:
+            return []
+        jobs = self.queue.lease(
             owner=os.getpid(),
-            limit=self.config.batch,
+            limit=room,
             lease_seconds=self.config.lease_seconds,
             admit=self._admit,
         )
-        if not batch:
-            return 0
-        self.counters["leased_total"] += len(batch)
+        if not jobs:
+            return []
+        self.counters["leased_total"] += len(jobs)
         self.spool.emit("daemon_lease",
-                        jobs=[job.job_id for job in batch],
-                        tenants=sorted({job.tenant for job in batch}))
+                        jobs=[job.job_id for job in jobs],
+                        tenants=sorted({job.tenant for job in jobs}))
         # The injected mid-lease crash point: the leases above are
         # durable, the work below has not happened — exactly the window
         # recovery must close.
         maybe_trip_daemon_fault("lease")
-        return self._run_batch(batch)
-
-    def _run_batch(self, batch):
         points = []
-        runnable = []
-        for job in batch:
+        for job in jobs:
             try:
-                points.append(point_from_spec(job.spec))
-                runnable.append(job)
+                point = point_from_spec(job.spec)
             except Exception as exc:
                 self.queue.fail(job.job_id, "unbuildable job spec: %s" % exc)
                 self.counters["failed_total"] += 1
-        if not runnable:
-            return len(batch) - len(runnable)
-        policy = self.config.policy
-        outcomes = run_supervised_sweep(
-            points,
-            jobs=self.config.jobs,
-            cache=self.cache,
-            policy=policy,
-            telemetry=self.telemetry,
-            pool=self.pool,
-        )
+                continue
+            self._round[id(point)] = job
+            points.append(point)
+        return points
+
+    def _settle(self, outcome, _done, _total):
+        """Write one settled job's terminal WAL record."""
+        job = self._round.pop(id(outcome.point))
+        if outcome.ok:
+            self.queue.complete(
+                job.job_id, outcome.result.payload,
+                cache_key=outcome.cache_key,
+                seconds=outcome.seconds,
+                supervision=self.config.policy.to_dict(),
+            )
+            self.counters["done_total"] += 1
+        else:
+            self.queue.fail(job.job_id, outcome.error or "failed")
+            self.counters["failed_total"] += 1
         self.counters["pool_spawns_total"] = self.pool.spawns
-        settled = len(batch) - len(runnable)
-        for job, outcome in zip(runnable, outcomes):
-            if outcome.ok:
-                self.queue.complete(
-                    job.job_id, outcome.result.payload,
-                    cache_key=outcome.cache_key,
-                    seconds=outcome.seconds,
-                    supervision=policy.to_dict(),
-                )
-                self.counters["done_total"] += 1
-            else:
-                self.queue.fail(job.job_id, outcome.error or "failed")
-                self.counters["failed_total"] += 1
-            settled += 1
-        return settled
 
     def drain_leases(self):
         """Durably return every lease this daemon still holds."""
@@ -363,9 +416,9 @@ class ServiceDaemon:
             while True:
                 settled = self.run_round()
                 if self.draining:
-                    # run_round settles its whole batch before returning,
-                    # so nothing of ours is in flight any more: release
-                    # whatever is still leased to us and stop.
+                    # run_round returns once nothing it leased is running
+                    # or ready: release whatever is still leased to us
+                    # and stop.
                     break
                 if self.config.once and self.queue.counts()["depth"] == 0:
                     break

@@ -328,12 +328,13 @@ class JobQueue:
             self.poll()
             return self.jobs[job_id], True, False
 
-    def expire_leases(self, now=None):
+    def expire_leases(self, now=None, keep=()):
         """Return expired leases to the queue; returns ``[job_id]``.
 
         A job that has burned ``max_lease_attempts`` leases goes
         ``dead`` instead (crash-loop protection — see the module
-        docstring).
+        docstring).  Jobs in *keep* — the caller's own running leases —
+        are skipped: their holder is alive.
         """
         now = time.time() if now is None else now
         expired = []
@@ -341,6 +342,8 @@ class JobQueue:
             self.poll()
             for job in list(self.jobs.values()):
                 if job.state != "leased" or job.lease_deadline is None:
+                    continue
+                if job.job_id in keep:
                     continue
                 if job.lease_deadline > now:
                     continue

@@ -151,6 +151,29 @@ def test_aggregator_folds_a_full_point_lifecycle(tmp_path):
     assert state["kips"] == 2.0
 
 
+def test_points_total_never_below_settled_across_sweeps(tmp_path):
+    """One fold over several sweeps (a daemon's spool), where the last
+    sweep_start announced fewer points than were settled overall."""
+    from repro.obs.prom import render_sweep
+
+    spool = TelemetrySpool(str(tmp_path), role="sweep", pid=7)
+    for sweep in range(3):
+        spool.emit("sweep_start", total=2, jobs=2, label="round")
+        for index in range(2):
+            key = "k%d-%d" % (sweep, index)
+            spool.emit("point_settled", point=key, key=key, ok=True,
+                       seconds=0.1, attempts=1, retired=10)
+        spool.emit("sweep_finish", ok=2, total=2)
+    agg = SweepAggregator(str(tmp_path))
+    agg.poll()
+    snap = agg.snapshot()
+    assert snap["totals"]["settled"] == 6
+    assert snap["totals"]["expected"] == 6
+    text = render_sweep(snap)
+    assert "repro_sweep_points_total 6" in text
+    assert "repro_sweep_points_settled 6" in text
+
+
 # ------------------------------------------------------- sweep integration
 
 

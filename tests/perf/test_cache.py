@@ -138,6 +138,23 @@ def test_corrupt_entry_is_quarantined_for_inspection(program, cache):
         assert fh.read() == '{"stats": {'  # damaged bytes preserved
 
 
+def test_non_object_entry_is_a_quarantined_miss(program, cache):
+    import os
+
+    config = sandy_bridge_config()
+    key = cache.key_for(program, config)
+    path = cache.path_for(key)
+    for garbage in ("[1, 2]", '"text"', "7", "null"):
+        cache.store_result(key, simulate(program, config))
+        with open(path, "w") as fh:
+            fh.write(garbage)
+        assert cache.load(key, config=config) is None
+        assert not os.path.exists(path)
+        with open(path + ".corrupt") as fh:
+            assert fh.read() == garbage
+    assert cache.counters()["quarantined"] == 4
+
+
 def _hammer_store(root, key, payload, rounds):
     """Cross-process stress worker: must be module-level (pickled)."""
     cache = ResultCache(root=root)

@@ -180,6 +180,80 @@ def test_progress_callback_sees_every_point():
     assert sorted(seen) == [(1, 2), (2, 2)]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_refill_streams_points_in_arrival_order(jobs):
+    """A sweep seeded with one point and refilled with three more, one
+    per call, returns all four in arrival order, byte-identical to a
+    plain sweep of the same points."""
+    def four():
+        return _points(3) + [SweepPoint(
+            workload="soplex", variant="base", input_name="ref",
+            scale=0.125, max_instructions=2000)]
+
+    plain = run_supervised_sweep(four(), jobs=1)
+    later = four()
+    seed = [later.pop(0)]
+    calls = []
+
+    def refill():
+        calls.append(len(later))
+        return [later.pop(0)] if later else []
+
+    streamed = run_supervised_sweep(seed, jobs=jobs, refill=refill)
+    assert [o.point.label() for o in streamed] == [
+        p.label() for p in four()]
+    assert all(o.ok for o in streamed)
+    assert _stats_blobs(streamed) == _stats_blobs(plain)
+    assert calls[-1] == 0  # the sweep ended on an empty refill
+
+
+class _ScriptedPool:
+    """A stand-in pool whose futures finish at submit, as scripted: a
+    point's real result, or ``BrokenProcessPool``."""
+
+    jobs = 2
+    live = True
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.ran = []
+
+    def executor(self):
+        return self
+
+    def submit(self, _fn, point, *_args):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.perf.sweep import _simulate_point
+
+        future = Future()
+        if self.script.pop(0) == "die":
+            future.set_exception(BrokenProcessPool("worker died"))
+        else:
+            self.ran.append(point.label())
+            future.set_result(_simulate_point(point))
+        return future
+
+    def discard(self, kill=False):
+        pass
+
+
+def test_results_finished_before_a_pool_break_are_kept():
+    """One point finishes and the other's worker dies in the same
+    collection: the finished result settles, only the other re-runs."""
+    pool = _ScriptedPool(["ok", "die", "ok"])
+    outcomes = run_supervised_sweep(
+        _points(), jobs=2, pool=pool,
+        policy=SupervisionPolicy(backoff=0.01),
+    )
+    assert all(o.ok for o in outcomes)
+    assert [o.attempts for o in outcomes] == [1, 2]
+    assert pool.ran == [p.label() for p in _points()]
+    assert _stats_blobs(outcomes) == _stats_blobs(
+        run_supervised_sweep(_points(), jobs=1))
+
+
 def test_success_records_seconds_and_journal_carries_them(tmp_path):
     journal = str(tmp_path / "journal.jsonl")
     outcomes = run_supervised_sweep(

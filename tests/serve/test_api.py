@@ -9,6 +9,7 @@ tests/serve/test_daemon.py covers.
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -162,6 +163,23 @@ def test_submits_via_api_are_durable(service, tmp_path):
     _, doc, _ = request(server, "POST", "/jobs", body=SPEC)
     independent = JobQueue(daemon.queue.path)
     assert independent.get(doc["job_id"]).state == "submitted"
+
+
+def test_negative_content_length_is_refused_at_once(service):
+    """``rfile.read(-1)`` would wait for the client to hang up; the
+    handler must answer 400 without reading the body."""
+    _, server = service
+    host, port = server.server_address[0], server.server_address[1]
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.settimeout(1.0)
+        sock.sendall(b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                     b"Content-Type: application/json\r\n"
+                     b"Content-Length: -1\r\n\r\n")
+        reply = http.client.HTTPResponse(sock)
+        reply.begin()  # socket.timeout fails the test
+        body = json.loads(reply.read())
+    assert reply.status == 400
+    assert body == {"error": "negative Content-Length"}
 
 
 def test_merged_events_skips_torn_spool_lines(tmp_path):

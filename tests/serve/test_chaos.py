@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.telemetry import SweepAggregator
 from repro.rel.inject import (
     DAEMON_FAULT_ENV,
     DAEMON_FAULT_TOKEN_ENV,
@@ -245,3 +246,38 @@ def test_killed_worker_respawns_the_daemon_pool(tmp_path):
     assert token.exists()
     assert all(daemon.queue.get(i).state == "done" for i in ids)
     assert daemon.counters["pool_spawns_total"] == 2
+
+
+def test_spent_respawn_budget_stops_the_round_leasing(tmp_path):
+    """The respawn budget is per round: a round whose pool dies with no
+    respawn left finishes its leased jobs inline and leases nothing
+    more; the next round leases the rest into a fresh pool."""
+    daemon = ServiceDaemon(str(tmp_path / "svc"), ServiceConfig(
+        jobs=2, batch=4, no_cache=True, poll_interval=0.01,
+        policy=SupervisionPolicy(retries=2, backoff=0.01,
+                                 max_pool_respawns=0),
+    ))
+    ids = [daemon.queue.submit(dict(SPECS[0], seed=seed))[0].job_id
+           for seed in range(1, 7)]
+    token = tmp_path / "kill.token"
+    arm_worker_fault(os.environ, "kill", str(token))
+    try:
+        first = daemon.run_round()
+        counts = daemon.queue.counts()
+        assert token.exists()
+        assert counts["leased"] == 0  # every leased job finished
+        assert counts["done"] == first == daemon.counters["leased_total"]
+        assert counts["submitted"] >= 1  # nothing leased once degraded
+        second = daemon.run_round()
+    finally:
+        disarm_worker_fault(os.environ)
+        daemon.pool.close()
+        daemon.telemetry.close()
+        daemon.spool.close()
+    assert first + second == len(ids)
+    assert all(daemon.queue.get(i).state == "done" for i in ids)
+    assert daemon.counters["rounds_total"] == 2
+    assert daemon.pool.spawns == 2  # the second round forked a new pool
+    fold = SweepAggregator(daemon.paths["spool"])
+    fold.poll()
+    assert fold.counters["degraded"] == 1

@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -252,16 +253,88 @@ def test_sigterm_handler_requests_drain(tmp_path):
 
 
 def test_one_pool_serves_every_batch(tmp_path):
+    """Two rounds, with a submit between them, share one warm pool."""
     daemon = make_daemon(tmp_path, jobs=2, batch=2)
     ids = [daemon.queue.submit(dict(SPEC, seed=seed))[0].job_id
-           for seed in range(1, 7)]
-    daemon.run_forever()
+           for seed in range(1, 4)]
+    try:
+        assert daemon.run_round() == 3
+        ids += [daemon.queue.submit(dict(SPEC, seed=seed))[0].job_id
+                for seed in range(4, 7)]
+        assert daemon.run_round() == 3
+    finally:
+        daemon.pool.close()
+        daemon.telemetry.close()
+        daemon.spool.close()
     assert all(daemon.queue.get(i).state == "done" for i in ids)
-    assert daemon.counters["rounds_total"] >= 3  # three 2-job batches
+    assert daemon.counters["rounds_total"] == 2
     assert daemon.counters["pool_spawns_total"] == 1
     assert daemon.health()["counters"]["pool_spawns_total"] == 1
     assert "repro_service_pool_spawns_total 1" in render_service(
         daemon.health())
+
+
+def test_a_freed_worker_takes_a_job_submitted_mid_round(tmp_path):
+    """A long job and a short one run first; a short job submitted once
+    the first short one is done is leased and done while the long job
+    still runs, in the same round."""
+    daemon = make_daemon(tmp_path, jobs=2)
+    long_job = daemon.queue.submit(
+        dict(SPEC, scale=0.5, max_instructions=40_000))[0]
+    short = daemon.queue.submit(dict(SPEC, seed=2))[0]
+    submitted = []
+
+    def client():
+        queue = JobQueue(daemon.paths["wal"])
+        deadline = time.monotonic() + 60
+        while (queue.get(short.job_id).state != "done"
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+            queue.poll()
+        submitted.append(queue.submit(dict(SPEC, seed=3))[0].job_id)
+
+    thread = threading.Thread(target=client)
+    thread.start()
+    try:
+        settled = daemon.run_round()
+    finally:
+        thread.join()
+        daemon.pool.close()
+        daemon.telemetry.close()
+        daemon.spool.close()
+    late = submitted[0]
+    assert settled == 3 and daemon.counters["rounds_total"] == 1
+    ops = [(doc["op"], doc["job_id"]) for doc in
+           (json.loads(raw) for raw
+            in open(daemon.queue.path, "rb").read().splitlines())]
+    assert ops.index(("done", short.job_id)) < ops.index(("lease", late))
+    assert ops.index(("done", late)) < ops.index(("done", long_job.job_id))
+
+
+def test_lease_expiry_keeps_running_while_a_round_streams(tmp_path):
+    """A dead daemon's lease that runs out mid-round is expired, and its
+    job leased and done, while the round's long job still runs.  The
+    long job outlives its own 0.3 s lease, but the round holds it, so
+    it is never expired."""
+    daemon = make_daemon(tmp_path, jobs=2, batch=2, lease_seconds=0.3)
+    stranded = daemon.queue.submit(dict(SPEC, seed=4))[0]
+    daemon.queue.lease(owner=999, lease_seconds=0.5)  # a dead daemon's
+    long_job = daemon.queue.submit(
+        dict(SPEC, scale=0.5, max_instructions=40_000))[0]
+    daemon.queue.submit(dict(SPEC, seed=2))
+    try:
+        settled = daemon.run_round()
+    finally:
+        daemon.pool.close()
+        daemon.telemetry.close()
+        daemon.spool.close()
+    assert settled == 3 and daemon.counters["expired_total"] == 1
+    ops = [(doc["op"], doc["job_id"]) for doc in
+           (json.loads(raw) for raw
+            in open(daemon.queue.path, "rb").read().splitlines())]
+    assert (ops.index(("expire", stranded.job_id))
+            < ops.index(("done", stranded.job_id))
+            < ops.index(("done", long_job.job_id)))
 
 
 def test_incremental_spool_fold_matches_a_fresh_fold(tmp_path):
