@@ -9,9 +9,8 @@ Commands
 ``classify``     the Figure 6 classification study
 ``trace``        per-cycle trace of a run (Chrome/Perfetto or JSONL events)
 ``disasm``       disassembly listing of a built workload binary
-``bench-speed``  host throughput (simulated KIPS) vs the stored baseline
+``bench-speed``  sampled-engine KIPS and IPC error vs full detail (gated)
 ``bench-sweep``  sweep throughput (points/sec): trace reuse vs per-point
-``bench-diff``   compare two speed measurements; exit 6 on regression
 ``cache-prune``  shrink the result cache and warm-trace store (LRU)
 ``lint``         static CFD contract verification of built binaries
 ``lint-host``    concurrency/durability lint of the repo's own service
@@ -42,16 +41,16 @@ docs/PERFORMANCE.md) — ``--no-cache`` forces a fresh simulation, and
 directory — watch it live with ``repro top DIR`` / ``repro tail DIR
 --follow``.  ``run --check`` attaches the independent invariant
 checker, and failures exit with distinct codes — 2 usage, 3 simulation
-error, 4 invariant violation, 5 lint findings, 6 performance
-regression, 7 host lint findings (see docs/ROBUSTNESS.md,
-docs/STATIC_ANALYSIS.md and docs/OBSERVABILITY.md).
+error, 4 invariant violation, 5 lint findings, 6 a failed
+``bench-speed``/``bench-sweep`` gate, 7 host lint findings (see
+docs/ROBUSTNESS.md, docs/STATIC_ANALYSIS.md and docs/OBSERVABILITY.md).
 
 Examples::
 
     python -m repro list
     python -m repro run soplex --variant cfd --scale 0.25 --json
     python -m repro run bzip2 --variant tq --max-instructions 100000 --sample
-    python -m repro bench-speed --sample --history BENCH_history.jsonl
+    python -m repro bench-speed --cases bzip2_tq --repeats 1
     python -m repro compare astar_r1 --variant dfd --config memory-bound
     python -m repro compare soplex --variant cfd --jobs 2 --telemetry /tmp/sp
     python -m repro top /tmp/sp --follow
@@ -61,8 +60,7 @@ Examples::
     python -m repro classify --scale 0.125
     python -m repro trace soplex --variant cfd --cycles 2000
     python -m repro trace-merge trace_a.json trace_b.json -o merged.json
-    python -m repro bench-speed --repeats 3 --history BENCH_history.jsonl
-    python -m repro bench-diff BENCH_history.jsonl BENCH_speed.json
+    python -m repro bench-sweep --smoke --json
     python -m repro lint                      # whole registry
     python -m repro lint soplex --variant cfd --json
 """
@@ -430,12 +428,10 @@ def cmd_disasm(args, out):
 
 
 def cmd_bench_speed(args, out):
-    import dataclasses
-
     from repro.perf.speed import (
         REFERENCE_CASES,
-        run_speed_benchmark,
-        write_speed_artifact,
+        merge_speed_section,
+        run_sampled_benchmark,
     )
 
     cases = REFERENCE_CASES
@@ -448,96 +444,37 @@ def cmd_bench_speed(args, out):
                 ", ".join(unknown), ", ".join(sorted(known))))
             return 2
         cases = [known[name] for name in wanted]
-    if args.max_instructions is not None:
-        cases = [
-            dataclasses.replace(
-                case,
-                max_instructions=min(case.max_instructions,
-                                     args.max_instructions),
-            )
-            for case in cases
-        ]
 
     def progress(case, result, done, total):
         if not args.json:
-            out.write("[%d/%d] %-22s %8.2f KIPS (%d insts in %.3fs)\n" % (
-                done, total, case.name, result["kips"], result["retired"],
-                result["seconds"]))
-
-    payload = run_speed_benchmark(cases=cases, repeats=args.repeats,
-                                  progress=progress, jobs=args.jobs)
-    sampled = None
-    if args.sample:
-        from repro.perf.speed import run_sampled_benchmark
-
-        def sampled_progress(case, result, done, total):
-            if not args.json:
-                out.write(
-                    "[%d/%d] %-22s %8.2f KIPS sampled  "
-                    "(err %+0.2f%% +/-%.2f%%, %d interval(s))\n" % (
-                        done, total, case.name, result["kips"],
-                        result["ipc_error_pct"], result["ipc_rel_ci95_pct"],
-                        result["intervals"] or 0))
-
-        sampled = run_sampled_benchmark(
-            cases=cases, repeats=max(1, args.repeats - 1),
-            progress=sampled_progress,
-        )
-        payload["sampled"] = sampled
-    path = write_speed_artifact(payload, directory=args.artifact_dir)
-    if args.history:
-        from repro.obs.history import append_history, history_entry
-
-        extra = None
-        if sampled is not None:
-            # Error-bar columns ride along in the history line, so the
-            # sampled trajectory (and its honesty) is trendable too.
-            extra = {"sampled": {
-                "plan": sampled["plan"],
-                "geomean_kips": sampled["geomean_kips"],
-                "ipc_error_pct_geomean": sampled["ipc_error_pct_geomean"],
-                "ipc_rel_ci95_pct_geomean":
-                    sampled["ipc_rel_ci95_pct_geomean"],
-                "gates_passed": sampled["gates_passed"],
-                "cases": {
-                    name: {
-                        "kips": case["kips"],
-                        "ipc_error_pct": case["ipc_error_pct"],
-                        "ipc_rel_ci95_pct": case["ipc_rel_ci95_pct"],
-                        "intervals": case["intervals"],
-                    }
-                    for name, case in sampled["cases"].items()
-                },
-            }}
-        append_history(args.history,
-                       history_entry(payload, label=args.history_label,
-                                     extra=extra))
-        if not args.json:
-            out.write("history: %s\n" % args.history)
-    if args.json:
-        _emit_json(out, payload)
-    else:
-        out.write("geomean: %.2f KIPS" % payload["geomean_kips"])
-        baseline = payload["baseline"]["geomean_kips"]
-        if baseline and payload["speedup_vs_baseline"]:
-            out.write("  (baseline %.2f, speedup %.3fx)" % (
-                baseline, payload["speedup_vs_baseline"]))
-        out.write("\n")
-        if sampled is not None:
             out.write(
-                "sampled geomean: %.2f KIPS (%.2fx vs full-detail %.2f), "
-                "geomean |IPC error| %.2f%% (gate %.1f%%), "
-                "geomean CI +/-%.2f%% -> %s\n" % (
-                    sampled["geomean_kips"],
-                    sampled["speedup_vs_reference"] or 0.0,
-                    sampled["reference_geomean_kips"],
-                    sampled["ipc_error_pct_geomean"],
-                    sampled["gates"]["error_gate_pct"],
-                    sampled["ipc_rel_ci95_pct_geomean"],
-                    "PASS" if sampled["gates_passed"] else "FAIL",
-                ))
+                "[%d/%d] %-22s %8.2f KIPS sampled  "
+                "(err %+0.2f%% +/-%.2f%%, %d interval(s))\n" % (
+                    done, total, case.name, result["kips"],
+                    result["ipc_error_pct"], result["ipc_rel_ci95_pct"],
+                    result["intervals"] or 0))
+
+    sampled = run_sampled_benchmark(cases=cases, repeats=args.repeats,
+                                    progress=progress)
+    path = merge_speed_section("sampled", sampled,
+                               directory=args.artifact_dir)
+    if args.json:
+        _emit_json(out, sampled)
+    else:
+        out.write(
+            "sampled geomean: %.2f KIPS (%.2fx vs full-detail %.2f), "
+            "geomean |IPC error| %.2f%% (gate %.1f%%), "
+            "geomean CI +/-%.2f%% -> %s\n" % (
+                sampled["geomean_kips"],
+                sampled["speedup_vs_reference"] or 0.0,
+                sampled["reference_geomean_kips"],
+                sampled["ipc_error_pct_geomean"],
+                sampled["gates"]["error_gate_pct"],
+                sampled["ipc_rel_ci95_pct_geomean"],
+                "PASS" if sampled["gates_passed"] else "FAIL",
+            ))
         out.write("artifact: %s\n" % path)
-    if sampled is not None and sampled["gates"].get("ci_wide"):
+    if sampled["gates"].get("ci_wide"):
         wide = ", ".join(
             "%s +/-%.1f%%" % (name, case["ipc_rel_ci95_pct"])
             for name, case in sorted(sampled["cases"].items())
@@ -553,7 +490,7 @@ def cmd_bench_speed(args, out):
                  sampled["gates"]["ci_warn_pct"],
                  "; widest: " + wide if wide else ""),
               file=sys.stderr)
-    if sampled is not None and not sampled["gates_passed"]:
+    if not sampled["gates_passed"]:
         print("repro: bench-speed: sampled gates failed (exit 6)",
               file=sys.stderr)
         return EXIT_PERF_REGRESSION
@@ -564,7 +501,8 @@ def cmd_bench_sweep(args, out):
     import tempfile
 
     from repro.perf import sweepbench
-    from repro.perf.sweepbench import merge_sweep_section, run_sweep_benchmark
+    from repro.perf.speed import merge_speed_section
+    from repro.perf.sweepbench import run_sweep_benchmark
 
     scale, budget, plan = args.scale, args.budget, args.plan
     if args.smoke:
@@ -600,35 +538,8 @@ def cmd_bench_sweep(args, out):
 
     path = None
     if not args.smoke or args.artifact_dir is not None:
-        path = merge_sweep_section(payload, directory=args.artifact_dir)
-    if args.history:
-        from repro.obs.history import append_history, history_entry
-
-        reuse_pps = payload["reuse"]["points_per_sec"]
-        entry = history_entry(
-            {
-                "python": payload["python"],
-                "geomean_kips": reuse_pps,
-                "cases": {"sweep_reference": {"kips": reuse_pps}},
-            },
-            label=args.history_label,
-            extra={"sweep": {
-                "plan": payload["plan"],
-                "per_point_points_per_sec":
-                    payload["per_point"]["points_per_sec"],
-                "reuse_points_per_sec": reuse_pps,
-                "warm_points_per_sec": payload["warm"]["points_per_sec"],
-                "speedup_reuse_vs_per_point":
-                    payload["speedup_reuse_vs_per_point"],
-                "speedup_warm_vs_per_point":
-                    payload["speedup_warm_vs_per_point"],
-                "stats_identical": payload["stats_identical"],
-                "gates_passed": payload["gates_passed"],
-            }},
-        )
-        append_history(args.history, entry)
-        if not args.json:
-            out.write("history: %s\n" % args.history)
+        path = merge_speed_section("sweep", payload,
+                                   directory=args.artifact_dir)
     if args.json:
         _emit_json(out, payload)
     else:
@@ -650,10 +561,6 @@ def cmd_bench_sweep(args, out):
         if path:
             out.write("artifact: %s\n" % path)
     if not payload["gates_passed"]:
-        if args.warn_only:
-            print("repro: bench-sweep: gates failed (exit 0: --warn-only)",
-                  file=sys.stderr)
-            return 0
         print("repro: bench-sweep: gates failed (exit 6)", file=sys.stderr)
         return EXIT_PERF_REGRESSION
     return 0
@@ -884,47 +791,6 @@ def cmd_metrics_export(args, out):
     else:
         out.write(text)
     return 0
-
-
-def cmd_bench_diff(args, out):
-    from repro.obs.history import (
-        CASE_TOLERANCE,
-        GEOMEAN_TOLERANCE,
-        bench_diff,
-        format_diff,
-        load_measurement,
-    )
-
-    try:
-        current = load_measurement(args.current, select=args.select)
-        baseline = load_measurement(args.baseline,
-                                    select=args.baseline_select,
-                                    label=args.baseline_label)
-    except ValueError as exc:
-        print("repro: bench-diff: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    report = bench_diff(
-        current, baseline,
-        case_tolerance=(
-            CASE_TOLERANCE if args.case_tolerance is None
-            else args.case_tolerance
-        ),
-        geomean_tolerance=(
-            GEOMEAN_TOLERANCE if args.geomean_tolerance is None
-            else args.geomean_tolerance
-        ),
-    )
-    if args.json:
-        _emit_json(out, report)
-    else:
-        out.write(format_diff(report) + "\n")
-    if report["ok"]:
-        return 0
-    if args.warn_only:
-        print("repro: bench-diff: regression detected (exit 0: --warn-only)",
-              file=sys.stderr)
-        return 0
-    return EXIT_PERF_REGRESSION
 
 
 def cmd_trace_merge(args, out):
@@ -1258,72 +1124,22 @@ def build_parser():
     common(sub.add_parser("disasm", help="disassemble a built binary"))
     speed_parser = sub.add_parser(
         "bench-speed",
-        help="host throughput (simulated KIPS) vs the stored baseline",
+        help="sampled-engine benchmark: sampled KIPS and IPC error vs full "
+             "detail; exit 6 if the 3x speed or 2%% error gate fails",
     )
     speed_parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing repetitions per case; the best is kept (default 3)")
+        "--repeats", type=int, default=2,
+        help="sampled timing repetitions per case; the best is kept "
+             "(default 2)")
     speed_parser.add_argument(
         "--cases", default=None,
         help="comma-separated subset of reference case names")
     speed_parser.add_argument(
-        "--max-instructions", type=int, default=None,
-        help="cap every case's instruction budget (smoke runs)")
-    speed_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="overlap case measurement across N processes (faster but "
-             "noisier; keep 1 for trustworthy numbers)")
-    speed_parser.add_argument(
         "--artifact-dir", default=None,
-        help="where to write BENCH_speed.json "
+        help="merge the 'sampled' section into BENCH_speed.json here "
              "(default $REPRO_BENCH_ARTIFACT_DIR or .)")
     speed_parser.add_argument("--json", action="store_true",
-                              help="emit the full payload as JSON")
-    speed_parser.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="append this measurement to a BENCH_history.jsonl database "
-             "(feeds 'repro bench-diff')")
-    speed_parser.add_argument(
-        "--history-label", default=None,
-        help="label stored with the --history entry (e.g. a commit sha)")
-    speed_parser.add_argument(
-        "--sample", action="store_true",
-        help="also run the sampled-engine benchmark (scale-2.0 reference "
-             "cases, tuned plan): records sampled KIPS + IPC error bars "
-             "into the artifact/history and exits 6 if the speedup or "
-             "2%% error gate fails")
-    diff_parser = sub.add_parser(
-        "bench-diff",
-        help="compare two speed measurements; exit 6 on regression",
-    )
-    diff_parser.add_argument(
-        "current",
-        help="current measurement: BENCH_speed.json or BENCH_history.jsonl")
-    diff_parser.add_argument(
-        "baseline",
-        help="baseline measurement: BENCH_speed.json or BENCH_history.jsonl")
-    diff_parser.add_argument(
-        "--select", choices=("first", "last", "best"), default="last",
-        help="history entry to use as current (default last)")
-    diff_parser.add_argument(
-        "--baseline-select", choices=("first", "last", "best"),
-        default="last",
-        help="history entry to use as baseline (default last)")
-    diff_parser.add_argument(
-        "--baseline-label", default=None, metavar="LABEL",
-        help="pin the baseline to history entries stored with this "
-             "--history-label (then --baseline-select picks among them)")
-    diff_parser.add_argument(
-        "--case-tolerance", type=float, default=None,
-        help="per-case slowdown fraction tolerated (default 0.15)")
-    diff_parser.add_argument(
-        "--geomean-tolerance", type=float, default=None,
-        help="geomean slowdown fraction tolerated (default 0.05)")
-    diff_parser.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but exit 0 (CI soft gate)")
-    diff_parser.add_argument("--json", action="store_true",
-                             help="emit the full report as JSON")
+                              help="emit the 'sampled' section as JSON")
     sweep_parser = sub.add_parser(
         "bench-sweep",
         help="sweep throughput (config points/sec): warm-trace reuse vs "
@@ -1351,20 +1167,10 @@ def build_parser():
         help="tiny geometry for CI: still checks per-point byte-identity "
              "across modes, but the speedup gate is informational only")
     sweep_parser.add_argument(
-        "--warn-only", action="store_true",
-        help="report gate failures but exit 0 (CI soft gate)")
-    sweep_parser.add_argument(
         "--artifact-dir", default=None,
         help="merge the 'sweep' section into BENCH_speed.json here "
              "(default $REPRO_BENCH_ARTIFACT_DIR or .; --smoke skips the "
              "artifact unless this is given)")
-    sweep_parser.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="append a sweep-throughput entry to a BENCH_history.jsonl "
-             "database")
-    sweep_parser.add_argument(
-        "--history-label", default=None,
-        help="label stored with the --history entry (e.g. a commit sha)")
     sweep_parser.add_argument("--json", action="store_true",
                               help="emit the full payload as JSON")
     prune_parser = sub.add_parser(
@@ -1590,7 +1396,6 @@ _COMMANDS = {
     "disasm": cmd_disasm,
     "bench-speed": cmd_bench_speed,
     "bench-sweep": cmd_bench_sweep,
-    "bench-diff": cmd_bench_diff,
     "cache-prune": cmd_cache_prune,
     "lint": cmd_lint,
     "lint-host": cmd_lint_host,

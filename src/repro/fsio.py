@@ -3,10 +3,10 @@
 Every multi-process component of the repro — the WAL job queue
 (:mod:`repro.serve.queue`), the result cache and trace store
 (:mod:`repro.perf.cache`, :mod:`repro.perf.tracestore`), the sweep
-journal (:mod:`repro.rel.supervise`), the bench history
-(:mod:`repro.obs.history`), the telemetry readers and the daemon's
-runtime files (:mod:`repro.serve.daemon`) — writes and replays its
-protocol files through this module, which holds each discipline once:
+journal (:mod:`repro.rel.supervise`), the telemetry readers and the
+daemon's runtime files (:mod:`repro.serve.daemon`) — writes and
+replays its protocol files through this module, which holds each
+discipline once:
 
 * **flock critical sections** — writers of a shared file serialize on an
   ``flock`` of a sidecar lock file (:func:`flock_exclusive`);

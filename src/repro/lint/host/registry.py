@@ -87,9 +87,6 @@ PATH_CLASSES = {
     "addr": PathClass("addr", r"(^|/)http\.addr$", atomic=True),
     # Prometheus snapshot: atomic replace, best-effort durability.
     "prom": PathClass("prom", r"\.prom$", atomic=True),
-    # Bench-history database: append-only, best-effort durability.
-    "history": PathClass("history", r"(^|/)BENCH_history[^/]*\.jsonl$",
-                         append_only=True),
 }
 
 
@@ -128,7 +125,7 @@ class ModuleSpec:
     ``param_seeds``
         ``{(function, parameter): path_class}`` — a module-level
         function whose parameter is documented to carry a protocol
-        path (``load_history(path)``).
+        path (``merged_events(spool_dir)``).
     ``lock_ctx``
         Names whose call as a ``with`` item establishes the flock
         critical section (``self._lock()``, ``self._write_lock()``,
@@ -189,13 +186,6 @@ HOST_MODULES = {
     "obs/telemetry.py": ModuleSpec(
         attr_seeds={("TelemetrySpool", "path"): "spool"},
         call_seeds={("SweepAggregator", "_spool_paths"): "spool"},
-    ),
-    "obs/history.py": ModuleSpec(
-        param_seeds={
-            ("append_history", "path"): "history",
-            ("load_history", "path"): "history",
-            ("load_measurement", "path"): "history",
-        },
     ),
     "obs/prom.py": ModuleSpec(
         param_seeds={("write_prom", "path"): "prom"},

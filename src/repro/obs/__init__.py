@@ -51,14 +51,6 @@ from repro.obs.export import (
     write_json,
     write_jsonl,
 )
-from repro.obs.history import (
-    HISTORY_VERSION,
-    append_history,
-    bench_diff,
-    history_entry,
-    load_history,
-    load_measurement,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -104,12 +96,6 @@ __all__ = [
     "write_chrome_trace",
     "write_json",
     "write_jsonl",
-    "HISTORY_VERSION",
-    "append_history",
-    "bench_diff",
-    "history_entry",
-    "load_history",
-    "load_measurement",
     "Counter",
     "Gauge",
     "Histogram",

@@ -17,17 +17,18 @@ each point expensive.  This package makes the grid cheap two ways:
     prewarm — what :func:`repro.rel.supervise.run_supervised_sweep`, the
     sweep engine, fans out over ``ProcessPoolExecutor`` workers.
 
-:mod:`repro.perf.speed`
-    The host-throughput benchmark (simulated kilo-instructions per host
-    second) behind ``repro bench-speed`` and ``BENCH_speed.json``.
-
 :mod:`repro.perf.sample`
     SMARTS-style sampled simulation: detailed windows + trace-replay
     warm gaps, with honest per-stat extrapolation error bars
-    (``repro run --sample``, ``repro bench-speed --sample``).
+    (``repro run --sample``).
 
-See docs/PERFORMANCE.md for the cache layout, invalidation rules, the
-KIPS methodology and the sampling design.
+:mod:`repro.perf.speed`
+    The sampled-engine benchmark behind ``repro bench-speed``: sampled
+    KIPS and IPC error against full detail on the reference cases, with
+    its speed and 2% error gates, written to ``BENCH_speed.json``.
+
+See docs/PERFORMANCE.md for the cache layout, invalidation rules and
+the sampling design; speed is measured by ``perfbench/``.
 """
 
 from repro.perf.cache import (
@@ -48,8 +49,6 @@ from repro.perf.speed import (
     REFERENCE_CASES,
     SpeedCase,
     run_sampled_benchmark,
-    run_speed_benchmark,
-    write_speed_artifact,
 )
 from repro.perf.sweep import SweepOutcome, SweepPoint, default_jobs
 
@@ -69,7 +68,5 @@ __all__ = [
     "program_digest",
     "result_key",
     "run_sampled_benchmark",
-    "run_speed_benchmark",
     "snapshot_result",
-    "write_speed_artifact",
 ]

@@ -25,7 +25,7 @@ Extrapolation is the standard ratio estimator: aggregate the measured
 intervals' :class:`~repro.core.stats.SimStats`, scale every counter by
 ``total/measured`` instructions, and report per-interval IPC dispersion
 as a 95% confidence interval.  Accuracy is *measured*, not assumed:
-``repro bench-speed --sample`` computes the IPC error against full runs
+``repro bench-speed`` computes the IPC error against full runs
 and gates on it (see docs/PERFORMANCE.md).
 
 The exactness contract: sampled mode never touches full-detail runs —

@@ -1,47 +1,36 @@
-"""Host-throughput benchmark: simulated kilo-instructions per host second.
+"""Sampled-engine benchmark: simulated kilo-instructions per host second
+and IPC error against full detail.
 
-``repro bench-speed`` runs a small fixed set of reference simulation
-points (:data:`REFERENCE_CASES` — the same four cases recorded in
-``benchmarks/baseline_speed.json`` before the perf PR) and reports, per
-case and as a geometric mean, how many thousand instructions the cycle
-core retires per second of host wall-clock.  The emitted
-``BENCH_speed.json`` artifact records both the stored baseline and the
-fresh measurement, so the perf trajectory of the simulator is tracked
-from one commit to the next.
+``repro bench-speed`` runs the four reference cases
+(:data:`REFERENCE_CASES`) through :class:`~repro.perf.sample.SampledSimulator`
+at the sampled geometry (:data:`SAMPLED_SCALE`, :data:`SAMPLED_BUDGET`,
+:data:`SAMPLED_PLAN`) and gates on two things: geomean sampled KIPS of
+at least :data:`SAMPLED_SPEEDUP_FLOOR` x :data:`SAMPLED_REFERENCE_KIPS`,
+and geomean |IPC error| against a full-detail run of each case within
+:data:`SAMPLED_ERROR_GATE_PCT`.  The result is the ``"sampled"`` section
+of ``BENCH_speed.json`` (:func:`merge_speed_section`).
 
-Methodology (see docs/PERFORMANCE.md):
-
-* each case builds its workload once, then runs :class:`Simulator`
-  ``repeats`` times on a fresh config object and keeps the **best**
-  time — the best-of-N is the closest observable to the true cost on a
-  noisy shared host;
-* timing covers ``Simulator(...).run(...)`` only (no build, no cache);
-* the headline number is the geometric mean across cases, so no single
-  workload dominates.
+Speed claims rest on ``perfbench/`` (``BENCHMARK.json``), which times
+the same cases with spreads, a host-speed probe and correctness pins;
+see docs/PERFORMANCE.md.
 """
 
 import json
 import os
-import sys
 import time
 from dataclasses import dataclass
 
-#: The pre-PR reference numbers (benchmarks/baseline_speed.json, commit
-#: 3765e9e).  Embedded so ``bench-speed`` is self-contained wherever the
-#: package is importable; the JSON file remains the provenance record.
-BASELINE_LABEL = "pre-perf-PR seed (commit 3765e9e)"
-BASELINE_KIPS = {
-    "astar_base_membound": 13.58,
-    "astar_dfd": 19.41,
-    "bzip2_tq": 46.35,
-    "soplex_cfd": 35.07,
-}
-BASELINE_GEOMEAN_KIPS = 25.58
+from repro.fsio import atomic_replace
 
 
 @dataclass(frozen=True)
 class SpeedCase:
-    """One reference point: a workload binary on a config, budget-capped."""
+    """One reference point: a workload binary on a config.
+
+    ``scale`` and ``max_instructions`` are the cases' full-detail
+    geometry (the invariant-checker tests run it); the sampled benchmark
+    runs every case at :data:`SAMPLED_SCALE` and :data:`SAMPLED_BUDGET`.
+    """
 
     name: str
     workload: str
@@ -85,61 +74,18 @@ SAMPLED_SCALE = 2.0
 SAMPLED_BUDGET = 600_000
 SAMPLED_PLAN = "interval=4000,warmup=200,period=28000,head=2000,tail=2000"
 
-#: Full-detail geomean KIPS of the current engine on the reference cases
-#: (BENCH_speed.json); the sampled engine gates against >= 3x this.
+#: Full-detail geomean KIPS of the reference cases, banked when the
+#: sampled engine landed; the sampled engine gates against >= 3x this.
 SAMPLED_REFERENCE_KIPS = 39.61
 SAMPLED_SPEEDUP_FLOOR = 3.0
 #: Honest-error contract: geomean |IPC error| vs. the full-detail runs
-#: must stay within this bound (CI fails the speed-smoke job otherwise).
+#: must stay within this bound (bench-speed exits 6 otherwise).
 SAMPLED_ERROR_GATE_PCT = 2.0
 #: Warn (never fail) when the geomean ±95% CI half-width exceeds this:
 #: the estimate may still be accurate, but the sampled run cannot
 #: *claim* so from its own interval statistics (soplex_cfd's ~24%
 #: interval-to-interval spread is the case this flags).
 SAMPLED_CI_WARN_PCT = 15.0
-
-
-def geometric_mean(values):
-    values = list(values)
-    if not values:
-        return 0.0
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))
-
-
-def measure_case(case, repeats=3, seed=1):
-    """Best-of-*repeats* timing of one case; returns its result dict."""
-    from repro.core.simulator import Simulator
-    from repro.workloads import get_workload
-
-    built = get_workload(case.workload).build(
-        case.variant, case.input_name, case.scale, seed
-    )
-    best_seconds = None
-    retired = 0
-    for _ in range(max(1, repeats)):
-        config = _make_config(case.config)
-        start = time.perf_counter()
-        result = Simulator(built.program, config).run(case.max_instructions)
-        elapsed = time.perf_counter() - start
-        retired = result.stats.retired
-        if best_seconds is None or elapsed < best_seconds:
-            best_seconds = elapsed
-    kips = (retired / best_seconds / 1000.0) if best_seconds else 0.0
-    return {
-        "workload": case.workload,
-        "variant": case.variant,
-        "input": case.input_name,
-        "config": case.config,
-        "scale": case.scale,
-        "max_instructions": case.max_instructions,
-        "retired": retired,
-        "seconds": round(best_seconds, 4),
-        "kips": round(kips, 2),
-        "baseline_kips": BASELINE_KIPS.get(case.name),
-    }
 
 
 def measure_sampled_case(case, repeats=2, seed=1):
@@ -215,13 +161,15 @@ def run_sampled_benchmark(cases=None, repeats=2, progress=None):
     """Measure the sampled engine on the reference cases; returns the
     ``"sampled"`` section of the ``BENCH_speed.json`` payload.
 
-    Carries per-case error-bar columns plus the two gates the CI
-    speed-smoke job enforces: geomean sampled KIPS must reach
+    Carries per-case error-bar columns plus the two gates behind
+    ``bench-speed``'s exit code 6: geomean sampled KIPS must reach
     :data:`SAMPLED_SPEEDUP_FLOOR` x :data:`SAMPLED_REFERENCE_KIPS`, and
     geomean |IPC error| must stay within
     :data:`SAMPLED_ERROR_GATE_PCT`.  Both gate verdicts are recorded in
     the payload (``gates_passed``) so a stored artifact is auditable.
     """
+    from repro.analysis import geometric_mean
+
     cases = REFERENCE_CASES if cases is None else tuple(cases)
     measured = {}
     for index, case in enumerate(cases):
@@ -278,66 +226,26 @@ def run_sampled_benchmark(cases=None, repeats=2, progress=None):
     }
 
 
-def run_speed_benchmark(cases=None, repeats=3, progress=None, jobs=1):
-    """Measure every case; returns the ``BENCH_speed.json`` payload.
+def merge_speed_section(name, section, directory=None):
+    """Set the *name* section of ``BENCH_speed.json`` to *section*.
 
-    The payload carries both the stored pre-PR baseline and the fresh
-    numbers (per case and geomean) plus the overall speedup, so a stored
-    artifact is a complete before/after record.  ``jobs > 1`` overlaps
-    case measurement across processes — faster, but the cases contend
-    for the host, so keep the default of 1 for trustworthy numbers.
+    ``BENCH_speed.json`` is one perf record with a section per command
+    (``"sampled"`` from bench-speed, ``"sweep"`` from bench-sweep); each
+    command replaces its own section and keeps every other key.  A
+    missing or unreadable artifact starts empty.  The file is published
+    atomically, so an interrupted write never leaves it torn.  Returns
+    the path (*directory* defaults to ``$REPRO_BENCH_ARTIFACT_DIR`` or
+    the current directory).
     """
-    from repro.obs.export import ARTIFACT_VERSION
-
-    cases = REFERENCE_CASES if cases is None else tuple(cases)
-    measured = {}
-    if jobs > 1 and len(cases) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cases))) as pool:
-            futures = [
-                pool.submit(measure_case, case, repeats) for case in cases
-            ]
-            for index, (case, future) in enumerate(zip(cases, futures)):
-                measured[case.name] = future.result()
-                if progress is not None:
-                    progress(case, measured[case.name], index + 1, len(cases))
-    else:
-        for index, case in enumerate(cases):
-            measured[case.name] = measure_case(case, repeats=repeats)
-            if progress is not None:
-                progress(case, measured[case.name], index + 1, len(cases))
-    geomean = round(geometric_mean(r["kips"] for r in measured.values()), 2)
-    baselines = [
-        r["baseline_kips"] for r in measured.values()
-        if r["baseline_kips"]
-    ]
-    baseline_geomean = (
-        round(geometric_mean(baselines), 2) if baselines else None
-    )
-    return {
-        "artifact_version": ARTIFACT_VERSION,
-        "kind": "repro.bench_speed",
-        "python": "%d.%d.%d" % sys.version_info[:3],
-        "repeats": repeats,
-        "baseline": {
-            "label": BASELINE_LABEL,
-            "geomean_kips": baseline_geomean,
-            "cases": {name: BASELINE_KIPS.get(name) for name in measured},
-        },
-        "cases": measured,
-        "geomean_kips": geomean,
-        "speedup_vs_baseline": (
-            round(geomean / baseline_geomean, 3) if baseline_geomean else None
-        ),
-    }
-
-
-def write_speed_artifact(payload, directory=None):
-    """Write ``BENCH_speed.json`` (``REPRO_BENCH_ARTIFACT_DIR`` default)."""
     directory = directory or os.environ.get("REPRO_BENCH_ARTIFACT_DIR", ".")
     path = os.path.join(directory, "BENCH_speed.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError):
+        payload = {}
+    if not isinstance(payload, dict):
+        payload = {}
+    payload[name] = section
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return atomic_replace(path, text, durable=False)

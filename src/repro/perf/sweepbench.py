@@ -29,7 +29,6 @@ docs/PERFORMANCE.md ("Warm-trace store & sweep reuse").
 """
 
 import json
-import os
 import sys
 import time
 
@@ -224,25 +223,3 @@ def run_sweep_benchmark(trace_dir, scale=None, budget=None, plan=None,
         "gates_passed": gates["speedup_ok"] and gates["identical_ok"],
     }
 
-
-def merge_sweep_section(sweep_payload, directory=None):
-    """Fold the ``"sweep"`` section into ``BENCH_speed.json``.
-
-    The speed artifact is the one perf record per commit; bench-sweep
-    updates its section in place (creating a minimal artifact when none
-    exists) rather than writing a parallel file.
-    """
-    directory = directory or os.environ.get("REPRO_BENCH_ARTIFACT_DIR", ".")
-    path = os.path.join(directory, "BENCH_speed.json")
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            payload = {}
-    except (OSError, ValueError):
-        payload = {}
-    payload["sweep"] = sweep_payload
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path

@@ -271,8 +271,8 @@ def load(path):
     with open(path) as fh:
         return fh.readlines()
 '''
-    spec = ModuleSpec(param_seeds={("load", "path"): "history"})
-    findings = lint(source, "obs/history.py", spec)
+    spec = ModuleSpec(param_seeds={("load", "path"): "journal"})
+    findings = lint(source, "rel/supervise.py", spec)
     assert rules_of(findings) == ["HT301"]
 
 
@@ -282,8 +282,8 @@ def load(path):
     with open(path, "rb") as fh:
         return fh.read().splitlines()
 '''
-    spec = ModuleSpec(param_seeds={("load", "path"): "history"})
-    assert lint(source, "obs/history.py", spec) == []
+    spec = ModuleSpec(param_seeds={("load", "path"): "journal"})
+    assert lint(source, "rel/supervise.py", spec) == []
 
 
 def test_text_read_of_atomic_file_is_clean():
@@ -298,12 +298,13 @@ def read_pid(path):
 
 
 def test_ht_mutation_history_loader_reads_text():
-    source = mutate("obs/history.py",
-                    "    records, _ = read_records(path)\n",
-                    "    with open(path) as fh:\n"
-                    "        records = [json.loads(line) for line in fh]\n")
-    findings = analyze_source(source, spec_for("obs/history.py"),
-                              "obs/history.py")
+    # The sweep journal's loader, reading its append-only log as text.
+    source = mutate("rel/supervise.py",
+                    "        records, _ = read_records(self.path)\n",
+                    "        with open(self.path) as fh:\n"
+                    "            records = [json.loads(line) for line in fh]\n")
+    findings = analyze_source(source, spec_for("rel/supervise.py"),
+                              "rel/supervise.py")
     assert "HT301" in rules_of(findings)
 
 

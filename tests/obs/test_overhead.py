@@ -89,7 +89,7 @@ def test_disabled_telemetry_is_a_single_none_test(monkeypatch):
 
 
 def test_disabled_telemetry_overhead_bounded(monkeypatch, tmp_path):
-    # Bench-speed smoke shape: the telemetry-off path must not be slower
+    # Best-of-N timing: the telemetry-off path must not be slower
     # than the instrumented path (2% contract + generous timer-noise
     # margin — telemetry only ever *adds* work, so off <= on holds up to
     # scheduling jitter).

@@ -1,16 +1,14 @@
 """Observability of sampled runs.
 
 Sampled runs must be visible end to end: the run manifest carries the
-sampling accounting, sweep workers emit ``sampling`` telemetry events
-the aggregator folds onto the point, and the bench-history label
-selector can pin a named baseline.
+sampling accounting, and sweep workers emit ``sampling`` telemetry
+events the aggregator folds onto the point.
 """
 
 import io
 import json
 
 from repro.cli import main
-from repro.obs.history import append_history, history_entry, load_measurement
 from repro.obs.telemetry import SweepAggregator
 from repro.perf import SweepPoint
 from repro.rel import run_supervised_sweep
@@ -73,54 +71,3 @@ def test_sampled_sweep_emits_sampling_event(tmp_path):
     [point_row] = snap["points"]
     assert point_row["sampling"]["fingerprint"].startswith("sample/v")
 
-
-# ------------------------------------------------- history label selector
-
-
-def _payload(geomean, label_kips):
-    return {
-        "geomean_kips": geomean,
-        "python": "3.11",
-        "repeats": 2,
-        "cases": {"a": {"kips": label_kips, "seconds": 0.1,
-                        "retired": 4000, "max_instructions": 4000}},
-    }
-
-
-def test_load_measurement_by_label(tmp_path):
-    path = str(tmp_path / "BENCH_history.jsonl")
-    append_history(path, history_entry(_payload(40.0, 40.0), label="v1"))
-    append_history(path, history_entry(_payload(41.0, 41.0), label="v1"))
-    append_history(path, history_entry(_payload(50.0, 50.0), label="v2"))
-    pinned = load_measurement(path, label="v1")
-    assert pinned["geomean_kips"] == 41.0  # newest among the v1 entries
-    assert load_measurement(path, select="best", label="v1")[
-        "geomean_kips"] == 41.0
-    assert load_measurement(path)["geomean_kips"] == 50.0  # unpinned
-
-
-def test_load_measurement_missing_label_errors(tmp_path):
-    import pytest
-
-    path = str(tmp_path / "BENCH_history.jsonl")
-    append_history(path, history_entry(_payload(40.0, 40.0), label="v1"))
-    with pytest.raises(ValueError, match="labelled 'v9'"):
-        load_measurement(path, label="v9")
-
-
-def test_cli_bench_diff_baseline_label(tmp_path):
-    path = str(tmp_path / "BENCH_history.jsonl")
-    # Old pinned release is slow; the tip is fast.  Against the tip the
-    # diff regresses; pinned to the release label it passes.
-    append_history(path, history_entry(_payload(30.0, 30.0), label="rel"))
-    append_history(path, history_entry(_payload(60.0, 60.0), label="tip"))
-    current = str(tmp_path / "BENCH_speed.json")
-    with open(current, "w") as fh:
-        json.dump({
-            "kind": "repro.bench_speed",
-            "geomean_kips": 31.0,
-            "cases": {"a": {"kips": 31.0}},
-        }, fh)
-    assert main(["bench-diff", current, path], io.StringIO()) != 0
-    assert main(["bench-diff", current, path,
-                 "--baseline-label", "rel"], io.StringIO()) == 0

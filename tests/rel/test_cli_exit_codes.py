@@ -2,12 +2,10 @@
 
 Supervision tooling (CI, sweep drivers) must be able to classify a
 failed invocation from the exit code alone: 2 usage, 3 simulation
-error, 4 invariant violation, 5 lint findings, 6 performance
-regression — each with a clean one-line stderr message, never a raw
+error, 4 invariant violation, 5 lint findings, 6 a failed benchmark
+gate — each with a clean one-line stderr message, never a raw
 traceback.
 """
-
-import json
 
 import os
 import subprocess
@@ -17,14 +15,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 
 
-def _repro(args, tmp_path):
+def _python(argv, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
     return subprocess.run(
-        [sys.executable, "-m", "repro", *args],
+        [sys.executable, *argv],
         capture_output=True, text=True, cwd=str(ROOT), env=env, timeout=120,
     )
+
+
+def _repro(args, tmp_path):
+    return _python(["-m", "repro", *args], tmp_path)
 
 
 def test_success_exits_zero(tmp_path):
@@ -92,59 +94,30 @@ def test_lint_findings_exit_five(tmp_path):
         "    inputs=('t',), time_fraction=0.0, builder=builder))\n"
         "sys.exit(cli.main(['lint', 'broken_bq']))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src")
-    env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, cwd=str(ROOT), env=env, timeout=120,
-    )
+    proc = _python(["-c", script], tmp_path)
     assert proc.returncode == 5, proc.stderr
     assert "BQ001" in proc.stdout
     assert "Traceback" not in proc.stderr
 
 
-def _history_line(path, geomean, case_kips, label):
-    entry = {
-        "kind": "repro.bench_history", "version": 1, "recorded": 1.0,
-        "label": label, "python": "3.x", "repeats": 1,
-        "geomean_kips": geomean,
-        "cases": {"soplex_cfd": {"kips": case_kips, "seconds": 0.1,
-                                 "retired": 4000, "max_instructions": 4000}},
-    }
-    with open(path, "a") as fh:
-        fh.write(json.dumps(entry) + "\n")
-
-
 def test_perf_regression_exits_six(tmp_path):
-    history = str(tmp_path / "BENCH_history.jsonl")
-    _history_line(history, 40.0, 50.0, "baseline")
-    _history_line(history, 30.0, 37.0, "slowed")  # 26% case slowdown
-    proc = _repro(
-        ["bench-diff", history, history,
-         "--select", "last", "--baseline-select", "first"],
-        tmp_path,
+    # Swap in a sampled benchmark whose gates fail, then drive the real
+    # CLI entry point: exit code 6 means a benchmark gate failed.
+    script = (
+        "import sys\n"
+        "from repro import cli\n"
+        "from repro.perf import speed\n"
+        "def failing(cases=None, repeats=2, progress=None):\n"
+        "    return {'kind': 'repro.bench_speed.sampled', 'cases': {},\n"
+        "            'gates': {'kips_ok': False, 'error_ok': True,\n"
+        "                      'ci_wide': False},\n"
+        "            'gates_passed': False}\n"
+        "speed.run_sampled_benchmark = failing\n"
+        "sys.exit(cli.main(['bench-speed', '--cases', 'bzip2_tq', '--json',\n"
+        "                   '--artifact-dir', sys.argv[1]]))\n"
     )
-    assert proc.returncode == 6
-    assert "REGRESSED" in proc.stdout
+    proc = _python(["-c", script, str(tmp_path)], tmp_path)
+    assert proc.returncode == 6, proc.stderr
+    assert proc.stderr.strip() == (
+        "repro: bench-speed: sampled gates failed (exit 6)")
     assert "Traceback" not in proc.stderr
-
-
-def test_perf_regression_warn_only_exits_zero(tmp_path):
-    history = str(tmp_path / "BENCH_history.jsonl")
-    _history_line(history, 40.0, 50.0, "baseline")
-    _history_line(history, 30.0, 37.0, "slowed")
-    proc = _repro(
-        ["bench-diff", history, history, "--select", "last",
-         "--baseline-select", "first", "--warn-only"],
-        tmp_path,
-    )
-    assert proc.returncode == 0
-    assert "warn-only" in proc.stderr
-
-
-def test_bench_diff_pass_exits_zero(tmp_path):
-    proc = _repro(["bench-diff", "BENCH_speed.json", "BENCH_speed.json"],
-                  tmp_path)
-    assert proc.returncode == 0
-    assert "PASS" in proc.stdout
