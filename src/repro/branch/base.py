@@ -8,9 +8,10 @@ snapshot methods trivially.
 Protocol
 --------
 ``predict(pc)``
-    Return (taken, meta).  *meta* is opaque predictor bookkeeping carried
-    with the branch and handed back to ``update``; it lets TAGE update the
-    exact provider/alternate entries it consulted.
+    Return (taken, meta).  *meta* is whatever ``predict`` returns, opaque
+    to the pipeline, which carries it with the branch and hands it back
+    to ``update``.  For TAGE it is the table scan's tuple, so the update
+    trains the exact provider/alternate entries the prediction consulted.
 ``speculative_update(pc, taken)``
     Shift the predicted direction into global history at fetch time.
 ``snapshot()`` / ``restore(snap)``
@@ -60,7 +61,8 @@ class BranchPredictor:
         prediction-time meta.  Returns the direction that would have
         been predicted.  Subclasses may override with a fused
         implementation; the state reached must be identical to the
-        three-call sequence.
+        three-call sequence (``test_train_matches_predict_update``
+        checks it on a real branch stream).
         """
         predicted, meta = self.predict(pc)
         self.speculative_update(pc, taken)
@@ -70,20 +72,6 @@ class BranchPredictor:
     def stats(self):
         """Optional predictor-internal statistics (dict)."""
         return {}
-
-    def register_metrics(self, registry, prefix="branch.predictor"):
-        """Register the numeric keys of :meth:`stats` as live gauges.
-
-        Default implementation covers every predictor; subclasses with
-        richer internals can override to add counters/histograms.
-        """
-        for key, value in self.stats().items():
-            if isinstance(value, (int, float)):
-                registry.gauge(
-                    "%s.%s" % (prefix, key),
-                    fn=(lambda k=key: self.stats().get(k, 0)),
-                )
-        return registry
 
 
 def saturate(value, delta, lo, hi):

@@ -12,9 +12,6 @@ repaired from checkpoints on mispredictions (see
 :class:`~repro.branch.base.BranchPredictor`).
 """
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
 from repro.branch.base import BranchPredictor, HistorySnapshot, saturate
 from repro.branch.loop_pred import LoopPredictor
 
@@ -28,25 +25,6 @@ class _TaggedEntry:
         self.tag = 0
         self.ctr = 0  # signed, -4..3; >= 0 means taken
         self.useful = 0
-
-
-@dataclass(slots=True)
-class _PredMeta:
-    """Everything ``update`` needs about one prediction."""
-
-    indices: List[int]
-    tags: List[int]
-    provider: Optional[int]  # table number, or None for base
-    alt: Optional[int]
-    provider_pred: bool
-    alt_pred: bool
-    base_index: int
-    final_pred: bool
-    used_loop: bool = False
-    loop_pred: bool = True
-    sc_indices: Tuple[int, ...] = ()
-    tage_pred: bool = True
-    weak_provider: bool = False
 
 
 def _fold(history, in_bits, out_bits):
@@ -177,67 +155,19 @@ class TAGEPredictor(BranchPredictor):
             regs[i] = _fold(h & ((1 << length) - 1), length, bm1 + 1)
             i += 1
 
-    # -- predict -------------------------------------------------------------
-
-    def _tage_predict(self, pc):
-        parts = self._pc_parts.get(pc)
-        if parts is None:
-            parts = tuple(
-                pc ^ (pc >> (t + 1)) for t in range(self.num_tables)
-            )
-            self._pc_parts[pc] = parts
-        indices, tags = self._index_tags(parts, self._fold_regs, pc)
-        provider = alt = None
-        tables = self._tables
-        for table in range(self.num_tables - 1, -1, -1):
-            if tables[table][indices[table]].tag == tags[table]:
-                if provider is None:
-                    provider = table
-                elif alt is None:
-                    alt = table
-                    break
-        base_index = pc & self._base_mask
-        base_pred = self._base[base_index] >= 2
-        alt_pred = (
-            self._tables[alt][indices[alt]].ctr >= 0 if alt is not None else base_pred
-        )
-        if provider is not None:
-            entry = self._tables[provider][indices[provider]]
-            provider_pred = entry.ctr >= 0
-            weak = entry.ctr in (-1, 0)
-            if weak and self._use_alt_on_na >= 8:
-                final = alt_pred
-            else:
-                final = provider_pred
-        else:
-            provider_pred = base_pred
-            weak = False
-            final = base_pred
-        return _PredMeta(
-            indices=indices,
-            tags=tags,
-            provider=provider,
-            alt=alt,
-            provider_pred=provider_pred,
-            alt_pred=alt_pred,
-            base_index=base_index,
-            final_pred=final,
-            tage_pred=final,
-            weak_provider=weak,
-        )
-
-    def predict(self, pc):
-        meta = self._tage_predict(pc)
-        return meta.final_pred, meta
-
-    # -- fused warm-mode training ---------------------------------------------
+    # -- predict and train ----------------------------------------------------
 
     def _scan(self, pc):
-        """The table scan of :meth:`_tage_predict` without the meta object.
+        """The one table scan: provider, alternate and TAGE prediction.
 
-        Returns the locals the fused train path needs as a plain tuple —
-        warm mode trains on every committed branch, and the ``_PredMeta``
-        allocation is pure overhead when nothing travels with the branch.
+        Returns ``(indices, tags, provider, alt, entry, provider_pred,
+        alt_pred, weak, base_index, pred)`` as a plain tuple — the meta
+        :meth:`predict` hands the pipeline, and exactly the arguments
+        :meth:`_train_tables` takes after *taken*.  *provider*/*alt* are
+        table numbers (None for the base table), *entry* the provider
+        entry, *weak* whether it is newly allocated, *pred* the TAGE
+        prediction.  Entries are updated in place, never replaced, so
+        *entry* is still the provider slot when the branch retires.
         """
         parts = self._pc_parts.get(pc)
         if parts is None:
@@ -278,14 +208,16 @@ class TAGEPredictor(BranchPredictor):
 
     def _train_tables(self, taken, indices, tags, provider, alt, entry,
                       provider_pred, alt_pred, weak, base_index, tage_pred):
-        """The table-update half of :meth:`update`, on :meth:`_scan` locals.
+        """The one table update, on a :meth:`_scan` tuple.
 
-        Bit-identical to ``update(pc, taken, meta)`` — the provider entry,
-        alternate, base counter, allocation and aging all see the same
-        values in the same order.
+        Trains the provider (and the alternate or base counter while the
+        provider is newly allocated), allocates on a TAGE misprediction
+        and periodically ages the usefulness bits.
         """
         self._update_count += 1
         if provider is not None:
+            # use_alt_on_na: when a weak provider disagreed with alt,
+            # learn which of the two to trust.
             if weak and provider_pred != alt_pred:
                 if alt_pred == taken:
                     self._use_alt_on_na = saturate(self._use_alt_on_na, 1, 0, 15)
@@ -296,6 +228,7 @@ class TAGEPredictor(BranchPredictor):
                 entry.useful = saturate(
                     entry.useful, 1 if provider_pred == taken else -1, 0, 3
                 )
+            # Train the alternate too when the provider is newly allocated.
             if entry.useful == 0:
                 if alt is not None:
                     alt_entry = self._tables[alt][indices[alt]]
@@ -309,62 +242,25 @@ class TAGEPredictor(BranchPredictor):
         if self._update_count % self.u_reset_period == 0:
             self._age_useful_bits()
 
+    def predict(self, pc):
+        scan = self._scan(pc)
+        return scan[-1], scan
+
+    def update(self, pc, taken, meta=None):
+        self._train_tables(taken, *(self._scan(pc) if meta is None else meta))
+
     def train(self, pc, taken):
-        """Fused predict + speculative_update + update (warm mode)."""
-        (indices, tags, provider, alt, entry, provider_pred, alt_pred,
-         weak, base_index, final) = self._scan(pc)
-        self._train_tables(taken, indices, tags, provider, alt, entry,
-                           provider_pred, alt_pred, weak, base_index, final)
+        """Warm-mode training: :meth:`predict`, :meth:`update` and the
+        history shift, without a meta travelling between them."""
+        scan = self._scan(pc)
+        self._train_tables(taken, *scan)
         self._history = self._shift(
             self._fold_regs, self._history, 1 if taken else 0
         )
-        return final
-
-    # -- update --------------------------------------------------------------
-
-    def update(self, pc, taken, meta=None):
-        if meta is None:
-            meta = self._tage_predict(pc)
-        self._update_count += 1
-        mispredicted = meta.tage_pred != taken
-
-        # use_alt_on_na management: when a weak provider disagreed with alt,
-        # learn which of the two to trust.
-        if meta.provider is not None and meta.weak_provider:
-            if meta.provider_pred != meta.alt_pred:
-                if meta.alt_pred == taken:
-                    self._use_alt_on_na = saturate(self._use_alt_on_na, 1, 0, 15)
-                else:
-                    self._use_alt_on_na = saturate(self._use_alt_on_na, -1, 0, 15)
-
-        if meta.provider is not None:
-            entry = self._tables[meta.provider][meta.indices[meta.provider]]
-            entry.ctr = saturate(entry.ctr, 1 if taken else -1, -4, 3)
-            if meta.provider_pred != meta.alt_pred:
-                entry.useful = saturate(
-                    entry.useful, 1 if meta.provider_pred == taken else -1, 0, 3
-                )
-            # Train the alternate too when the provider is newly allocated.
-            if entry.useful == 0:
-                if meta.alt is not None:
-                    alt_entry = self._tables[meta.alt][meta.indices[meta.alt]]
-                    alt_entry.ctr = saturate(alt_entry.ctr, 1 if taken else -1, -4, 3)
-                else:
-                    self._update_base(meta.base_index, taken)
-        else:
-            self._update_base(meta.base_index, taken)
-
-        if mispredicted:
-            self._allocate(meta, taken)
-
-        if self._update_count % self.u_reset_period == 0:
-            self._age_useful_bits()
+        return scan[-1]
 
     def _update_base(self, index, taken):
         self._base[index] = saturate(self._base[index], 1 if taken else -1, 0, 3)
-
-    def _allocate(self, meta, taken):
-        self._allocate_raw(meta.indices, meta.tags, meta.provider, taken)
 
     def _allocate_raw(self, indices, tags, provider, taken):
         start = (provider + 1) if provider is not None else 0
@@ -429,91 +325,52 @@ class ISLTAGEPredictor(TAGEPredictor):
         self._build_shift()  # re-unroll with the corrector registers included
 
     def predict(self, pc):
-        meta = self._tage_predict(pc)
-        final = meta.final_pred
-
+        """TAGE, overridden by a trusted loop prediction or vetoed by the
+        statistical corrector; meta is ``(scan, used_loop, loop_pred,
+        sc_indices)``."""
+        scan = self._scan(pc)
         loop_valid, loop_pred = self.loop.predict(pc)
         if loop_valid and self._loop_trust >= 4:
-            meta.used_loop = True
-            meta.loop_pred = loop_pred
-            final = loop_pred
-        else:
-            # Statistical corrector: vetoes only weak TAGE predictions.
-            regs = self._fold_regs
-            sc_mask = self._sc_mask
-            sc_indices = []
-            j = self._sc_reg_base
-            for h in self.SC_HISTORY:
-                if h:
-                    sc_indices.append((pc ^ regs[j]) & sc_mask)
-                    j += 1
-                else:
-                    sc_indices.append(pc & sc_mask)
-            sc_indices = tuple(sc_indices)
-            meta.sc_indices = sc_indices
-            sc_sum = sum(
-                table[idx] for table, idx in zip(self._sc_tables, sc_indices)
-            )
-            sc_sum += 2 * (1 if final else -1)  # bias toward TAGE
-            if meta.weak_provider and abs(sc_sum) >= self._sc_threshold:
-                final = sc_sum >= 0
-
-        meta.final_pred = final
-        return final, meta
+            return loop_pred, (scan, True, loop_pred, ())
+        # Statistical corrector: vetoes only weak TAGE predictions.
+        final = scan[-1]
+        regs = self._fold_regs
+        sc_mask = self._sc_mask
+        sc_indices = []
+        j = self._sc_reg_base
+        for h in self.SC_HISTORY:
+            if h:
+                sc_indices.append((pc ^ regs[j]) & sc_mask)
+                j += 1
+            else:
+                sc_indices.append(pc & sc_mask)
+        sc_sum = sum(
+            table[idx] for table, idx in zip(self._sc_tables, sc_indices)
+        )
+        sc_sum += 2 * (1 if final else -1)  # bias toward TAGE
+        if scan[7] and abs(sc_sum) >= self._sc_threshold:  # weak provider
+            final = sc_sum >= 0
+        return final, (scan, False, loop_pred, sc_indices)
 
     def update(self, pc, taken, meta=None):
-        if meta is not None:
-            if meta.used_loop:
-                self._loop_trust = saturate(
-                    self._loop_trust, 1 if meta.loop_pred == taken else -2, 0, 7
-                )
-            self.loop.update(pc, taken)
-            for table, idx in zip(self._sc_tables, meta.sc_indices):
-                table[idx] = saturate(table[idx], 1 if taken else -1, -31, 31)
-        else:
-            self.loop.update(pc, taken)
-        super().update(pc, taken, meta)
-
-    def train(self, pc, taken):
-        """Fused ISL-TAGE warm training (same state as predict/update)."""
-        (indices, tags, provider, alt, entry, provider_pred, alt_pred,
-         weak, base_index, tage_pred) = self._scan(pc)
-        final = tage_pred
-        loop_valid, loop_pred = self.loop.predict(pc)
-        used_loop = loop_valid and self._loop_trust >= 4
-        sc_indices = None
-        if used_loop:
-            final = loop_pred
-        else:
-            regs = self._fold_regs
-            sc_mask = self._sc_mask
-            sc_indices = []
-            j = self._sc_reg_base
-            for h in self.SC_HISTORY:
-                if h:
-                    sc_indices.append((pc ^ regs[j]) & sc_mask)
-                    j += 1
-                else:
-                    sc_indices.append(pc & sc_mask)
-            sc_sum = sum(
-                table[idx] for table, idx in zip(self._sc_tables, sc_indices)
-            )
-            sc_sum += 2 * (1 if final else -1)
-            if weak and abs(sc_sum) >= self._sc_threshold:
-                final = sc_sum >= 0
+        if meta is None:
+            meta = (self._scan(pc), False, True, ())
+        scan, used_loop, loop_pred, sc_indices = meta
         if used_loop:
             self._loop_trust = saturate(
                 self._loop_trust, 1 if loop_pred == taken else -2, 0, 7
             )
         self.loop.update(pc, taken)
-        if sc_indices is not None:
-            sc_tables = self._sc_tables
-            for table, idx in zip(sc_tables, sc_indices):
-                table[idx] = saturate(table[idx], 1 if taken else -1, -31, 31)
-        self._train_tables(taken, indices, tags, provider, alt, entry,
-                           provider_pred, alt_pred, weak, base_index,
-                           tage_pred)
+        for table, idx in zip(self._sc_tables, sc_indices):
+            table[idx] = saturate(table[idx], 1 if taken else -1, -31, 31)
+        self._train_tables(taken, *scan)
+
+    def train(self, pc, taken):
+        """Warm-mode training: :meth:`predict`, :meth:`update` and the
+        history shift."""
+        predicted, meta = self.predict(pc)
+        self.update(pc, taken, meta)
         self._history = self._shift(
             self._fold_regs, self._history, 1 if taken else 0
         )
-        return final
+        return predicted

@@ -1050,7 +1050,7 @@ def build_parser():
                 "--jobs", type=int, default=1,
                 help="worker processes for independent simulation points "
                      "(compare runs base and variant concurrently with "
-                     "--jobs 2; a single run needs one)")
+                     "--jobs 2)")
         p.add_argument(
             "--no-cache", action="store_true",
             help="always simulate fresh; skip the persistent result cache "
@@ -1083,7 +1083,7 @@ def build_parser():
     sub.add_parser("list", help="list the workload registry")
     run_parser = sub.add_parser("run", help="simulate one binary")
     common(run_parser, json_flag=True)
-    perf_flags(run_parser)
+    perf_flags(run_parser, jobs=False)
     run_parser.add_argument(
         "--check", action="store_true",
         help="attach the independent invariant checker (fresh simulation, "

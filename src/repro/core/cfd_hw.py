@@ -167,17 +167,6 @@ class HardwareBQ:
             self.committed_head = self.committed_mark
         return skipped
 
-    # -- observability --------------------------------------------------------
-
-    def register_metrics(self, registry, prefix="bq.hw"):
-        """Register the live queue state as ``<prefix>.*`` gauges."""
-        registry.gauge(prefix + ".length", fn=lambda: self.length)
-        registry.gauge(prefix + ".fetch_head", fn=lambda: self.fetch_head)
-        registry.gauge(prefix + ".fetch_tail", fn=lambda: self.fetch_tail)
-        registry.gauge(prefix + ".committed_head", fn=lambda: self.committed_head)
-        registry.gauge(prefix + ".committed_tail", fn=lambda: self.committed_tail)
-        return registry
-
     # -- recovery -------------------------------------------------------------
 
     def snapshot(self):
@@ -262,15 +251,6 @@ class HardwareTQ:
 
     def retire_pop(self):
         self.committed_head += 1
-
-    def register_metrics(self, registry, prefix="tq.hw"):
-        """Register the live queue state as ``<prefix>.*`` gauges."""
-        registry.gauge(prefix + ".length", fn=lambda: self.length)
-        registry.gauge(prefix + ".fetch_head", fn=lambda: self.fetch_head)
-        registry.gauge(prefix + ".fetch_tail", fn=lambda: self.fetch_tail)
-        registry.gauge(prefix + ".committed_head", fn=lambda: self.committed_head)
-        registry.gauge(prefix + ".committed_tail", fn=lambda: self.committed_tail)
-        return registry
 
     def snapshot(self):
         return (self.fetch_head, self.fetch_tail)

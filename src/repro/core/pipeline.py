@@ -38,7 +38,7 @@ from repro.isa.opcodes import OpClass, Opcode
 from repro.memsys.hierarchy import MemLevel, MemoryHierarchy
 from repro.memsys.mshr import MSHRFile
 from repro.obs.events import MultiObserver
-from repro.obs.metrics import register_stats_dict
+from repro.obs.metrics import flatten, histogram
 
 #: Instruction-space base address (keeps code blocks apart from data in L2/L3).
 CODE_BASE = 0x40000000
@@ -317,25 +317,32 @@ class Pipeline:
             elif not self.obs.observers:
                 self.obs = None
 
-    def register_metrics(self, registry, stats=None):
-        """Register every component's instruments into *registry*.
+    def metrics(self, stats=None):
+        """The flat run-metrics snapshot: ``{dotted_name: value}``.
 
-        Wires the stats counters (*stats*, default this pipeline's own),
+        The stats metrics of *stats* (default this pipeline's own), then
         the cache hierarchy, the L1D MSHR file, the branch predictor and
-        BTB, and the fetch-unit CFD hardware into one
-        :class:`~repro.obs.metrics.MetricsRegistry`.
+        BTB, the fetch-unit CFD hardware and the checkpoint pool, read
+        from each component once.  See docs/OBSERVABILITY.md for the
+        naming scheme.
         """
-        (self.stats if stats is None else stats).register_metrics(registry)
-        self.memory.register_metrics(registry)
-        self.mshr.register_metrics(registry)
-        self.predictor.register_metrics(registry)
-        register_stats_dict(registry, "branch.btb", self.btb.stats)
-        self.hw_bq.register_metrics(registry)
-        self.hw_tq.register_metrics(registry)
-        registry.gauge(
-            "checkpoint.available", fn=lambda: self.checkpoints.available
+        out = (self.stats if stats is None else stats).metrics()
+        memory = self.memory.stats()
+        for level in ("l1i", "l1d", "l2", "l3"):
+            flatten("memsys." + level, memory[level], out)
+        flatten("memsys", memory, out)  # the totals; level dicts are skipped
+        flatten("memsys.l1d.mshr", self.mshr.stats(), out)
+        out["memsys.l1d.mshr.occupancy"] = histogram(
+            self.mshr.occupancy_histogram
         )
-        return registry
+        flatten("branch.predictor", self.predictor.stats(), out)
+        flatten("branch.btb", self.btb.stats(), out)
+        for prefix, queue in (("bq.hw", self.hw_bq), ("tq.hw", self.hw_tq)):
+            for key in ("length", "fetch_head", "fetch_tail",
+                        "committed_head", "committed_tail"):
+                out["%s.%s" % (prefix, key)] = getattr(queue, key)
+        out["checkpoint.available"] = self.checkpoints.available
+        return out
 
     # ------------------------------------------------------------------ utils
 
@@ -850,17 +857,6 @@ class Pipeline:
 
     # ------------------------------------------------------------------ issue
 
-    def _sources_ready(self, uop):
-        # Stores issue to the AGU as soon as the address register is ready;
-        # the data register is captured later (split store, typical of OOO
-        # cores, and important so younger loads can disambiguate early).
-        if uop.is_store:
-            return self.prf_ready[uop.src_phys[0]]
-        for phys in uop.src_phys:
-            if not self.prf_ready[phys]:
-                return False
-        return True
-
     def stage_issue(self):
         iq = self.iq
         if not iq:
@@ -892,10 +888,9 @@ class Pipeline:
             if issued >= issue_width:
                 append(uop)
                 continue
-            # Wakeup check (inlined _sources_ready): stores issue to the
-            # AGU on the address register alone — the data register is
-            # captured later (split store) — everything else needs all
-            # sources ready.
+            # Wakeup check: stores issue to the AGU on the address
+            # register alone — the data register is captured later (split
+            # store) — everything else needs all sources ready.
             src_phys = uop.src_phys
             if uop.is_store:
                 if not prf_ready[src_phys[0]]:

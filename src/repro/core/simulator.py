@@ -19,7 +19,6 @@ from repro.core.pipeline import Pipeline
 from repro.core.stats import SimStats
 from repro.energy.mcpat import EnergyModel, EnergyReport
 from repro.obs.export import run_manifest, write_json
-from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
@@ -51,22 +50,15 @@ class SimResult:
         """Per-cycle L1D MSHR occupancy histogram (paper Fig 25a)."""
         return dict(self.pipeline.mshr.occupancy_histogram)
 
-    def metrics_registry(self):
-        """A fresh :class:`MetricsRegistry` with every pipeline instrument.
-
-        The stats instruments read this result's :attr:`stats` (a live
-        run's are the pipeline's own).  Instruments are callback-backed,
-        so the registry stays live: a snapshot taken later reflects the
-        pipeline's state at that moment.
-        """
-        registry = MetricsRegistry()
-        self.pipeline.register_metrics(registry, self.stats)
-        registry.gauge("energy.total_nj", fn=lambda: self.energy.total_nj)
-        return registry
-
     def metrics_snapshot(self):
-        """Flat {metric_name: value} over the full registry."""
-        return self.metrics_registry().snapshot()
+        """Flat {metric_name: value} over every pipeline component.
+
+        The stats metrics read this result's :attr:`stats` (a live run's
+        are the pipeline's own).
+        """
+        metrics = self.pipeline.metrics(self.stats)
+        metrics["energy.total_nj"] = self.energy.total_nj
+        return metrics
 
     def manifest(self, workload=None, run=None, supervision=None):
         """The versioned run-manifest dict (see docs/OBSERVABILITY.md)."""

@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.memsys.hierarchy import MemLevel
+from repro.obs.metrics import histogram
 
 #: (metric name, SimStats attribute) for every scalar counter.  Single
 #: source of truth shared by :meth:`SimStats.to_dict` and
-#: :meth:`SimStats.register_metrics`; the metric names follow the
+#: :meth:`SimStats.metrics`; the metric names follow the
 #: ``<structure>.<what>`` scheme documented in docs/OBSERVABILITY.md.
 COUNTER_METRICS = (
     ("core.cycles", "cycles"),
@@ -340,38 +341,24 @@ class SimStats:
         out["bq_miss_rate"] = round(out["bq_miss_rate"], 4)
         return out
 
-    def register_metrics(self, registry):
-        """Register every counter into a :class:`MetricsRegistry`.
+    def metrics(self):
+        """The stats' part of the flat run-metrics snapshot.
 
-        All instruments are callback-backed — the hot loop keeps bumping
-        plain attributes and the registry reads them at snapshot time.
-        Call after (or during) a run; event counters discovered later are
-        still visible because the histogram callbacks read live dicts.
+        Every counter and rate under its metric name, the static-branch
+        count, and three histograms: mispredictions and retired loads by
+        memory level, and the energy model's raw event counters.
         """
-        for name, attr in COUNTER_METRICS:
-            registry.counter(name, fn=(lambda a=attr: getattr(self, a)))
+        out = {name: getattr(self, attr) for name, attr in COUNTER_METRICS}
         for name, attr in GAUGE_METRICS:
-            registry.gauge(name, fn=(lambda a=attr: getattr(self, a)))
-        registry.gauge("branch.static_branches", fn=lambda: len(self.branch_stats))
-        registry.histogram(
-            "branch.mispredict_levels",
-            help="mispredictions by furthest feeding memory level (Fig 2a)",
-            fn=lambda: {
-                MemLevel(level).name: count
-                for level, count in self.mispredict_levels.items()
-            },
-        )
-        registry.histogram(
-            "memsys.load_levels",
-            help="retired loads by serving memory level",
-            fn=lambda: {
-                MemLevel(level).name: count
-                for level, count in self.load_level_counts.items()
-            },
-        )
-        registry.histogram(
-            "core.events",
-            help="raw event counters consumed by the energy model",
-            fn=lambda: dict(self.events),
-        )
-        return registry
+            out[name] = getattr(self, attr)
+        out["branch.static_branches"] = len(self.branch_stats)
+        out["branch.mispredict_levels"] = histogram({
+            MemLevel(level).name: count
+            for level, count in self.mispredict_levels.items()
+        })
+        out["memsys.load_levels"] = histogram({
+            MemLevel(level).name: count
+            for level, count in self.load_level_counts.items()
+        })
+        out["core.events"] = histogram(self.events)
+        return out

@@ -30,12 +30,19 @@ called with ``durable=False``, and ``read_records`` reads binary.
 import contextlib
 import json
 import os
+import stat
 import tempfile
 
 try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX host
     fcntl = None
+
+#: The process umask, read once at import: reading it means setting it,
+#: which is process-wide, and the service daemon's HTTP thread publishes
+#: files while sweep rounds run.
+_UMASK = os.umask(0o077)
+os.umask(_UMASK)
 
 
 @contextlib.contextmanager
@@ -94,14 +101,22 @@ def atomic_replace(path, data, durable=True):
     observes a partial file, and (with *durable*) the publication
     survives a crash.  *durable* False skips both fsyncs for
     low-stakes runtime files (pidfile, address file) where atomicity
-    matters but a lost-on-power-cut write is harmless.
+    matters but a lost-on-power-cut write is harmless.  The file gets
+    the mode a plain ``open(path, "w")`` would leave: the target's own
+    permission bits if it exists, else ``0o666`` less the umask (the
+    temp file is created ``0o600``).
     """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     binary = isinstance(data, bytes)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = 0o666 & ~_UMASK
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb" if binary else "w") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(data)
             if durable:
                 fh.flush()

@@ -87,16 +87,6 @@ class Cache:
     def reset_stats(self):
         self.hits = self.misses = self.writebacks = 0
 
-    def register_metrics(self, registry, prefix):
-        """Register live hit/miss counters as ``<prefix>.*`` instruments."""
-        registry.counter(prefix + ".hits", fn=lambda: self.hits)
-        registry.counter(prefix + ".misses", fn=lambda: self.misses)
-        registry.counter(prefix + ".writebacks", fn=lambda: self.writebacks)
-        registry.gauge(
-            prefix + ".miss_rate", fn=lambda: self.stats()["miss_rate"]
-        )
-        return registry
-
     def stats(self):
         total = self.hits + self.misses
         return {

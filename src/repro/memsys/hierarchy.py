@@ -132,17 +132,6 @@ class MemoryHierarchy:
             latency += self.config.dram_latency
         return latency
 
-    def register_metrics(self, registry, prefix="memsys"):
-        """Register every level's counters as ``memsys.<level>.*``."""
-        for label in ("l1i", "l1d", "l2", "l3"):
-            getattr(self, label).register_metrics(
-                registry, "%s.%s" % (prefix, label)
-            )
-        registry.counter(prefix + ".data_accesses", fn=lambda: self.data_accesses)
-        registry.counter(prefix + ".inst_accesses", fn=lambda: self.inst_accesses)
-        registry.counter(prefix + ".prefetch_fills", fn=lambda: self.prefetch_fills)
-        return registry
-
     def stats(self):
         return {
             "l1i": self.l1i.stats(),

@@ -68,19 +68,6 @@ class MSHRFile:
     def flush(self):
         self._pending.clear()
 
-    def register_metrics(self, registry, prefix="memsys.l1d.mshr"):
-        """Register allocation/merge/stall counters and the per-cycle
-        occupancy histogram (paper Fig 25a) as ``<prefix>.*``."""
-        registry.counter(prefix + ".allocations", fn=lambda: self.allocations)
-        registry.counter(prefix + ".merges", fn=lambda: self.merges)
-        registry.counter(prefix + ".full_stalls", fn=lambda: self.full_stalls)
-        registry.histogram(
-            prefix + ".occupancy",
-            help="per-cycle outstanding-miss count (Fig 25a)",
-            fn=lambda: self.occupancy_histogram,
-        )
-        return registry
-
     def stats(self):
         return {
             "allocations": self.allocations,

@@ -1,16 +1,16 @@
-"""Observability layer: metrics registry, pipeline event tracing, exporters.
+"""Observability layer: run metrics, pipeline event tracing, exporters.
 
 ``repro.obs`` is deliberately free of any import from the simulator
-packages (``repro.core``, ``repro.memsys``, ``repro.branch``): those
-components *register into* a :class:`MetricsRegistry` and *call into* a
-:class:`PipelineObserver` that are both defined here, so the dependency
-arrow points from the simulator to the observability layer and never
-back.  Three pieces:
+packages (``repro.core``, ``repro.memsys``, ``repro.branch``): the
+simulator builds its metrics snapshot with helpers defined here and
+*calls into* a :class:`PipelineObserver` defined here, so the
+dependency arrow points from the simulator to the observability layer
+and never back.  Three pieces:
 
 ``repro.obs.metrics``
-    Hierarchical named counters / gauges / histograms
-    (``fetch.stall_cycles``, ``bq.miss_rate``, ``memsys.l1d.mshr.occupancy``)
-    with a JSON-safe ``snapshot()``.
+    The helpers that build a run's flat, JSON-safe metrics snapshot
+    (``fetch.stall_cycles``, ``bq.miss_rate``,
+    ``memsys.l1d.mshr.occupancy``) from the components' ``stats()``.
 
 ``repro.obs.events``
     The :class:`PipelineObserver` hook protocol (no-ops by default — the
@@ -51,17 +51,7 @@ from repro.obs.export import (
     write_json,
     write_jsonl,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    build_registry,
-    register_stats_dict,
-)
 from repro.obs.prom import (
-    render_registry,
     render_snapshot,
     render_sweep,
     write_prom,
@@ -96,14 +86,6 @@ __all__ = [
     "write_chrome_trace",
     "write_json",
     "write_jsonl",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricError",
-    "MetricsRegistry",
-    "build_registry",
-    "register_stats_dict",
-    "render_registry",
     "render_snapshot",
     "render_sweep",
     "write_prom",

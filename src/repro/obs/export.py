@@ -290,7 +290,7 @@ def config_to_dict(config):
     return jsonable(config)
 
 
-def run_manifest(result, workload=None, run=None, registry=None, metrics=None,
+def run_manifest(result, workload=None, run=None, metrics=None,
                  sampling=None, supervision=None):
     """The versioned machine-readable record of one simulation.
 
@@ -305,15 +305,13 @@ def run_manifest(result, workload=None, run=None, registry=None, metrics=None,
     it is taken from ``result.sampling`` (present on
     :class:`~repro.perf.sample.SampledSimResult` and rehydrated cache
     entries) and is ``None`` for full-detail runs.
-    The metrics section is the full registry snapshot — every counter the
-    core, memory system, predictors and CFD hardware registered.  Pass a
-    pre-taken flat *metrics* dict instead when the result has no live
-    pipeline (a rehydrated :class:`~repro.perf.cache.CachedSimResult`).
+    The metrics section is the result's flat metrics snapshot — every
+    counter the core, memory system, predictors and CFD hardware report.
+    Pass a pre-taken flat *metrics* dict instead when the result has no
+    live pipeline (a rehydrated :class:`~repro.perf.cache.CachedSimResult`).
     """
     if metrics is None:
-        if registry is None:
-            registry = result.metrics_registry()
-        metrics = registry.snapshot()
+        metrics = result.metrics_snapshot()
     stats = result.stats
     manifest = {
         "manifest_version": MANIFEST_VERSION,

@@ -1,233 +1,44 @@
-"""Hierarchical metrics registry.
+"""Run metrics: one flat snapshot of the components' own counters.
 
-A :class:`MetricsRegistry` holds named instruments — counters, gauges and
-histograms — under dotted hierarchical names (``fetch.stall_cycles``,
-``bq.miss_rate``, ``memsys.l1d.mshr.occupancy``).  Simulator components
-register their instruments into one registry via ``register_metrics``
-methods; the registry then produces a flat, JSON-safe ``snapshot()`` (the
-run manifest's ``metrics`` section) or a nested ``as_tree()``.
-
-Two backing modes per instrument:
-
-- **stored**: the instrument owns its value (``counter.inc()``,
-  ``gauge.set()``, ``histogram.observe()``);
-- **callback** (``fn=``): the instrument reads a live simulator attribute
-  at snapshot time.  This is how :class:`~repro.core.stats.SimStats`, the
-  caches, the MSHR file, the predictors and the CFD hardware export their
-  counters *without* adding any indirection to the simulation hot loop —
-  the components keep bumping plain attributes, and the registry reads
-  them when a snapshot is requested.
+A run's metrics are a flat, JSON-safe ``{dotted_name: value}`` dict —
+the run manifest's ``metrics`` section and a cached payload's — named
+``<structure>.<what>`` (``fetch.stall_cycles``, ``bq.miss_rate``,
+``memsys.l1d.mshr.occupancy``).  The simulator's hot loop only bumps
+plain attributes; :meth:`~repro.core.pipeline.Pipeline.metrics` reads
+them once, after the run, mostly through the components' existing
+``stats()`` dicts.  This module holds the two helpers it builds with.
 """
 
-import re
 
-from repro.errors import ReproError
+def flatten(prefix, stats, out):
+    """Copy the numeric values of a ``stats()`` dict into *out*.
 
-#: Dotted lowercase names: segments of [a-z0-9_], first segment starts with
-#: a letter.  ``fetch.stall_cycles``, ``memsys.l1d.mshr.occupancy``.
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
-
-
-class MetricError(ReproError):
-    """Invalid metric name, duplicate registration, or misuse."""
-
-
-class Metric:
-    """Base instrument: a name, an optional help string, an optional
-    callback (``fn``) supplying the live value."""
-
-    __slots__ = ("name", "help", "_fn", "_value")
-    kind = "abstract"
-
-    def __init__(self, name, help="", fn=None, initial=0):
-        self.name = name
-        self.help = help
-        self._fn = fn
-        self._value = initial
-
-    @property
-    def value(self):
-        return self._fn() if self._fn is not None else self._value
-
-    def snapshot_value(self):
-        """JSON-safe value for :meth:`MetricsRegistry.snapshot`."""
-        return self.value
-
-
-class Counter(Metric):
-    """Monotonically increasing count."""
-
-    __slots__ = ()
-    kind = "counter"
-
-    def inc(self, amount=1):
-        if self._fn is not None:
-            raise MetricError("%s: callback-backed counter is read-only" % self.name)
-        if amount < 0:
-            raise MetricError("%s: counters only increase (got %r)" % (self.name, amount))
-        self._value += amount
-        return self._value
-
-
-class Gauge(Metric):
-    """A value that can go up and down (occupancy, rate, ratio)."""
-
-    __slots__ = ()
-    kind = "gauge"
-
-    def set(self, value):
-        if self._fn is not None:
-            raise MetricError("%s: callback-backed gauge is read-only" % self.name)
-        self._value = value
-        return value
-
-
-class Histogram(Metric):
-    """A value -> count distribution (e.g. per-cycle MSHR occupancy).
-
-    Stored mode accumulates via :meth:`observe`; callback mode reads a
-    ``{value: count}`` mapping from the simulator (``fn``).
+    Each key becomes ``<prefix>.<key>``; non-numeric values (labels,
+    nested dicts) are skipped.
     """
-
-    __slots__ = ()
-    kind = "histogram"
-
-    def __init__(self, name, help="", fn=None):
-        super().__init__(name, help, fn, initial=None)
-        if fn is None:
-            self._value = {}
-
-    def observe(self, value, count=1):
-        if self._fn is not None:
-            raise MetricError("%s: callback-backed histogram is read-only" % self.name)
-        self._value[value] = self._value.get(value, 0) + count
-
-    @property
-    def buckets(self):
-        return self._fn() if self._fn is not None else self._value
-
-    def snapshot_value(self):
-        """{"count", "sum", "mean", "buckets"} with string bucket keys."""
-        buckets = self.buckets or {}
-        total = 0
-        weighted = 0.0
-        numeric = True
-        for key, count in buckets.items():
-            total += count
-            if isinstance(key, (int, float)):
-                weighted += key * count
-            else:
-                numeric = False
-        out = {
-            "count": total,
-            "buckets": {str(k): v for k, v in sorted(buckets.items(), key=lambda i: str(i[0]))},
-        }
-        if numeric and total:
-            out["sum"] = weighted
-            out["mean"] = weighted / total
-        return out
+    for key, value in stats.items():
+        if isinstance(value, (int, float)):
+            out["%s.%s" % (prefix, key)] = value
 
 
-class MetricsRegistry:
-    """Ordered collection of uniquely named instruments."""
+def histogram(buckets):
+    """A ``{value: count}`` distribution as a JSON-safe snapshot value.
 
-    def __init__(self):
-        self._metrics = {}
-
-    # -- registration ---------------------------------------------------------
-
-    def register(self, metric):
-        if not _NAME_RE.match(metric.name):
-            raise MetricError(
-                "bad metric name %r (want dotted lowercase, e.g. "
-                "'bq.miss_rate')" % metric.name
-            )
-        if metric.name in self._metrics:
-            raise MetricError("metric %r already registered" % metric.name)
-        self._metrics[metric.name] = metric
-        return metric
-
-    def counter(self, name, help="", fn=None):
-        return self.register(Counter(name, help, fn))
-
-    def gauge(self, name, help="", fn=None):
-        return self.register(Gauge(name, help, fn))
-
-    def histogram(self, name, help="", fn=None):
-        return self.register(Histogram(name, help, fn))
-
-    # -- access ---------------------------------------------------------------
-
-    def get(self, name):
-        return self._metrics[name]
-
-    def names(self):
-        return list(self._metrics)
-
-    def __contains__(self, name):
-        return name in self._metrics
-
-    def __iter__(self):
-        return iter(self._metrics.values())
-
-    def __len__(self):
-        return len(self._metrics)
-
-    # -- output ---------------------------------------------------------------
-
-    def snapshot(self):
-        """Flat {dotted_name: JSON-safe value} over every instrument."""
-        return {m.name: m.snapshot_value() for m in self._metrics.values()}
-
-    def as_tree(self):
-        """The snapshot nested by dot-separated name segments."""
-        tree = {}
-        for name, value in self.snapshot().items():
-            node = tree
-            parts = name.split(".")
-            for part in parts[:-1]:
-                node = node.setdefault(part, {})
-                if not isinstance(node, dict):
-                    raise MetricError(
-                        "metric %r nests under a leaf metric" % name
-                    )
-            node[parts[-1]] = value
-        return tree
-
-    def describe(self):
-        """{name: {"kind", "help"}} — the registry's schema."""
-        return {
-            m.name: {"kind": m.kind, "help": m.help}
-            for m in self._metrics.values()
-        }
-
-
-def register_stats_dict(registry, prefix, stats_fn):
-    """Register one callback gauge per key of a ``stats()``-style dict.
-
-    Many components (caches, BTB, predictors) already expose a
-    ``stats() -> dict`` snapshot; this adapter turns each *numeric* key
-    into a live gauge named ``<prefix>.<key>``.
+    ``{"count", "buckets"}`` with string bucket keys, plus ``"sum"`` and
+    ``"mean"`` when every value is numeric and the count is non-zero.
     """
-    instruments = []
-    for key, value in stats_fn().items():
-        if not isinstance(value, (int, float)):
-            continue
-        instruments.append(
-            registry.gauge(
-                "%s.%s" % (prefix, key),
-                fn=(lambda k=key: stats_fn().get(k, 0)),
-            )
-        )
-    return instruments
-
-
-def build_registry(pipeline):
-    """One registry with every instrument of *pipeline* registered.
-
-    Duck-typed on ``pipeline.register_metrics(registry)`` so this module
-    needs no import from :mod:`repro.core`.
-    """
-    registry = MetricsRegistry()
-    pipeline.register_metrics(registry)
-    return registry
+    total = 0
+    weighted = 0.0
+    numeric = True
+    for key, count in buckets.items():
+        total += count
+        if isinstance(key, (int, float)):
+            weighted += key * count
+        else:
+            numeric = False
+    ordered = sorted(buckets.items(), key=lambda item: str(item[0]))
+    out = {"count": total, "buckets": {str(k): v for k, v in ordered}}
+    if numeric and total:
+        out["sum"] = weighted
+        out["mean"] = weighted / total
+    return out

@@ -2,12 +2,12 @@
 
 Two metric families, one output format:
 
-* **per-simulation** metrics — a :class:`~repro.obs.metrics.MetricsRegistry`
-  (or its flat ``snapshot()`` dict, the only form a rehydrated cached
-  result retains) rendered one sample per instrument.  Dotted registry
-  names become underscore-joined Prometheus names under the ``repro_``
-  namespace (``bq.miss_rate`` -> ``repro_bq_miss_rate``); histograms
-  become cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``.
+* **per-simulation** metrics — a run's flat metrics snapshot (the run
+  manifest's ``metrics`` section, :func:`render_snapshot`) rendered one
+  sample per metric.  Dotted names become underscore-joined Prometheus
+  names under the ``repro_`` namespace (``bq.miss_rate`` ->
+  ``repro_bq_miss_rate``); histograms become cumulative
+  ``_bucket{le=...}`` series plus ``_sum``/``_count``.
 * **sweep-level** metrics — a
   :class:`~repro.obs.telemetry.SweepAggregator` snapshot rendered as
   ``repro_sweep_*`` totals plus per-point ``repro_sweep_point_*``
@@ -83,10 +83,10 @@ def render_sample(lines, name, value, labels=None, help=None, kind=None,
     lines.append("%s%s %s" % (name, format_labels(labels), formatted))
 
 
-def _render_histogram(lines, name, snapshot_value, help=None, seen=None):
-    """A metrics-registry histogram snapshot as a Prometheus histogram.
+def _render_histogram(lines, name, snapshot_value, seen=None):
+    """A snapshot histogram as a Prometheus histogram.
 
-    Registry histograms are exact ``{value: count}`` distributions; each
+    Snapshot histograms are exact ``{value: count}`` distributions; each
     distinct numeric value becomes an ``le`` bucket boundary (cumulative,
     per the exposition format), non-numeric distributions export only
     ``_count``.
@@ -104,8 +104,6 @@ def _render_histogram(lines, name, snapshot_value, help=None, seen=None):
     if seen is None or name not in seen:
         if seen is not None:
             seen.add(name)
-        if help:
-            lines.append("# HELP %s %s" % (name, help.replace("\n", " ")))
         lines.append("# TYPE %s histogram" % name)
     if numeric:
         cumulative = 0
@@ -119,29 +117,12 @@ def _render_histogram(lines, name, snapshot_value, help=None, seen=None):
     lines.append("%s_count %d" % (name, count))
 
 
-def render_registry(registry, prefix=NAMESPACE):
-    """A live :class:`MetricsRegistry` as Prometheus text."""
-    lines = []
-    seen = set()
-    for metric in registry:
-        name = metric_name(metric.name, prefix)
-        if metric.kind == "histogram":
-            _render_histogram(lines, name, metric.snapshot_value(),
-                              help=metric.help, seen=seen)
-        else:
-            kind = "counter" if metric.kind == "counter" else "gauge"
-            render_sample(lines, name, metric.snapshot_value(),
-                          help=metric.help, kind=kind, seen=seen)
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 def render_snapshot(snapshot, prefix=NAMESPACE, labels=None):
     """A flat ``{dotted_name: value}`` metrics snapshot as Prometheus text.
 
-    This is the form cached results retain (no live registry, so no
-    kind/help schema): numeric values export as untyped samples,
-    histogram-shaped dicts (``{"count", "buckets", ...}``) as
-    histograms, anything else is skipped.
+    The snapshot carries no kind/help schema: numeric values export as
+    untyped samples, histogram-shaped dicts (``{"count", "buckets",
+    ...}``) as histograms, anything else is skipped.
     """
     lines = []
     seen = set()

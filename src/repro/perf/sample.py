@@ -221,7 +221,7 @@ class SampledSimResult(SimResult):
 
     ``stats`` holds the whole-run extrapolation; ``sampling`` carries
     the honest accounting (intervals, measured fraction, confidence
-    interval).  The memory-system *metrics* (cache/MSHR instruments)
+    interval).  The memory-system *metrics* (cache and MSHR counters)
     reflect warm state as of run end, with per-slice counters covering
     the final detailed interval only — the extrapolated event counters
     in ``stats`` are the whole-run estimates.

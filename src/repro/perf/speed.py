@@ -27,9 +27,8 @@ from repro.fsio import atomic_replace
 class SpeedCase:
     """One reference point: a workload binary on a config.
 
-    ``scale`` and ``max_instructions`` are the cases' full-detail
-    geometry (the invariant-checker tests run it); the sampled benchmark
-    runs every case at :data:`SAMPLED_SCALE` and :data:`SAMPLED_BUDGET`.
+    The sampled benchmark runs every case at :data:`SAMPLED_SCALE` and
+    :data:`SAMPLED_BUDGET`.
     """
 
     name: str
@@ -37,8 +36,6 @@ class SpeedCase:
     variant: str
     input_name: str
     config: str  # "sandy_bridge" | "memory_bound"
-    scale: float
-    max_instructions: int
 
 
 #: The reference workload set: one memory-bound baseline, one DFD binary
@@ -46,13 +43,10 @@ class SpeedCase:
 #: binary — together they exercise every hot path in the cycle core.
 REFERENCE_CASES = (
     SpeedCase("astar_base_membound", "astar_r1", "base", "BigLakes",
-              "memory_bound", 0.125, 20_000),
-    SpeedCase("astar_dfd", "astar_r1", "dfd", "Rivers",
-              "memory_bound", 0.125, 15_000),
-    SpeedCase("bzip2_tq", "bzip2", "tq", "chicken",
-              "sandy_bridge", 0.125, 20_000),
-    SpeedCase("soplex_cfd", "soplex", "cfd", "ref",
-              "sandy_bridge", 0.125, 20_000),
+              "memory_bound"),
+    SpeedCase("astar_dfd", "astar_r1", "dfd", "Rivers", "memory_bound"),
+    SpeedCase("bzip2_tq", "bzip2", "tq", "chicken", "sandy_bridge"),
+    SpeedCase("soplex_cfd", "soplex", "cfd", "ref", "sandy_bridge"),
 )
 
 

@@ -339,7 +339,7 @@ class WorkerPool:
 
 
 def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
-                         progress=None, telemetry=None, executor=None,
+                         progress=None, telemetry=None,
                          trace_store=None, pool=None, refill=None):
     """Run every point under supervision; ``[SweepOutcome]`` in order.
 
@@ -358,9 +358,6 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
     With the default :class:`SupervisionPolicy` and healthy workers this
     is the plain sweep: supervision only decides *whether and where* a
     point runs, never what it computes.
-
-    *executor* is ``None`` or ``"process"``, both this engine; any other
-    value raises :class:`ValueError`.
 
     *telemetry* — a spool directory or
     :class:`~repro.obs.telemetry.SweepTelemetry` (default: enabled when
@@ -388,8 +385,6 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
     returns nothing.  A degraded sweep stops calling it: it finishes
     what it holds inline.
     """
-    if executor not in (None, "process"):
-        raise ValueError("unknown sweep executor %r" % (executor,))
     points = list(points)
     telemetry = SweepTelemetry.resolve(telemetry)
     policy = SupervisionPolicy() if policy is None else policy

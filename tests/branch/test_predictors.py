@@ -204,3 +204,67 @@ class TestTAGEInternals:
             predicted, _ = predictor.predict(pc)
             correct += predicted == taken
         assert correct == 2
+
+
+@pytest.fixture(scope="module")
+def committed_branches():
+    """``(pc, taken)`` of every predictor-trained branch on the committed
+    path of ``astar_r1`` base/BigLakes (scale 0.125, 20k instructions),
+    as a warm trace records them: 1,557 branches."""
+    from repro.core import sandy_bridge_config
+    from repro.core.pipeline import Pipeline
+    from repro.core.warm import _E_BR, _E_BR_T, record_portable_trace
+    from repro.workloads import get_workload
+
+    program = get_workload("astar_r1").build(
+        "base", "BigLakes", 0.125, 1
+    ).program
+    trace = record_portable_trace(
+        Pipeline(program, sandy_bridge_config()), 20_000
+    )
+    return [(pc, kind == _E_BR_T) for kind, pc in zip(trace.kinds, trace.a)
+            if kind in (_E_BR, _E_BR_T)]
+
+
+def _state(value):
+    """A predictor's state as comparable plain data: histories, folded
+    registers, tables, entries, counters.  The exec-compiled helpers are
+    left out (they are built from the constructor's geometry)."""
+    if isinstance(value, (list, tuple)):
+        return [_state(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _state(item) for key, item in value.items()}
+    if callable(value):
+        return None
+    slots = getattr(type(value), "__slots__", None)
+    if slots is not None:
+        return {name: _state(getattr(value, name)) for name in slots}
+    if hasattr(value, "__dict__"):
+        return {key: _state(item) for key, item in vars(value).items()}
+    return value
+
+
+@pytest.mark.parametrize("name", ["bimodal", "gshare", "tage", "isl_tage"])
+def test_train_matches_predict_update(name, committed_branches):
+    """Warm replay's ``train`` reaches the state the detailed core's
+    ``predict`` -> ``speculative_update`` -> ``update`` reaches, and
+    predicts the same direction at every step."""
+    assert len(committed_branches) == 1557
+    fused = make_predictor(name)
+    stepped = make_predictor(name)
+    loop_used = 0
+    for step, (pc, taken) in enumerate(committed_branches):
+        predicted, meta = stepped.predict(pc)
+        stepped.speculative_update(pc, taken)
+        stepped.update(pc, taken, meta)
+        assert fused.train(pc, taken) == predicted, "step %d" % step
+        if name == "isl_tage":
+            loop_used += meta[1]
+    assert _state(fused) == _state(stepped)
+    if name == "isl_tage":
+        # The stream exercises every ISL-TAGE path: the loop predictor
+        # (376 uses), the corrector (349 non-zero counters at the end)
+        # and the tagged tables (160 tagged entries).
+        assert loop_used > 100
+        assert sum(1 for t in fused._sc_tables for c in t if c) > 100
+        assert sum(1 for t in fused._tables for e in t if e.tag) > 100

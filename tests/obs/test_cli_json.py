@@ -46,6 +46,24 @@ def test_run_json_matches_direct_simulation():
     assert manifest["metrics"]["branch.mispredicts"] == result.stats.mispredicts
 
 
+def test_metrics_export_of_a_run_manifest(tmp_path):
+    code, text = _run("run", "soplex", "--variant", "cfd", "--scale", "0.125",
+                      "--max-instructions", "4000", "--json", "--no-cache")
+    assert code == 0
+    manifest = json.loads(text)
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    code, prom = _run("metrics-export", str(path))
+    assert code == 0
+    samples = dict(line.rsplit(" ", 1) for line in prom.splitlines()
+                   if not line.startswith("#"))
+    assert int(samples["repro_core_cycles"]) == manifest["metrics"]["core.cycles"]
+    occupancy = "repro_memsys_l1d_mshr_occupancy"
+    count = int(samples[occupancy + "_count"])
+    assert count == manifest["metrics"]["core.cycles"] > 0
+    assert int(samples[occupancy + '_bucket{le="+Inf"}']) == count
+
+
 def test_compare_json():
     code, text = _run("compare", "jpeg_compr", "--variant", "cfd",
                       "--scale", "0.125", "--json")

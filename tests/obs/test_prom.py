@@ -6,15 +6,23 @@ appear once per metric name, histogram buckets are cumulative with an
 real scraper depends on.
 """
 
-from repro.obs.metrics import MetricsRegistry
+import os
+import stat
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+from repro.obs.metrics import histogram
 from repro.obs.prom import (
     format_labels,
     metric_name,
-    render_registry,
     render_snapshot,
     render_sweep,
     write_prom,
 )
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_metric_name_sanitizes_into_namespace():
@@ -30,26 +38,23 @@ def test_label_escaping():
     assert format_labels({}) == ""
 
 
-def test_render_registry_counters_gauges_histograms():
-    registry = MetricsRegistry()
-    registry.counter("fetch.stall_cycles", help="stalls").inc(7)
-    registry.gauge("bq.occupancy", help="live entries").set(3)
-    hist = registry.histogram("retire.latency", help="cycles to retire")
-    hist.observe(1, count=2)
-    hist.observe(5)
-    text = render_registry(registry)
-    assert "# HELP repro_fetch_stall_cycles stalls" in text
-    assert "# TYPE repro_fetch_stall_cycles counter" in text
+def test_render_snapshot_counters_gauges_histograms():
+    text = render_snapshot({
+        "fetch.stall_cycles": 7,
+        "bq.occupancy": 3,
+        "retire.latency": histogram({1: 2, 5: 1}),
+    })
     assert "repro_fetch_stall_cycles 7" in text
-    assert "# TYPE repro_bq_occupancy gauge" in text
+    assert "repro_bq_occupancy 3" in text
     assert "# TYPE repro_retire_latency histogram" in text
     # Cumulative buckets: le=1 holds 2, le=5 holds 2+1, +Inf the count.
     assert 'repro_retire_latency_bucket{le="1"} 2' in text
     assert 'repro_retire_latency_bucket{le="5"} 3' in text
     assert 'repro_retire_latency_bucket{le="+Inf"} 3' in text
+    assert "repro_retire_latency_sum 7.0" in text
     assert "repro_retire_latency_count 3" in text
-    # One HELP/TYPE header per name.
-    assert text.count("# TYPE repro_fetch_stall_cycles") == 1
+    # One TYPE header per name.
+    assert text.count("# TYPE repro_retire_latency") == 1
 
 
 def test_render_snapshot_flat_dict():
@@ -103,3 +108,29 @@ def test_write_prom_atomic_replace(tmp_path):
     assert path.read_text() == "repro_x 2\n"
     leftovers = [p for p in path.parent.iterdir() if p.name != path.name]
     assert leftovers == []  # no tmp files left behind
+
+
+def test_atomic_replace_publishes_the_mode_open_would(tmp_path):
+    """``fsio.atomic_replace`` (behind ``write_prom``, the result cache
+    and the daemon's runtime files) leaves the mode a plain ``open``
+    would: a textfile collector running as another user can read it."""
+    fresh = tmp_path / "metrics.prom"
+    kept = tmp_path / "http.addr"
+    kept.write_text("old\n")
+    os.chmod(kept, 0o640)
+    script = textwrap.dedent("""
+        import os, sys
+        os.umask(0o022)
+        from repro.fsio import atomic_replace
+        atomic_replace(sys.argv[1], "repro_x 1\\n")
+        atomic_replace(sys.argv[2], "new\\n")
+    """)
+    subprocess.run(
+        [sys.executable, "-c", script, str(fresh), str(kept)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
+        timeout=60,
+    )
+    assert fresh.read_text() == "repro_x 1\n"
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+    assert kept.read_text() == "new\n"
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640

@@ -14,6 +14,13 @@ from repro.rel import BQPointerCorrupt, CommittedStateCorrupt, InvariantChecker
 from repro.workloads import get_workload
 
 
+#: The reference cases' full-detail geometry: scale 0.125, and a budget
+#: per case.
+_FULL_SCALE = 0.125
+_FULL_BUDGETS = {"astar_base_membound": 20_000, "astar_dfd": 15_000,
+                 "bzip2_tq": 20_000, "soplex_cfd": 20_000}
+
+
 def _case_config(case):
     return (memory_bound_config() if case.config == "memory_bound"
             else sandy_bridge_config())
@@ -28,14 +35,14 @@ def test_checker_changes_no_architectural_result(case):
     """Acceptance: the checker on the four reference simulations changes
     nothing — stats are bit-identical with it on or off."""
     built = get_workload(case.workload).build(
-        case.variant, case.input_name, scale=case.scale, seed=1
+        case.variant, case.input_name, scale=_FULL_SCALE, seed=1
     )
+    budget = _FULL_BUDGETS[case.name]
     plain = simulate(built.program, _case_config(case),
-                     max_instructions=case.max_instructions)
+                     max_instructions=budget)
     checker = InvariantChecker(arch_check_every=500)
     checked = simulate(built.program, _case_config(case),
-                       max_instructions=case.max_instructions,
-                       observer=checker)
+                       max_instructions=budget, observer=checker)
     assert _stats_json(checked) == _stats_json(plain)
     counters = checker.counters()
     assert counters["retired"] == checked.stats.retired

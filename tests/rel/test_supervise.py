@@ -591,20 +591,3 @@ def test_sampled_point_resumes_from_its_own_journal_entry(tmp_path):
     [fresh] = run_supervised_sweep([full], jobs=1, policy=policy)
     assert not fresh.resumed
     assert fresh.result.sampling is None
-
-
-def test_supervised_unknown_executor_rejected(tmp_path):
-    # Rejected before any point runs or the journal is opened.
-    journal = tmp_path / "journal.jsonl"
-    with pytest.raises(ValueError):
-        run_supervised_sweep(
-            _points(1), executor="threads",
-            policy=SupervisionPolicy(journal_path=str(journal)),
-        )
-    # The lockstep batched executor is gone; its name is unknown too.
-    with pytest.raises(ValueError):
-        run_supervised_sweep(
-            _points(1), executor="batched",
-            policy=SupervisionPolicy(journal_path=str(journal)),
-        )
-    assert not journal.exists()
