@@ -10,7 +10,6 @@ Commands
 ``trace``        per-cycle trace of a run (Chrome/Perfetto or JSONL events)
 ``disasm``       disassembly listing of a built workload binary
 ``bench-speed``  sampled-engine KIPS and IPC error vs full detail (gated)
-``bench-sweep``  sweep throughput (points/sec): trace reuse vs per-point
 ``cache-prune``  shrink the result cache and warm-trace store (LRU)
 ``lint``         static CFD contract verification of built binaries
 ``lint-host``    concurrency/durability lint of the repo's own service
@@ -42,7 +41,7 @@ directory — watch it live with ``repro top DIR`` / ``repro tail DIR
 --follow``.  ``run --check`` attaches the independent invariant
 checker, and failures exit with distinct codes — 2 usage, 3 simulation
 error, 4 invariant violation, 5 lint findings, 6 a failed
-``bench-speed``/``bench-sweep`` gate, 7 host lint findings (see
+``bench-speed`` gate, 7 host lint findings (see
 docs/ROBUSTNESS.md, docs/STATIC_ANALYSIS.md and docs/OBSERVABILITY.md).
 
 Examples::
@@ -60,7 +59,6 @@ Examples::
     python -m repro classify --scale 0.125
     python -m repro trace soplex --variant cfd --cycles 2000
     python -m repro trace-merge trace_a.json trace_b.json -o merged.json
-    python -m repro bench-sweep --smoke --json
     python -m repro lint                      # whole registry
     python -m repro lint soplex --variant cfd --json
 """
@@ -456,8 +454,7 @@ def cmd_bench_speed(args, out):
 
     sampled = run_sampled_benchmark(cases=cases, repeats=args.repeats,
                                     progress=progress)
-    path = merge_speed_section("sampled", sampled,
-                               directory=args.artifact_dir)
+    path = merge_speed_section(sampled, directory=args.artifact_dir)
     if args.json:
         _emit_json(out, sampled)
     else:
@@ -493,75 +490,6 @@ def cmd_bench_speed(args, out):
     if not sampled["gates_passed"]:
         print("repro: bench-speed: sampled gates failed (exit 6)",
               file=sys.stderr)
-        return EXIT_PERF_REGRESSION
-    return 0
-
-
-def cmd_bench_sweep(args, out):
-    import tempfile
-
-    from repro.perf import sweepbench
-    from repro.perf.speed import merge_speed_section
-    from repro.perf.sweepbench import run_sweep_benchmark
-
-    scale, budget, plan = args.scale, args.budget, args.plan
-    if args.smoke:
-        scale = sweepbench.SMOKE_SCALE if scale is None else scale
-        budget = sweepbench.SMOKE_BUDGET if budget is None else budget
-        plan = sweepbench.SMOKE_PLAN if plan is None else plan
-
-    def progress(mode):
-        if not args.json:
-            out.write("measuring %s...\n" % {
-                "per_point": "per-point warm-up (trace store off)",
-                "reuse": "trace reuse (cold store)",
-                "warm": "trace reuse (warm store)",
-            }.get(mode, mode))
-
-    def measure(trace_dir):
-        return run_sweep_benchmark(
-            trace_dir, scale=scale, budget=budget, plan=plan,
-            jobs=args.jobs, progress=progress,
-        )
-
-    if args.trace_dir:
-        payload = measure(args.trace_dir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-sweep-") as tmp:
-            payload = measure(tmp)
-    if args.smoke:
-        # Fixed per-point costs dominate tiny runs; the throughput gate
-        # only means something at reference geometry.
-        payload["smoke"] = True
-        payload["gates"]["speedup_enforced"] = False
-        payload["gates_passed"] = payload["gates"]["identical_ok"]
-
-    path = None
-    if not args.smoke or args.artifact_dir is not None:
-        path = merge_speed_section("sweep", payload,
-                                   directory=args.artifact_dir)
-    if args.json:
-        _emit_json(out, payload)
-    else:
-        out.write(
-            "per-point: %.3f pts/s   reuse: %.3f pts/s (%.2fx)   "
-            "warm: %.3f pts/s (%.2fx)\n" % (
-                payload["per_point"]["points_per_sec"],
-                payload["reuse"]["points_per_sec"],
-                payload["speedup_reuse_vs_per_point"] or 0.0,
-                payload["warm"]["points_per_sec"],
-                payload["speedup_warm_vs_per_point"] or 0.0,
-            ))
-        out.write("per-point stats identical across modes: %s\n"
-                  % ("yes" if payload["stats_identical"] else "NO"))
-        if not args.smoke:
-            out.write("gate: reuse >= %.1fx per-point -> %s\n" % (
-                payload["gates"]["speedup_floor"],
-                "PASS" if payload["gates"]["speedup_ok"] else "FAIL"))
-        if path:
-            out.write("artifact: %s\n" % path)
-    if not payload["gates_passed"]:
-        print("repro: bench-sweep: gates failed (exit 6)", file=sys.stderr)
         return EXIT_PERF_REGRESSION
     return 0
 
@@ -661,8 +589,7 @@ def cmd_lint(args, out):
 
 
 def cmd_lint_host(args, out):
-    from repro.lint.host import (apply_baseline, lint_host, load_baseline,
-                                 render_host_json, validate_trace_dir)
+    from repro.lint.host import lint_host, render_host_json, validate_trace_dir
 
     findings, files_analyzed, waivers = lint_host(root=args.root)
 
@@ -670,36 +597,13 @@ def cmd_lint_host(args, out):
     if args.trace:
         trace_report = validate_trace_dir(args.trace)
 
-    if args.write_baseline:
-        from repro.lint.host import write_baseline
-
-        write_baseline(args.write_baseline, findings)
-        out.write("wrote baseline (%d finding%s) to %s\n" % (
-            len(findings), "" if len(findings) == 1 else "s",
-            args.write_baseline))
-        return 0
-
-    suppressed = []
-    baselined_pairs = 0
-    if args.baseline:
-        baselined = load_baseline(args.baseline)
-        baselined_pairs = len(baselined)
-        findings, suppressed = apply_baseline(findings, baselined)
-
     trace_violations = (
         len(trace_report["violations"]) if trace_report else 0)
     total = len(findings) + trace_violations
     if args.json:
-        baseline_info = None
-        if args.baseline:
-            baseline_info = {
-                "path": args.baseline,
-                "entries": baselined_pairs,
-                "suppressed": len(suppressed),
-            }
         out.write(render_host_json(
             findings, files_analyzed=files_analyzed, waivers=waivers,
-            trace=trace_report, baseline=baseline_info))
+            trace=trace_report))
         out.write("\n")
     else:
         for finding in findings:
@@ -714,12 +618,9 @@ def cmd_lint_host(args, out):
                 "" if trace_report["files"] == 1 else "s",
                 trace_report["ops"],
                 "" if trace_report["ops"] == 1 else "s"))
-        summary = "analyzed %d file%s: %d finding%s" % (
+        out.write("analyzed %d file%s: %d finding%s\n" % (
             files_analyzed, "" if files_analyzed == 1 else "s",
-            total, "" if total == 1 else "s")
-        if suppressed:
-            summary += " (%d baselined)" % len(suppressed)
-        out.write(summary + "\n")
+            total, "" if total == 1 else "s"))
     return EXIT_HOST_LINT_FINDINGS if total else 0
 
 
@@ -1140,39 +1041,6 @@ def build_parser():
              "(default $REPRO_BENCH_ARTIFACT_DIR or .)")
     speed_parser.add_argument("--json", action="store_true",
                               help="emit the 'sampled' section as JSON")
-    sweep_parser = sub.add_parser(
-        "bench-sweep",
-        help="sweep throughput (config points/sec): warm-trace reuse vs "
-             "per-point warm-up; exit 6 if reuse misses its speedup floor",
-    )
-    sweep_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes per sweep mode (default 1: serial, so the "
-             "reuse ratio is a clean amortization factor)")
-    sweep_parser.add_argument(
-        "--scale", type=float, default=None,
-        help="workload scale override (default: reference geometry)")
-    sweep_parser.add_argument(
-        "--budget", type=int, default=None,
-        help="per-point instruction budget override")
-    sweep_parser.add_argument(
-        "--plan", default=None,
-        help="sampled-plan spec override ('interval=...,window=...')")
-    sweep_parser.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="trace-store directory (default: a fresh temp dir, deleted "
-             "afterwards; must be empty for a true cold-store timing)")
-    sweep_parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny geometry for CI: still checks per-point byte-identity "
-             "across modes, but the speedup gate is informational only")
-    sweep_parser.add_argument(
-        "--artifact-dir", default=None,
-        help="merge the 'sweep' section into BENCH_speed.json here "
-             "(default $REPRO_BENCH_ARTIFACT_DIR or .; --smoke skips the "
-             "artifact unless this is given)")
-    sweep_parser.add_argument("--json", action="store_true",
-                              help="emit the full payload as JSON")
     prune_parser = sub.add_parser(
         "cache-prune",
         help="shrink the persistent result cache and warm-trace store "
@@ -1273,12 +1141,6 @@ def build_parser():
         "--trace", default=None, metavar="DIR",
         help="also validate fsops-*.jsonl FS-sanitizer traces from a "
              "REPRO_FS_SANITIZE run (see docs/STATIC_ANALYSIS.md)")
-    lint_host_parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppress findings grandfathered in this baseline file")
-    lint_host_parser.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="write current findings as the new baseline and exit 0")
     lint_host_parser.add_argument("--json", action="store_true",
                                   help="emit machine-readable JSON")
     serve_parser = sub.add_parser(
@@ -1395,7 +1257,6 @@ _COMMANDS = {
     "trace": cmd_trace,
     "disasm": cmd_disasm,
     "bench-speed": cmd_bench_speed,
-    "bench-sweep": cmd_bench_sweep,
     "cache-prune": cmd_cache_prune,
     "lint": cmd_lint,
     "lint-host": cmd_lint_host,

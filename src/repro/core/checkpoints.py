@@ -12,7 +12,6 @@ history, RAS, BQ/TQ fetch pointers, speculative TCR, oracle cursors) so a
 single restore rewinds the whole speculative machine state.
 """
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
@@ -80,52 +79,3 @@ class CheckpointPool:
 
     def clear(self):
         self._slots.clear()
-
-
-class SimCheckpoint:
-    """Whole-machine checkpoint at a sampling-interval boundary.
-
-    Unlike the speculative :class:`Checkpoint` above (which rewinds a
-    few hundred instructions of misprediction), this captures the full
-    *committed* machine: architectural state plus every warm structure —
-    predictor, confidence estimator, BTB, RAS, oracle cursors, and the
-    cache hierarchy tag/LRU arrays.  ``capture`` at an interval boundary
-    (pipeline drained), ``restore`` to rewind the simulation to exactly
-    that point: re-running the same detailed interval from a restored
-    checkpoint is deterministic (same stats, bit for bit).
-
-    Warm structures are deep-copied on both capture *and* restore, so a
-    checkpoint can be restored any number of times.
-    """
-
-    __slots__ = ("arch", "retired", "predictor", "confidence", "btb",
-                 "ras", "oracle", "memory")
-
-    @classmethod
-    def capture(cls, pipeline):
-        """Snapshot *pipeline*'s committed + warm state; returns the checkpoint.
-
-        The pipeline must be drained (no in-flight speculation) — e.g.
-        right after :meth:`~repro.core.pipeline.Pipeline.drain_to_committed`.
-        """
-        ckpt = cls()
-        ckpt.arch = pipeline.checker.state.snapshot()
-        ckpt.retired = pipeline.checker.retired
-        ckpt.predictor = copy.deepcopy(pipeline.predictor)
-        ckpt.confidence = copy.deepcopy(pipeline.confidence)
-        ckpt.btb = copy.deepcopy(pipeline.btb)
-        ckpt.ras = copy.deepcopy(pipeline.ras)
-        ckpt.oracle = copy.deepcopy(pipeline.oracle)
-        ckpt.memory = copy.deepcopy(pipeline.memory)
-        return ckpt
-
-    def restore(self, pipeline):
-        """Rewind *pipeline* to this checkpoint (drains it first)."""
-        pipeline.restore_committed_state(self.arch.snapshot(), self.retired)
-        pipeline.predictor = copy.deepcopy(self.predictor)
-        pipeline.confidence = copy.deepcopy(self.confidence)
-        pipeline.btb = copy.deepcopy(self.btb)
-        pipeline.ras = copy.deepcopy(self.ras)
-        pipeline.oracle = copy.deepcopy(self.oracle)
-        pipeline.memory = copy.deepcopy(self.memory)
-        return pipeline

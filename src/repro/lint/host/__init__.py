@@ -24,10 +24,8 @@ import os
 from repro.lint.host.analyzer import analyze_source
 from repro.lint.host.registry import (DETERMINISM_DIRS, HOST_MODULES,
                                       PATH_CLASSES, classify_path, spec_for)
-from repro.lint.host.rules import (HOST_RULES, HostFinding, apply_baseline,
-                                   host_finding, load_baseline,
-                                   render_host_json, sort_findings,
-                                   write_baseline)
+from repro.lint.host.rules import (HOST_RULES, HostFinding, host_finding,
+                                   render_host_json, sort_findings)
 from repro.lint.host.sanitizer import (FsSanitizer, install_from_env,
                                        validate_trace_dir)
 
@@ -78,15 +76,12 @@ __all__ = [
     "HostFinding",
     "PATH_CLASSES",
     "analyze_source",
-    "apply_baseline",
     "classify_path",
     "host_finding",
     "install_from_env",
     "lint_host",
-    "load_baseline",
     "render_host_json",
     "sort_findings",
     "spec_for",
     "validate_trace_dir",
-    "write_baseline",
 ]

@@ -99,8 +99,7 @@ def sort_findings(findings):
     return sorted(set(findings), key=HostFinding.sort_key)
 
 
-def render_host_json(findings, files_analyzed=0, waivers=None, trace=None,
-                     baseline=None):
+def render_host_json(findings, files_analyzed=0, waivers=None, trace=None):
     """The ``repro lint-host --json`` payload (stable key order)."""
     findings = sort_findings(findings)
     payload = {
@@ -111,62 +110,9 @@ def render_host_json(findings, files_analyzed=0, waivers=None, trace=None,
         "findings": [f.to_dict() for f in findings],
         "waivers": dict(waivers or {}),
     }
-    if baseline is not None:
-        payload["baselined"] = baseline
     if trace is not None:
         payload["trace"] = trace
     return json.dumps(payload, sort_keys=True, indent=2)
-
-
-# -- baseline ---------------------------------------------------------------
-
-BASELINE_KIND = "repro.lint_host.baseline"
-
-
-def load_baseline(path):
-    """``{(rule, path)}`` pairs a baseline file grandfathers.
-
-    The baseline matches on (rule, file) — not line numbers, which
-    shift under unrelated edits — so a grandfathered finding stays
-    suppressed until the rule is actually fixed in that file, and a
-    *new* rule firing in the same file still gates.
-    """
-    with open(path, "rb") as fh:
-        doc = json.loads(fh.read())
-    if not isinstance(doc, dict) or doc.get("kind") != BASELINE_KIND:
-        raise ValueError("%s is not a %s file" % (path, BASELINE_KIND))
-    return {
-        (entry["rule"], entry["path"])
-        for entry in doc.get("findings", ())
-        if isinstance(entry, dict)
-    }
-
-
-def write_baseline(path, findings):
-    """Persist the current findings as the new baseline; returns *path*."""
-    doc = {
-        "kind": BASELINE_KIND,
-        "version": 1,
-        "findings": [
-            {"rule": f.rule, "path": f.path}
-            for f in sort_findings(findings)
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def apply_baseline(findings, baselined):
-    """Split findings into (gating, suppressed) against a baseline set."""
-    gating, suppressed = [], []
-    for finding in findings:
-        if (finding.rule, finding.path) in baselined:
-            suppressed.append(finding)
-        else:
-            gating.append(finding)
-    return gating, suppressed
 
 
 __all__ = [
@@ -177,7 +123,4 @@ __all__ = [
     "host_finding",
     "sort_findings",
     "render_host_json",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
 ]

@@ -37,7 +37,6 @@ under a distinct key (the plan fingerprint enters the digest).
 import math
 from dataclasses import dataclass
 
-from repro.core.checkpoints import SimCheckpoint
 from repro.core.config import sandy_bridge_config
 from repro.core.pipeline import Pipeline
 from repro.core.simulator import SimResult
@@ -75,10 +74,7 @@ class SamplingPlan:
     transient and the halt tail are one-offs whose cost a periodic
     sample systematically misweights — a typical workload's tail runs
     at a fraction of steady-state IPC, so a single interval
-    extrapolating it swings the whole estimate.  ``checkpoints=True``
-    additionally captures a :class:`~repro.core.checkpoints.SimCheckpoint`
-    at every interval boundary (off by default — whole-machine snapshots
-    are not free).
+    extrapolating it swings the whole estimate.
 
     The default interval is *long* (thousands of instructions) on
     purpose: the drain at each interval boundary empties every queue and
@@ -94,7 +90,6 @@ class SamplingPlan:
     period: int = 14000
     head_detail: int = 2000
     tail_detail: int = 2000
-    checkpoints: bool = False
     #: Bounded functional-warming window (instructions of recorded
     #: events replayed before each detailed window).  0 — the default —
     #: replays every event in each warm gap, training warm state over
@@ -171,7 +166,9 @@ class SamplingPlan:
             "period": self.period,
             "head_detail": self.head_detail,
             "tail_detail": self.tail_detail,
-            "checkpoints": self.checkpoints,
+            # A constant: the sampled golden, cached payloads and the
+            # benchmark's sweep pins all digest this report.
+            "checkpoints": False,
             "warm_window": self.warm_window,
         }
 
@@ -228,7 +225,6 @@ class SampledSimResult(SimResult):
     """
 
     sampling: dict = None
-    interval_checkpoints: list = None
     _mshr_histogram: dict = None
     #: Warm-trace provenance ({source, key, events, budget}); carried on
     #: the result object only — deliberately NOT part of ``sampling``,
@@ -340,7 +336,6 @@ class SampledSimulator:
         ipc_samples = []
         intervals = 0
         measured = 0
-        checkpoints = [] if plan.checkpoints else None
 
         def collect_mshr():
             for occ, count in pipeline.mshr.occupancy_histogram.items():
@@ -414,8 +409,6 @@ class SampledSimulator:
                     teleport(s)
                 if checker.state.halted:
                     break
-                if checkpoints is not None:
-                    checkpoints.append(SimCheckpoint.capture(pipeline))
                 stats = pipeline.run_slice(
                     plan.interval_length, plan.detail_warmup
                 )
@@ -467,7 +460,6 @@ class SampledSimulator:
             energy=energy,
             pipeline=pipeline,
             sampling=sampling,
-            interval_checkpoints=checkpoints,
             _mshr_histogram=mshr_histogram,
             trace_info={
                 "source": source,

@@ -8,7 +8,8 @@ at the sampled geometry (:data:`SAMPLED_SCALE`, :data:`SAMPLED_BUDGET`,
 at least :data:`SAMPLED_SPEEDUP_FLOOR` x :data:`SAMPLED_REFERENCE_KIPS`,
 and geomean |IPC error| against a full-detail run of each case within
 :data:`SAMPLED_ERROR_GATE_PCT`.  The result is the ``"sampled"`` section
-of ``BENCH_speed.json`` (:func:`merge_speed_section`).
+of ``BENCH_speed.json`` (:func:`merge_speed_section`); the file's other
+keys are banked records that no command writes.
 
 Speed claims rest on ``perfbench/`` (``BENCHMARK.json``), which times
 the same cases with spreads, a host-speed probe and correctness pins;
@@ -220,16 +221,16 @@ def run_sampled_benchmark(cases=None, repeats=2, progress=None):
     }
 
 
-def merge_speed_section(name, section, directory=None):
-    """Set the *name* section of ``BENCH_speed.json`` to *section*.
+def merge_speed_section(section, directory=None):
+    """Set the ``"sampled"`` section of ``BENCH_speed.json`` to *section*.
 
-    ``BENCH_speed.json`` is one perf record with a section per command
-    (``"sampled"`` from bench-speed, ``"sweep"`` from bench-sweep); each
-    command replaces its own section and keeps every other key.  A
-    missing or unreadable artifact starts empty.  The file is published
-    atomically, so an interrupted write never leaves it torn.  Returns
-    the path (*directory* defaults to ``$REPRO_BENCH_ARTIFACT_DIR`` or
-    the current directory).
+    ``BENCH_speed.json`` is one perf record: ``"sampled"`` is the one
+    section a command writes; the ``"sweep"`` section and the top-level
+    keys are banked records of retired benchmarks.  Every other key is
+    kept as it is.  A missing or unreadable artifact starts empty.  The
+    file is published atomically, so an interrupted write never leaves
+    it torn.  Returns the path (*directory* defaults to
+    ``$REPRO_BENCH_ARTIFACT_DIR`` or the current directory).
     """
     directory = directory or os.environ.get("REPRO_BENCH_ARTIFACT_DIR", ".")
     path = os.path.join(directory, "BENCH_speed.json")
@@ -240,6 +241,6 @@ def merge_speed_section(name, section, directory=None):
         payload = {}
     if not isinstance(payload, dict):
         payload = {}
-    payload[name] = section
+    payload["sampled"] = section
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     return atomic_replace(path, text, durable=False)

@@ -12,6 +12,18 @@ from repro.core import sandy_bridge_config, simulate
 from repro.isa import assemble
 
 
+@pytest.fixture(autouse=True)
+def _fresh_result_cache(tmp_path_factory, monkeypatch):
+    """Give every test its own empty result cache, so the suite never
+    reads or fills the user's ``~/.cache/repro``.  Cache keys carry no
+    simulator version: an entry left by older code would be served as
+    a hit.  The trace store defaults to ``<cache>/traces``, so it moves
+    along.  A test that sets ``REPRO_CACHE_DIR`` itself still wins."""
+    monkeypatch.setenv("REPRO_CACHE_DIR",
+                       str(tmp_path_factory.mktemp("repro-cache")))
+    monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
+
+
 @pytest.fixture
 def tiny_config():
     """A small, fast core config for unit tests."""

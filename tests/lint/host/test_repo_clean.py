@@ -1,8 +1,7 @@
 """The repo-wide gate: ``repro lint-host`` must be clean, and stay clean.
 
 The whole-tree run is the same check CI performs; the CLI tests pin the
-exit-code contract (0 clean / 7 findings) and the baseline workflow
-that lets a rule land before its last violation is fixed.
+exit-code contract (0 clean / 7 findings).
 """
 
 import io
@@ -10,8 +9,7 @@ import json
 from pathlib import Path
 
 from repro.cli import EXIT_HOST_LINT_FINDINGS, main
-from repro.lint.host import (HOST_RULES, apply_baseline, host_finding,
-                             lint_host, load_baseline, write_baseline)
+from repro.lint.host import HOST_RULES, lint_host
 
 ROOT = Path(__file__).resolve().parents[3]
 
@@ -60,50 +58,6 @@ def test_cli_exits_seven_on_findings(tmp_path):
     rc = main(["lint-host", "--root", str(bad)], out=out)
     assert rc == EXIT_HOST_LINT_FINDINGS
     assert "HL101" in out.getvalue()
-
-
-def test_shipped_baseline_is_empty():
-    doc = json.loads((ROOT / "LINT_HOST_BASELINE.json").read_text())
-    assert doc["kind"] == "repro.lint_host.baseline"
-    assert doc["findings"] == []
-
-
-def test_baseline_roundtrip_and_gating(tmp_path):
-    old = host_finding("HW204", "rel/supervise.py", 10, "grandfathered")
-    new = host_finding("HL101", "serve/queue.py", 20, "fresh regression")
-    path = tmp_path / "baseline.json"
-    write_baseline(str(path), [old])
-    baselined = load_baseline(str(path))
-    assert baselined == {("HW204", "rel/supervise.py")}
-
-    gating, suppressed = apply_baseline([old, new], baselined)
-    assert gating == [new]       # a new rule/file pair still gates
-    assert suppressed == [old]   # the grandfathered pair does not
-
-    # line numbers do not matter: the same (rule, path) at another line
-    moved = host_finding("HW204", "rel/supervise.py", 99, "moved")
-    gating, suppressed = apply_baseline([moved], baselined)
-    assert gating == [] and suppressed == [moved]
-
-
-def test_cli_baseline_workflow(tmp_path):
-    bad = tmp_path / "src"
-    (bad / "serve").mkdir(parents=True)
-    (bad / "serve" / "queue.py").write_text(
-        "class JobQueue:\n"
-        "    def submit(self, record):\n"
-        "        with open(self.path, 'a') as fh:\n"
-        "            fh.write(record)\n"
-    )
-    baseline = tmp_path / "baseline.json"
-    out = io.StringIO()
-    assert main(["lint-host", "--root", str(bad),
-                 "--write-baseline", str(baseline)], out=out) == 0
-    out = io.StringIO()
-    rc = main(["lint-host", "--root", str(bad),
-               "--baseline", str(baseline)], out=out)
-    assert rc == 0
-    assert "baselined" in out.getvalue()
 
 
 def test_every_rule_is_documented():

@@ -7,7 +7,9 @@ is attached by default, (b) results are bit-identical with and without a
 no-op observer, (c) the disabled path is not measurably slower than the
 null-observer path (best-of-N smoke check with generous margins — this
 guards against someone accidentally making the hooks unconditional, not
-against microbenchmark noise).
+against microbenchmark noise).  Each timing runs its two sides
+alternately, so a burst of host contention slows both, not whichever
+side happened to run first.
 """
 
 import time
@@ -25,13 +27,22 @@ def _run_once(program, config, observer=None):
     return time.perf_counter() - start, stats
 
 
-def _best_of(n, program, config, observer_factory):
-    best = None
-    stats = None
-    for _ in range(n):
-        elapsed, stats = _run_once(program, config, observer_factory())
-        best = elapsed if best is None else min(best, elapsed)
-    return best, stats
+def _best_of_alternating(n, side_a, side_b):
+    """Best-of-*n* seconds of two runs that each return
+    ``(seconds, result)``, taken A then B, then B then A, and so on.
+
+    Returns ``((best_a, result_a), (best_b, result_b))``, each with its
+    side's last result.
+    """
+    sides = (side_a, side_b)
+    best = [None, None]
+    results = [None, None]
+    for run in range(n):
+        for side in ((0, 1) if run % 2 == 0 else (1, 0)):
+            elapsed, results[side] = sides[side]()
+            if best[side] is None or elapsed < best[side]:
+                best[side] = elapsed
+    return (best[0], results[0]), (best[1], results[1])
 
 
 def test_no_observer_attached_by_default(count_program, tiny_config):
@@ -53,8 +64,9 @@ def test_results_identical_with_null_observer(count_program, tiny_config):
 def test_disabled_hooks_cost_only_a_guard(count_program, tiny_config):
     # Warm caches/imports, then take best-of-N for each mode.
     _run_once(count_program, tiny_config)
-    disabled, _ = _best_of(5, count_program, tiny_config, lambda: None)
-    null_obs, _ = _best_of(5, count_program, tiny_config, PipelineObserver)
+    (disabled, _), (null_obs, _) = _best_of_alternating(
+        5, lambda: _run_once(count_program, tiny_config),
+        lambda: _run_once(count_program, tiny_config, PipelineObserver()))
     # Disabled must not be slower than running with a no-op observer
     # attached (modulo timer noise on a sub-millisecond workload).
     assert disabled <= null_obs * 1.05 + 2e-3, (disabled, null_obs)
@@ -94,25 +106,20 @@ def test_disabled_telemetry_overhead_bounded(monkeypatch, tmp_path):
     # margin — telemetry only ever *adds* work, so off <= on holds up to
     # scheduling jitter).
     import json
-    import time
 
     from repro.rel.supervise import run_supervised_sweep
 
     monkeypatch.delenv("REPRO_TELEMETRY_DIR", raising=False)
     run_supervised_sweep(_sweep_points(), jobs=1)  # warm imports/builds
 
-    def best_of(n, telemetry):
-        best, outcomes = None, None
-        for _ in range(n):
-            start = time.perf_counter()
-            outcomes = run_supervised_sweep(_sweep_points(), jobs=1,
-                                            telemetry=telemetry)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return best, outcomes
+    def sweep(telemetry):
+        start = time.perf_counter()
+        outcomes = run_supervised_sweep(_sweep_points(), jobs=1,
+                                        telemetry=telemetry)
+        return time.perf_counter() - start, outcomes
 
-    off_time, off = best_of(3, None)
-    on_time, on = best_of(3, str(tmp_path / "spool"))
+    (off_time, off), (on_time, on) = _best_of_alternating(
+        3, lambda: sweep(None), lambda: sweep(str(tmp_path / "spool")))
     assert off_time <= on_time * 1.02 + 20e-3, (off_time, on_time)
     # And identical results, not just comparable speed.
     blob = lambda os_: [json.dumps(o.result.stats.to_dict(),

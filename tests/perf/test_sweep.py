@@ -8,6 +8,8 @@ point surfaces as ``outcome.error`` without killing the sweep.
 
 import json
 
+import pytest
+
 from repro.perf import ResultCache, SweepPoint
 from repro.rel import SupervisionPolicy, run_supervised_sweep
 
@@ -217,6 +219,55 @@ def test_prewarm_skips_groups_the_result_cache_serves(tmp_path):
     assert store.counters()["stores"] == 1
     assert outcomes[0].ok and not outcomes[0].cached
     assert all(o.ok and o.cached and o.attempts == 0 for o in outcomes[1:])
+
+
+def _reference_points():
+    """The four reference cases at two machine sizes.  Unlike the
+    tests above, the plan bounds the warming window (``window=``)."""
+    from repro.core import memory_bound_config, sandy_bridge_config
+    from repro.core.config import scale_window
+    from repro.perf import REFERENCE_CASES
+
+    plan = _PLAN + ",window=2000"
+    return [
+        SweepPoint(case.workload, case.variant, case.input_name,
+                   config=scale_window(
+                       memory_bound_config() if case.config == "memory_bound"
+                       else sandy_bridge_config(), rob),
+                   scale=0.125, max_instructions=30_000, sampling=plan)
+        for case in REFERENCE_CASES
+        for rob in (48, 168)
+    ]
+
+
+def _canonical_payloads(outcomes):
+    """Whole result payloads as canonical JSON, less the ``created``
+    wall-clock stamp: stats, sampling report, metrics and config
+    fingerprint must all match to the byte."""
+    assert all(o.ok for o in outcomes)
+    payloads = []
+    for outcome in outcomes:
+        payload = dict(outcome.result.payload)
+        payload.pop("created")
+        payloads.append(json.dumps(payload, sort_keys=True))
+    return payloads
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_trace_store_payloads_identical_off_cold_and_warm(tmp_path, jobs):
+    from repro.perf.tracestore import TraceStore
+
+    root = str(tmp_path / "traces")
+    off = run_supervised_sweep(_reference_points(), jobs=jobs)
+    cold = run_supervised_sweep(_reference_points(), jobs=jobs,
+                                trace_store=TraceStore(root=root))
+    warm_store = TraceStore(root=root)
+    warm = run_supervised_sweep(_reference_points(), jobs=jobs,
+                                trace_store=warm_store)
+    assert _canonical_payloads(cold) == _canonical_payloads(off)
+    assert _canonical_payloads(warm) == _canonical_payloads(off)
+    assert all((o.trace or {}).get("source") == "hit" for o in cold + warm)
+    assert warm_store.counters()["stores"] == 0
 
 
 # -- recording overlapped with the pool ------------------------------------
