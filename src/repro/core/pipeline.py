@@ -32,7 +32,7 @@ from repro.core.lsq import StoreQueueEntry, scan_older_stores
 from repro.core.oracle import DirectionOracle
 from repro.core.rename import RenameTables, VQRenamer
 from repro.core.stats import SimStats
-from repro.errors import SimulatorInvariantError
+from repro.errors import ReproError, SimulatorInvariantError
 from repro.isa.instructions import LINK_REG, NUM_GPRS, ZERO_REG
 from repro.isa.opcodes import OpClass, Opcode
 from repro.memsys.hierarchy import MemLevel, MemoryHierarchy

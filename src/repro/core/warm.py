@@ -33,8 +33,12 @@ produces a :class:`PortableWarmTrace` — the event stream plus periodic
 *stride boundaries* (architectural-state deltas + event offsets) — from
 which :meth:`PortableWarmTrace.materialize` derives event offsets and
 deep :class:`~repro.arch.state.ArchState` snapshots at **arbitrary**
-instruction positions, not just positions known at record time.  A
-portable trace round-trips losslessly through
+instruction positions, not just positions known at record time.  Both
+execute with per-PC handlers (:class:`_WarmHandlers`) compiled from the
+executor's opcode definitions: one call executes an instruction, appends
+its events and returns the next instruction's handler, so the scan
+builds no :class:`~repro.arch.executor.RetireRecord` and makes no
+``step()`` call.  A portable trace round-trips losslessly through
 :meth:`~PortableWarmTrace.to_bytes`/:meth:`~PortableWarmTrace.from_bytes`
 (schema-versioned, CRC-checked), which is what
 :class:`repro.perf.tracestore.TraceStore` persists: one recorded trace
@@ -42,13 +46,14 @@ then serves every sampling plan and every timing config whose
 :func:`warm_fingerprint` matches.
 """
 
+import functools
 import struct
 import zlib
 from array import array
 from bisect import bisect_right
 from collections import deque, namedtuple
 
-from repro.arch.executor import FunctionalExecutor
+from repro.arch.executor import compile_handlers
 from repro.arch.memory import Memory
 from repro.arch.queues import BranchQueue, TripCountQueue, ValueQueue
 from repro.arch.state import ArchState
@@ -59,7 +64,7 @@ from repro.isa.opcodes import OpClass, Opcode
 #: (imported lazily below to keep this module import-light).
 from repro.core.pipeline import CODE_BASE, _D_INST, _D_OPCLASS, _D_OPCODE
 
-#: Warm-trace event kinds (see :func:`record_warm_trace`).  One event is
+#: Warm-trace event kinds (see :func:`record_portable_trace`).  One event is
 #: (kind, a, b); the meaning of a/b depends on the kind.
 _E_ICACHE = 1   # a = fetch address
 _E_LOAD = 2     # a = pc, b = data address (includes PREFETCH)
@@ -311,13 +316,148 @@ _Boundary = namedtuple(
 )
 
 
+class _Halted(Exception):
+    """A warm handler was asked to execute past a ``halt`` or outside the
+    code segment, where
+    :meth:`~repro.arch.executor.FunctionalExecutor.step` returns ``None``."""
+
+
+def _warm_exit(kind, args):
+    """The warm recorder's exit protocol for
+    :func:`~repro.arch.executor.compile_handlers`.
+
+    An exit appends the instruction's warm event, if it has one, and
+    returns the handler of the next instruction: a taken transfer
+    records ``(taken_kind, pc, dest)`` and continues in the ``jump``
+    table, a not-taken branch records ``(fall_kind, pc, 0)`` unless
+    ``fall_kind`` is 0 (CFD control), and a memory access
+    ``(kind, pc, addr)``.  ``halt`` continues at ``seq[n]``, which stops
+    the scan.
+    """
+    if kind == "halt":
+        return ["return seq[n]"]
+    taken, dest, addr, _value = args
+    if taken == "True":
+        if dest == "target":
+            following = "jump[slot]"
+        else:  # register-indirect: range-checked like step()'s fetch
+            following = "jump[%s if 0 <= %s < n else n]" % (dest, dest)
+        return ["k_append(taken_kind)", "a_append(pc)",
+                "b_append(%s)" % dest, "return " + following]
+    if taken == "False":
+        return ["if fall_kind:", "    k_append(fall_kind)",
+                "    a_append(pc)", "    b_append(0)", "return seq[next_pc]"]
+    if addr != "None":
+        return ["k_append(kind)", "a_append(pc)", "b_append(%s)" % addr,
+                "return seq[next_pc]"]
+    return ["return seq[next_pc]"]
+
+
+_WARM_PARAMS = ("k_append", "a_append", "b_append", "fetch", "kind",
+                "taken_kind", "fall_kind", "seq", "jump", "slot", "n")
+
+
+@functools.cache
+def _warm_makers():
+    """``(make, make_fetching)``: warm handler factories without and with
+    the I-cache block event first, compiled once per process."""
+    return (
+        compile_handlers(_warm_exit, _WARM_PARAMS),
+        compile_handlers(_warm_exit, _WARM_PARAMS, prologue=[
+            "k_append(%d)" % _E_ICACHE, "a_append(fetch)", "b_append(0)"]),
+    )
+
+
+def _stop():
+    """A handler for where no instruction executes.  Like ``step()``
+    there, it halts the machine."""
+
+    def handler(state):
+        state.halted = True
+        raise _Halted
+
+    return handler
+
+
+class _WarmHandlers:
+    """Per-PC handlers that execute an instruction and append its warm
+    events in one call.
+
+    ``handler(state)`` executes its PC's instruction on *state*, appends
+    the events :func:`warm_advance` would apply for it to *events*, a
+    ``(kinds, a, b)`` triple of lists, and returns the next instruction's
+    handler.  Each PC has two, because its I-cache block event depends
+    on how it was reached: ``seq[pc]`` follows a fall-through and fetches
+    only at a block's first PC, ``jump[pc]`` follows a taken transfer
+    (which resets the block register) or a scan's start and always
+    fetches.  Index ``n`` of both tables is where no instruction
+    executes: its handler raises :class:`_Halted`.
+
+    A handler holds its tables, so the handlers form reference cycles
+    with them; use the object in a ``with`` block, whose exit clears the
+    tables so the handlers and the lists they append to are freed at
+    once rather than at the next full garbage collection.
+    """
+
+    def __init__(self, pipeline, events, block_shift):
+        make, make_fetching = _warm_makers()
+        code = pipeline.program.code
+        n = len(code)
+        block_mask = (1 << block_shift) - 1
+        seq = [None] * n + [_stop()]
+        jump = [None] * n + [_stop()]
+        static_kinds = _static_event_kinds(pipeline)
+        appends = [events_list.append for events_list in events]
+        for pc, inst in enumerate(code):
+            kind = static_kinds[pc]
+            if kind == _E_BR or kind == _E_ORACLE:
+                taken_kind, fall_kind = kind + 1, kind
+            else:
+                taken_kind, fall_kind = kind, 0
+            target = inst.target
+            slot = target if target is not None and 0 <= target < n else n
+            args = (*appends, CODE_BASE + pc * 4, kind, taken_kind,
+                    fall_kind, seq, jump, slot, n)
+            jump[pc] = make_fetching(pc, inst, *args)
+            seq[pc] = (make if pc & block_mask else make_fetching)(
+                pc, inst, *args)
+        self.block_shift = block_shift
+        self.seq = seq
+        self.jump = jump
+        self._after_jump = set(jump)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.seq.clear()
+        self.jump.clear()
+        self._after_jump.clear()
+
+    def start(self, state, prev_block):
+        """The handler for *state*'s next instruction when the I-cache
+        block register holds *prev_block* (-1: reset)."""
+        table = self.jump if prev_block == -1 else self.seq
+        pc = state.pc
+        if state.halted or not 0 <= pc < len(table) - 1:
+            return table[-1]
+        return table[pc]
+
+    def prev_block(self, handler, state):
+        """The I-cache block register when *handler* runs next: reset
+        after a taken transfer, else the block of the instruction before
+        ``state.pc``."""
+        if handler in self._after_jump:
+            return -1
+        return (state.pc - 1) >> self.block_shift
+
+
 class _TraceRecorder:
     """Recording state of one pre-scan: event lists and stride boundaries.
 
-    :func:`record_portable_trace` appends the warm events itself (its
-    loop binds these lists to locals) and calls
-    :meth:`_capture_boundary` every ``stride`` instructions;
-    :meth:`finish` seals the result into a :class:`PortableWarmTrace`.
+    The scan appends the warm events to ``kinds``/``a``/``b`` and calls
+    :meth:`capture` every ``stride`` instructions; :meth:`finish` seals
+    the result into a :class:`PortableWarmTrace`.
     """
 
     def __init__(self, pipeline, state, stride=DEFAULT_TRACE_STRIDE):
@@ -325,7 +465,6 @@ class _TraceRecorder:
             raise ValueError("trace stride must be positive")
         self.state = state
         self.stride = stride
-        self.static_kinds = _static_event_kinds(pipeline)
         line_bytes = pipeline._l1i_line_bytes
         # CODE_BASE is line-aligned, so the block index is a pure shift.
         self.block_shift = (line_bytes // 4).bit_length() - 1
@@ -334,14 +473,13 @@ class _TraceRecorder:
         self.kinds = []
         self.a = []
         self.b = []
-        self.count = 0
-        self.prev_block = -1
-        self.halted = False
         self.boundaries = []
         state.memory.dirty.clear()  # the program image is not a delta
-        self._capture_boundary()
+        self.capture(0, -1)
 
-    def _capture_boundary(self):
+    def capture(self, count, prev_block):
+        """Record the boundary after *count* instructions, with the
+        recorder's I-cache block register at *prev_block*."""
         state = self.state
         memory = state.memory
         words = memory._words
@@ -350,25 +488,25 @@ class _TraceRecorder:
         bq, vq, tq = state.bq, state.vq, state.tq
         bits = self.tq_bits
         self.boundaries.append(_Boundary(
-            self.count, len(self.kinds), self.prev_block, state.pc,
+            count, len(self.kinds), prev_block, state.pc,
             state.tcr, state.halted, tuple(state.regs),
             (tuple(bq._entries), bq.total_pushes, bq.total_pops, bq._mark),
             (tuple(vq._entries), vq.total_pushes, vq.total_pops),
             (
-                tuple((ov << bits) | count for count, ov in tq._entries),
+                tuple((ov << bits) | trips for trips, ov in tq._entries),
                 tq.total_pushes, tq.total_pops,
             ),
             delta,
         ))
 
-    def finish(self, machine_halted):
-        """Seal the recording; returns the :class:`PortableWarmTrace`."""
-        self.halted = bool(machine_halted)
-        if self.boundaries[-1].position != self.count:
-            self._capture_boundary()
+    def finish(self, count, prev_block, machine_halted):
+        """Seal a recording of *count* instructions; returns the
+        :class:`PortableWarmTrace`."""
+        if self.boundaries[-1].position != count:
+            self.capture(count, prev_block)
         return PortableWarmTrace(
             self.fingerprint, self.stride, self.block_shift, self.tq_bits,
-            self.kinds, self.a, self.b, self.count, self.halted,
+            self.kinds, self.a, self.b, count, bool(machine_halted),
             self.boundaries,
         )
 
@@ -390,78 +528,35 @@ def _recording_state(pipeline):
 def record_portable_trace(pipeline, limit, stride=DEFAULT_TRACE_STRIDE):
     """One functional pre-scan of up to *limit* instructions.
 
-    Runs a throwaway :class:`FunctionalExecutor` (the pipeline is
+    Executes the program on a throwaway state (the pipeline is
     untouched) and returns a :class:`PortableWarmTrace`: the complete
     warm-event stream plus stride-boundary scaffolding from which event
     offsets and architectural snapshots are derivable at any position.
+    Each instruction is one :class:`_WarmHandlers` call, which executes
+    it and appends its events.
     """
     state = _recording_state(pipeline)
     recorder = _TraceRecorder(pipeline, state, stride)
-    executor = FunctionalExecutor(pipeline.program, state)
-    step = executor.step
-    # Everything the loop touches is bound to locals: the pre-scan is
-    # the hottest loop in sampled mode, and a per-instruction method
-    # call costs ~40% here.
-    static_kinds = recorder.static_kinds
-    block_shift = recorder.block_shift
-    kinds = recorder.kinds
-    a_list = recorder.a
-    b_list = recorder.b
-    k_append = kinds.append
-    a_append = a_list.append
-    b_append = b_list.append
-    prev_block = -1
-    i = 0
-    next_boundary = stride
-    machine_halted = False
-    while i < limit:
-        record = step()
-        if record is None:
+    events = (recorder.kinds, recorder.a, recorder.b)
+    with _WarmHandlers(pipeline, events, recorder.block_shift) as handlers:
+        handler = handlers.start(state, -1)
+        count = 0
+        machine_halted = False
+        try:
+            while count < limit:
+                end = min(limit, count - count % stride + stride)
+                for _position in range(count, end):
+                    handler = handler(state)
+                count = end
+                if count % stride == 0:
+                    recorder.capture(
+                        count, handlers.prev_block(handler, state))
+        except _Halted:
+            # _position is the instruction that could not execute.
+            count = _position
             machine_halted = True
-            break
-        i += 1
-        pc = record.pc
-        block = pc >> block_shift
-        if block != prev_block:
-            k_append(_E_ICACHE)
-            a_append(CODE_BASE + pc * 4)
-            b_append(0)
-            prev_block = block
-        kind = static_kinds[pc]
-        if kind:
-            if kind == _E_LOAD or kind == _E_STORE:
-                k_append(kind)
-                a_append(pc)
-                b_append(record.mem_addr)
-            elif kind == _E_BR or kind == _E_ORACLE:
-                if record.taken:
-                    k_append(kind + 1)
-                    a_append(pc)
-                    b_append(record.target)
-                    prev_block = -1
-                else:
-                    k_append(kind)
-                    a_append(pc)
-                    b_append(0)
-            elif kind == _E_CFD_T:
-                if record.taken:
-                    k_append(kind)
-                    a_append(pc)
-                    b_append(record.target)
-                    prev_block = -1
-            else:  # jumps: always taken
-                k_append(kind)
-                a_append(pc)
-                b_append(record.target)
-                prev_block = -1
-        if i == next_boundary:
-            next_boundary += stride
-            recorder.count = i
-            recorder.prev_block = prev_block
-            recorder._capture_boundary()
-    recorder.count = i
-    recorder.prev_block = prev_block
-    return recorder.finish(machine_halted)
+        return recorder.finish(
+            count, handlers.prev_block(handler, state), machine_halted)
 
 
 class PortableWarmTrace:
@@ -538,41 +633,19 @@ class PortableWarmTrace:
         state.halted = boundary.halted
         return state
 
-    def _advance_counting(self, executor, static_kinds, prev_block, count,
-                          offset):
-        """Functionally re-execute *count* instructions, advancing the
-        event offset exactly as the recorder did."""
-        step = executor.step
-        shift = self.block_shift
-        for _ in range(count):
-            record = step()
-            if record is None:
-                raise TraceFormatError(
-                    "functional re-execution halted before a recorded "
-                    "boundary — trace scaffolding is inconsistent"
-                )
-            pc = record.pc
-            block = pc >> shift
-            if block != prev_block:
-                offset += 1
-                prev_block = block
-            kind = static_kinds[pc]
-            if not kind:
-                continue
-            if kind == _E_BR or kind == _E_ORACLE:
-                offset += 1
-                if record.taken:
-                    prev_block = -1
-            elif kind == _E_LOAD or kind == _E_STORE:
-                offset += 1
-            elif kind == _E_CFD_T:
-                if record.taken:
-                    offset += 1
-                    prev_block = -1
-            else:
-                offset += 1
-                prev_block = -1
-        return offset, prev_block
+    @staticmethod
+    def _advance(handler, state, count):
+        """Re-execute *count* instructions from *handler* on; returns the
+        next instruction's handler."""
+        try:
+            for _ in range(count):
+                handler = handler(state)
+        except _Halted:
+            raise TraceFormatError(
+                "functional re-execution halted before a recorded "
+                "boundary — trace scaffolding is inconsistent"
+            ) from None
+        return handler
 
     def materialize(self, pipeline, limit, positions=(),
                     snapshot_positions=()):
@@ -605,7 +678,6 @@ class PortableWarmTrace:
         if marks:
             program = pipeline.program
             config = pipeline.config
-            static_kinds = _static_event_kinds(pipeline)
             boundaries = self.boundaries
             boundary_positions = [b.position for b in boundaries]
             # The data image was validated when the pipeline loaded it;
@@ -626,39 +698,41 @@ class PortableWarmTrace:
                     pass
             base_words = dict(pristine)
             applied = 0  # boundaries whose memory delta is folded in
-            executor = None
+            handler = None
             state = None
             pos = -1
-            prev_block = -1
             offset = 0
-            for mark in marks:
-                floor = bisect_right(boundary_positions, mark) - 1
-                if executor is None or boundaries[floor].position > pos:
-                    # Jump: fold deltas up to the floor boundary and
-                    # restart the functional machine there.  The working
-                    # dict is handed to the executor WITHOUT a copy:
-                    # mid-stride writes it makes are overwritten by the
-                    # next fold anyway, because each boundary delta
-                    # stores the absolute final value of every address
-                    # written in its stride.
-                    while applied <= floor:
-                        base_words.update(boundaries[applied].mem_delta)
-                        applied += 1
-                    boundary = boundaries[floor]
-                    state = self._restart_state(boundary, base_words, config)
-                    executor = FunctionalExecutor(program, state)
-                    pos = boundary.position
-                    prev_block = boundary.prev_block
-                    offset = boundary.offset
-                if mark > pos:
-                    offset, prev_block = self._advance_counting(
-                        executor, static_kinds, prev_block, mark - pos,
-                        offset,
-                    )
-                    pos = mark
-                offsets[mark] = offset
-                if mark in snap_set:
-                    snapshots[mark] = state.snapshot()
+            # The re-execution counts events by appending them here.
+            scratch = ([], [], [])
+            with _WarmHandlers(pipeline, scratch,
+                               self.block_shift) as handlers:
+                for mark in marks:
+                    floor = bisect_right(boundary_positions, mark) - 1
+                    if handler is None or boundaries[floor].position > pos:
+                        # Jump: fold deltas up to the floor boundary and
+                        # restart the functional machine there.  The working
+                        # dict is handed to the machine WITHOUT a copy:
+                        # mid-stride writes it makes are overwritten by the
+                        # next fold anyway, because each boundary delta
+                        # stores the absolute final value of every address
+                        # written in its stride.
+                        while applied <= floor:
+                            base_words.update(boundaries[applied].mem_delta)
+                            applied += 1
+                        boundary = boundaries[floor]
+                        state = self._restart_state(boundary, base_words, config)
+                        handler = handlers.start(state, boundary.prev_block)
+                        pos = boundary.position
+                        offset = boundary.offset
+                    if mark > pos:
+                        handler = self._advance(handler, state, mark - pos)
+                        offset += len(scratch[0])
+                        for events in scratch:
+                            events.clear()
+                        pos = mark
+                    offsets[mark] = offset
+                    if mark in snap_set:
+                        snapshots[mark] = state.snapshot()
         return WarmTrace(
             self.kinds, self.a, self.b, offsets, snapshots, total, halted
         )
@@ -822,30 +896,6 @@ def _unpack_boundary(view, at):
         position, offset, prev_block, pc, tcr, bool(halted),
         tuple(regs), bq, vq, tq, delta,
     ), at
-
-
-def record_warm_trace(pipeline, limit, positions=(), snapshot_positions=()):
-    """Functionally pre-execute up to *limit* instructions, recording the
-    warm-mode event stream.
-
-    The recorder runs a throwaway :class:`FunctionalExecutor` (the
-    pipeline is untouched) and emits exactly the side-effect schedule
-    :func:`warm_advance` would apply — I-cache block accesses (with the
-    taken-transfer reset), data accesses, predictor-trained and
-    oracle-covered branches, RAS pushes/pops, BTB installs.  *positions*
-    mark instruction indices whose event offsets the caller needs;
-    *snapshot_positions* (a subset semantically, merged automatically)
-    additionally capture a deep architectural-state copy, which a
-    sampled run adopts to teleport its checker across a warm gap.
-    Positions past the halt point are silently absent from the result.
-
-    Implemented as :func:`record_portable_trace` +
-    :meth:`PortableWarmTrace.materialize` — there is exactly one event
-    scanner in the codebase, so the direct path and the trace-store path
-    produce identical results by construction.
-    """
-    trace = record_portable_trace(pipeline, limit)
-    return trace.materialize(pipeline, limit, positions, snapshot_positions)
 
 
 def replay_warm_events(pipeline, trace, start, end):

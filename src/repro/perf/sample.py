@@ -5,11 +5,12 @@ at ~tens of KIPS.  :class:`SampledSimulator` covers the same dynamic
 instruction stream but spends detailed simulation only on periodic
 *measurement intervals*; between them the machine advances in warm mode
 — predictors, BTB, RAS and caches stay trained while no pipeline timing
-is simulated.  Warm gaps are driven by a recorded trace
-(:func:`repro.core.warm.record_warm_trace`): one functional pre-scan
-records the committed-path training events and snapshots architectural
-state at each scheduled interval start, so a gap costs an event replay
-(no instruction re-execution) plus a checker teleport.  Each period of
+is simulated.  Warm gaps are driven by a recorded trace: one functional
+pre-scan (:func:`repro.core.warm.record_portable_trace`) records the
+committed-path training events, and
+:meth:`~repro.core.warm.PortableWarmTrace.materialize` derives an
+architectural snapshot at each scheduled interval start, so a gap costs
+an event replay (no instruction re-execution) plus a checker teleport.  Each period of
 :class:`SamplingPlan` looks like::
 
     |<--------------------- period --------------------->|

@@ -6,6 +6,7 @@ state is compared against an independent functional run.
 """
 
 from repro.core import sandy_bridge_config, simulate
+from repro.core.pipeline import Pipeline, Uop
 from repro.isa import assemble
 from tests.conftest import run_both
 
@@ -202,3 +203,15 @@ def test_fetch_runs_off_code_end(tiny_config):
     program = assemble(".text\nmain:\nnop\nnop\nnop")
     functional, result = run_both(program, tiny_config)
     assert result.stats.retired == 3
+
+
+def test_wrong_path_load_from_a_bad_address_reads_zero(tiny_config):
+    """A wrong-path load can compute any address; reading the committed
+    image there yields 0 rather than an error."""
+    program = assemble(".text\nmain:\nlb r1, 0(r2)\nlw r3, 0(r2)\nhalt")
+    pipeline = Pipeline(program, tiny_config)
+    for pc, addr in ((0, -4), (1, -4)):
+        uop = Uop(0, pc, program.code[pc], 0)
+        uop.is_byte = pc == 0
+        uop.addr = addr
+        assert pipeline._read_committed(uop) == 0

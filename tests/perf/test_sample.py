@@ -14,11 +14,12 @@ import pytest
 from repro.core import sandy_bridge_config
 from repro.core.pipeline import Pipeline
 from repro.core.simulator import Simulator
-from repro.core.warm import record_warm_trace, replay_warm_events, warm_advance
+from repro.core.warm import replay_warm_events, warm_advance
 from repro.errors import ConfigError
 from repro.perf.sample import SampledSimulator, SamplingPlan
 from repro.rel import InvariantChecker
 from repro.workloads import get_workload
+from tests.perf.warm_reference import record_warm_trace
 
 #: Small plan geometry so tests sample real workloads in well under a
 #: second while still exercising head/tail strata and several windows.
