@@ -60,6 +60,7 @@ from repro.core import (
     simulate,
 )
 from repro.perf import ResultCache, SweepPoint
+from repro.perf.cache import config_fingerprint
 from repro.rel import SupervisionPolicy, run_supervised_sweep
 from repro.workloads import get_workload
 
@@ -118,9 +119,10 @@ TQ_APPS = [
 
 _BUILD_CACHE = {}
 
-#: In-process result LRU (bounded; the old unbounded ``_RUN_CACHE``).
-#: Backed by the persistent on-disk cache below, so an eviction costs a
-#: JSON read, not a re-simulation.
+#: In-process result LRU (bounded; the old unbounded ``_RUN_CACHE``),
+#: keyed on the full :func:`~repro.perf.cache.config_fingerprint` as the
+#: persistent cache is.  Backed by that on-disk cache, so an eviction
+#: costs a JSON read, not a re-simulation.
 _RUN_CACHE = OrderedDict()
 _RUN_CACHE_MAX = 128
 
@@ -151,26 +153,6 @@ def _remember(key, result):
     return result
 
 
-def _config_key(config):
-    mem = config.memory
-    return (
-        config.name,
-        config.rob_size,
-        config.iq_size,
-        config.front_end_depth,
-        config.predictor,
-        tuple(sorted(config.perfect_pcs)),
-        config.num_checkpoints,
-        config.confidence_guided_checkpoints,
-        config.bq_miss_policy,
-        config.bq_size,
-        mem.l1d.size_bytes,
-        mem.l2.size_bytes,
-        mem.l3.size_bytes,
-        mem.dram_latency,
-    )
-
-
 def run(workload_name, variant, input_name=None, config=None, scale=None,
         max_instructions=None):
     """Cached simulation of one workload binary on one core config.
@@ -184,7 +166,7 @@ def run(workload_name, variant, input_name=None, config=None, scale=None,
     key = (
         built.name,
         SCALE if scale is None else scale,
-        _config_key(config),
+        config_fingerprint(config),
         max_instructions,
     )
     result = _RUN_CACHE.get(key)
@@ -258,7 +240,7 @@ def prefetch(apps, variants=("base",), config=None, scale=None,
             continue
         point = outcome.point
         built = build(point.workload, point.variant, point.input_name, scale)
-        key = (built.name, scale, _config_key(config), max_instructions)
+        key = (built.name, scale, config_fingerprint(config), max_instructions)
         _remember(key, outcome.result)
     return outcomes
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Watching the pipeline work: a cycle-by-cycle trace of CFD in action.
 
-Runs a small decoupled loop under the tracer and prints the timeline
-around the generator->consumer transition: you can see the BQ fill during
-the predicate loop and drain — with zero recoveries — during the consumer
-loop, then compare against the same program with push and pop adjacent
-(BQ misses, speculation, late-push repairs).
+Runs a small decoupled loop under the per-cycle recorder and prints the
+timeline around the generator->consumer transition: you can see the BQ
+fill during the predicate loop and drain — with zero recoveries — during
+the consumer loop, then compare against the same program with push and
+pop adjacent (BQ misses, speculation, late-push repairs).
 
 Run:  python examples/pipeline_trace.py
 """
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro import assemble, sandy_bridge_config
 from repro.core.pipeline import Pipeline
-from repro.core.trace import PipelineTracer
+from repro.obs.events import CycleRecorder
 from repro.workloads.builders import install_array
 
 DECOUPLED = """
@@ -67,18 +67,23 @@ next:
 def trace(name, source):
     program = assemble(source, name=name)
     install_array(program, "vals", np.random.default_rng(2).integers(0, 2, 64))
-    tracer = PipelineTracer(Pipeline(program, sandy_bridge_config()))
-    tracer.run()
+    pipeline = Pipeline(program, sandy_bridge_config(max_cycles=10_000))
+    recorder = CycleRecorder()
+    pipeline.attach_observer(recorder)
+    pipeline.run()
+    if pipeline.sim_done:
+        # End the cycle the run stopped in, as `repro trace` does.
+        pipeline.obs.on_cycle_end(pipeline)
     print()
     print("### %s" % name)
     # skip the cold I-cache fill at the start of the trace
-    print(tracer.render(start=265, count=24))
-    util = tracer.utilization()
+    print(recorder.render(start=265, count=24))
+    util = recorder.utilization()
     print("cycles %d | avg fetch %.2f | avg BQ occupancy %.1f | "
           "recovery cycles %d" % (
               util["cycles"], util["avg_fetch"], util["avg_bq"],
               util["recovery_cycles"]))
-    return tracer
+    return pipeline
 
 
 def main():
@@ -91,8 +96,8 @@ def main():
     print("warm-up mispredicts of the loop bookkeeping.")
     print("Adjacent: every pop misses (m), speculates, and half the late")
     print("pushes trigger repairs (R) — the timeline shows the storm.")
-    assert good.pipeline.stats.bq_misses == 0
-    assert bad.pipeline.stats.bq_misses > 0
+    assert good.stats.bq_misses == 0
+    assert bad.stats.bq_misses > 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ from repro.analysis.report import (
     geometric_mean,
     harmonic_mean,
 )
-from repro.analysis.sweep import Sweep, SweepRow
 
 __all__ = [
     "amdahl_speedup",
@@ -18,6 +17,4 @@ __all__ = [
     "format_table",
     "geometric_mean",
     "harmonic_mean",
-    "Sweep",
-    "SweepRow",
 ]

@@ -9,36 +9,59 @@ diverge on arithmetic.
 from repro.arch.bits import signed_div, signed_rem, to_signed, to_unsigned
 from repro.isa.opcodes import Opcode
 
-_ALU_R = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.MUL: lambda a, b: to_signed(a) * to_signed(b),
-    Opcode.DIV: signed_div,
-    Opcode.REM: signed_rem,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.SLL: lambda a, b: a << (b & 31),
-    Opcode.SRL: lambda a, b: (a & 0xFFFFFFFF) >> (b & 31),
-    Opcode.SRA: lambda a, b: to_signed(a) >> (b & 31),
-    Opcode.SLT: lambda a, b: 1 if to_signed(a) < to_signed(b) else 0,
-    Opcode.SLTU: lambda a, b: 1 if to_unsigned(a) < to_unsigned(b) else 0,
-    Opcode.SEQ: lambda a, b: 1 if to_unsigned(a) == to_unsigned(b) else 0,
-    Opcode.SNE: lambda a, b: 1 if to_unsigned(a) != to_unsigned(b) else 0,
-    Opcode.SGE: lambda a, b: 1 if to_signed(a) >= to_signed(b) else 0,
-}
-
-_ALU_I = {
-    Opcode.ADDI: lambda a, imm: a + imm,
-    Opcode.ANDI: lambda a, imm: a & to_unsigned(imm),
-    Opcode.ORI: lambda a, imm: a | to_unsigned(imm),
-    Opcode.XORI: lambda a, imm: a ^ to_unsigned(imm),
-    Opcode.SLLI: lambda a, imm: a << (imm & 31),
-    Opcode.SRLI: lambda a, imm: (a & 0xFFFFFFFF) >> (imm & 31),
-    Opcode.SRAI: lambda a, imm: to_signed(a) >> (imm & 31),
-    Opcode.SLTI: lambda a, imm: 1 if to_signed(a) < imm else 0,
-    Opcode.SEQI: lambda a, imm: 1 if to_signed(a) == imm else 0,
-    Opcode.SNEI: lambda a, imm: 1 if to_signed(a) != imm else 0,
+#: ``opcode -> (a, b, imm) -> unsigned 32-bit result`` for every ALU
+#: opcode, R-form (``a op b``), I-form (``a op imm``) and LUI.  Operands
+#: may be any int: results are masked to 32 bits, and
+#: ``((x & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000`` reads the low 32
+#: bits of ``x`` as signed.  Two's-complement products and sums wrap the
+#: same signed or unsigned, and flipping bit 31 turns a signed
+#: comparison into an unsigned one.
+_ALU = {
+    Opcode.ADD: lambda a, b, imm: (a + b) & 0xFFFFFFFF,
+    Opcode.SUB: lambda a, b, imm: (a - b) & 0xFFFFFFFF,
+    Opcode.MUL: lambda a, b, imm: (a * b) & 0xFFFFFFFF,
+    Opcode.DIV: lambda a, b, imm: signed_div(a, b),
+    Opcode.REM: lambda a, b, imm: signed_rem(a, b),
+    Opcode.AND: lambda a, b, imm: a & b & 0xFFFFFFFF,
+    Opcode.OR: lambda a, b, imm: (a | b) & 0xFFFFFFFF,
+    Opcode.XOR: lambda a, b, imm: (a ^ b) & 0xFFFFFFFF,
+    Opcode.SLL: lambda a, b, imm: (a << (b & 31)) & 0xFFFFFFFF,
+    Opcode.SRL: lambda a, b, imm: (a & 0xFFFFFFFF) >> (b & 31),
+    Opcode.SRA: lambda a, b, imm: (
+        (((a & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000) >> (b & 31)
+    ) & 0xFFFFFFFF,
+    Opcode.SLT: lambda a, b, imm: (
+        1 if ((a & 0xFFFFFFFF) ^ 0x80000000) < ((b & 0xFFFFFFFF) ^ 0x80000000)
+        else 0
+    ),
+    Opcode.SLTU: lambda a, b, imm: (
+        1 if (a & 0xFFFFFFFF) < (b & 0xFFFFFFFF) else 0
+    ),
+    Opcode.SEQ: lambda a, b, imm: 1 if (a - b) & 0xFFFFFFFF == 0 else 0,
+    Opcode.SNE: lambda a, b, imm: 1 if (a - b) & 0xFFFFFFFF else 0,
+    Opcode.SGE: lambda a, b, imm: (
+        1 if ((a & 0xFFFFFFFF) ^ 0x80000000) >= ((b & 0xFFFFFFFF) ^ 0x80000000)
+        else 0
+    ),
+    Opcode.ADDI: lambda a, b, imm: (a + imm) & 0xFFFFFFFF,
+    Opcode.ANDI: lambda a, b, imm: a & imm & 0xFFFFFFFF,
+    Opcode.ORI: lambda a, b, imm: (a | imm) & 0xFFFFFFFF,
+    Opcode.XORI: lambda a, b, imm: (a ^ imm) & 0xFFFFFFFF,
+    Opcode.SLLI: lambda a, b, imm: (a << (imm & 31)) & 0xFFFFFFFF,
+    Opcode.SRLI: lambda a, b, imm: (a & 0xFFFFFFFF) >> (imm & 31),
+    Opcode.SRAI: lambda a, b, imm: (
+        (((a & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000) >> (imm & 31)
+    ) & 0xFFFFFFFF,
+    Opcode.SLTI: lambda a, b, imm: (
+        1 if ((a & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000 < imm else 0
+    ),
+    Opcode.SEQI: lambda a, b, imm: (
+        1 if ((a & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000 == imm else 0
+    ),
+    Opcode.SNEI: lambda a, b, imm: (
+        1 if ((a & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000 != imm else 0
+    ),
+    Opcode.LUI: lambda a, b, imm: (imm << 16) & 0xFFFFFFFF,
 }
 
 _BRANCH = {
@@ -52,40 +75,26 @@ _BRANCH = {
 
 
 #: Every opcode ``alu_compute`` accepts (R-form, I-form, and LUI).
-ALU_OPCODES = frozenset(_ALU_R) | frozenset(_ALU_I) | {Opcode.LUI}
+ALU_OPCODES = frozenset(_ALU)
 
 
 def alu_compute(opcode, a, b=0, imm=0):
     """Compute the 32-bit result of any ALU opcode (R- or I-form)."""
-    fn = _ALU_R.get(opcode)
-    if fn is not None:
-        return to_unsigned(fn(a, b))
-    fn = _ALU_I.get(opcode)
-    if fn is not None:
-        return to_unsigned(fn(a, imm))
-    if opcode == Opcode.LUI:
-        return to_unsigned(imm << 16)
-    raise ValueError("not an ALU opcode: %s" % opcode)
+    fn = _ALU.get(opcode)
+    if fn is None:
+        raise ValueError("not an ALU opcode: %s" % opcode)
+    return fn(a, b, imm)
 
 
 def alu_fn(opcode):
-    """Resolved ``(a, b, imm) -> unsigned-32`` callable, or ``None``.
+    """The opcode's ``(a, b, imm) -> unsigned-32`` callable, or ``None``.
 
-    Binds the opcode's semantic function once so hot loops can predecode
-    the dispatch (the two dict probes in :func:`alu_compute`) per PC
-    instead of per dynamic instance.  Returns ``None`` for non-ALU
-    opcodes, conditional moves included (they merge with the old ``rd``
-    and are handled by their callers).
+    Hot loops predecode it per PC instead of dispatching per dynamic
+    instance.  Returns ``None`` for non-ALU opcodes, conditional moves
+    included (they merge with the old ``rd`` and are handled by their
+    callers).
     """
-    fn = _ALU_R.get(opcode)
-    if fn is not None:
-        return lambda a, b, imm, _fn=fn: to_unsigned(_fn(a, b))
-    fn = _ALU_I.get(opcode)
-    if fn is not None:
-        return lambda a, b, imm, _fn=fn: to_unsigned(_fn(a, imm))
-    if opcode == Opcode.LUI:
-        return lambda a, b, imm: to_unsigned(imm << 16)
-    return None
+    return _ALU.get(opcode)
 
 
 def branch_fn(opcode):

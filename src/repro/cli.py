@@ -73,9 +73,8 @@ import time
 from repro.analysis import compare_runs, format_table
 from repro.core import memory_bound_config, sandy_bridge_config, simulate
 from repro.core.pipeline import Pipeline
-from repro.core.trace import PipelineTracer
 from repro.errors import ReproError, SimulatorInvariantError
-from repro.obs.events import EventTracer, OccupancySampler
+from repro.obs.events import CycleRecorder, EventTracer
 from repro.obs.export import jsonable, write_chrome_trace, write_jsonl
 from repro.perf import ResultCache, SweepPoint
 from repro.profiling import profile_program, run_classification_study
@@ -380,17 +379,19 @@ def cmd_classify(args, out):
 def cmd_trace(args, out):
     built = _build(args)
     config = _make_config(args)
+    config.max_cycles = args.cycles
     if args.max_instructions is not None:
         config._oracle_horizon = args.max_instructions + 50_000
     pipeline = Pipeline(built.program, config)
-    if args.max_instructions is not None:
-        pipeline.retire_limit = args.max_instructions
-    tracer = PipelineTracer(pipeline)
     events = EventTracer(capacity=args.events)
-    occupancy = OccupancySampler()
+    recorder = CycleRecorder()
     pipeline.attach_observer(events)
-    pipeline.attach_observer(occupancy)
-    tracer.run(max_cycles=args.cycles)
+    pipeline.attach_observer(recorder)
+    pipeline.run(max_instructions=args.max_instructions)
+    if pipeline.sim_done:
+        # The run stopped after its last cycle's retire stage: end that
+        # cycle for the observers, leaving the cycle count as it is.
+        pipeline.obs.on_cycle_end(pipeline)
 
     slug = re.sub(r"[^A-Za-z0-9_.-]+", "_", built.name).strip("_")
     path = args.output or "trace_%s.%s" % (
@@ -399,16 +400,16 @@ def cmd_trace(args, out):
     if args.format == "jsonl":
         write_jsonl(path, events.iter_events())
     else:
-        write_chrome_trace(path, tracer=events, occupancy=occupancy,
+        write_chrome_trace(path, tracer=events, occupancy=recorder,
                            name=built.name)
     if args.render:
-        out.write(tracer.render(start=args.render_start,
-                                count=args.render_count) + "\n")
+        out.write(recorder.render(start=args.render_start,
+                                  count=args.render_count) + "\n")
     out.write(
         "traced %d cycles of %s: %d events (%d dropped), "
         "%d lifecycles -> %s\n"
         % (
-            len(tracer.records),
+            len(recorder.records) + recorder.records.dropped,
             built.name,
             sum(events.counts.values()),
             events.events.dropped,

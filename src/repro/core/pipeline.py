@@ -37,7 +37,7 @@ from repro.isa.instructions import LINK_REG, NUM_GPRS, ZERO_REG
 from repro.isa.opcodes import OpClass, Opcode
 from repro.memsys.hierarchy import MemLevel, MemoryHierarchy
 from repro.memsys.mshr import MSHRFile
-from repro.obs.events import MultiObserver
+from repro.obs.events import MultiObserver, format_event
 from repro.obs.metrics import flatten, histogram
 
 #: Instruction-space base address (keeps code blocks apart from data in L2/L3).
@@ -1883,11 +1883,7 @@ class Pipeline:
                 continue
             lines.append("  last %d events (%s):"
                          % (len(recent), type(observer).__name__))
-            lines.extend(
-                "    cycle %d %-8s seq=%d pc=%d %s"
-                % (e.cycle, e.kind, e.seq, e.pc, e.op)
-                for e in recent
-            )
+            lines.extend("    " + format_event(e) for e in recent)
         return "\n".join(lines)
 
     def _reset_stats_after_warmup(self):

@@ -501,9 +501,16 @@ class _TraceRecorder:
 
     def finish(self, count, prev_block, machine_halted):
         """Seal a recording of *count* instructions; returns the
-        :class:`PortableWarmTrace`."""
-        if self.boundaries[-1].position != count:
+        :class:`PortableWarmTrace`.
+
+        The last boundary reads the machine's final ``halted``: a scan
+        that runs off the code on the fetch after a stride boundary
+        captured that boundary before the failed fetch halted it."""
+        last = self.boundaries[-1]
+        if last.position != count:
             self.capture(count, prev_block)
+        elif last.halted != self.state.halted:
+            self.boundaries[-1] = last._replace(halted=self.state.halted)
         return PortableWarmTrace(
             self.fingerprint, self.stride, self.block_shift, self.tq_bits,
             self.kinds, self.a, self.b, count, bool(machine_halted),

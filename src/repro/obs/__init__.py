@@ -17,8 +17,9 @@ and never back.  Three pieces:
     pipeline guards every call site with ``if self.obs is not None``, so a
     simulation with tracing disabled pays one attribute test per boundary),
     a bounded :class:`RingBuffer`, the :class:`EventTracer` that records
-    structured per-instruction events and lifecycles, and the per-cycle
-    :class:`OccupancySampler`.
+    structured per-instruction events and lifecycles, and the
+    :class:`CycleRecorder` that records one row per cycle (the text
+    timeline and the occupancy counter tracks).
 
 ``repro.obs.export``
     JSONL event dumps, Chrome trace-event / Perfetto JSON, and the
@@ -32,10 +33,11 @@ artifact schemas and a Perfetto how-to.
 
 from repro.obs.events import (
     EVENT_KINDS,
+    CycleRecord,
+    CycleRecorder,
     EventTracer,
     InstLifecycle,
     MultiObserver,
-    OccupancySampler,
     PipelineObserver,
     RingBuffer,
     TraceEvent,
@@ -70,10 +72,11 @@ from repro.obs.telemetry import (
 
 __all__ = [
     "EVENT_KINDS",
+    "CycleRecord",
+    "CycleRecorder",
     "EventTracer",
     "InstLifecycle",
     "MultiObserver",
-    "OccupancySampler",
     "PipelineObserver",
     "RingBuffer",
     "TraceEvent",

@@ -22,12 +22,16 @@ Hook points (see ``docs/OBSERVABILITY.md``):
 
 :class:`EventTracer` records these as :class:`TraceEvent` tuples in a
 bounded :class:`RingBuffer` and assembles per-instruction
-:class:`InstLifecycle` records; :class:`OccupancySampler` captures
-per-cycle structure occupancies for counter tracks.  Both are plain
-observers — attach them with ``pipeline.attach_observer(...)``.
+:class:`InstLifecycle` records; :class:`CycleRecorder` records one row
+per cycle (front-end state, event counts and structure occupancies) for
+the text timeline and the counter tracks.  Both are plain observers —
+attach them with ``pipeline.attach_observer(...)``.
 """
 
 from collections import namedtuple
+from itertools import islice
+
+from repro.isa.opcodes import OpClass
 
 #: Event kinds produced by :class:`EventTracer`, in pipeline order.
 EVENT_KINDS = (
@@ -226,6 +230,17 @@ def _mnemonic(uop):
     return name.lower() if name else str(opcode)
 
 
+def trace_event(kind, uop, cycle, info=None):
+    """The :class:`TraceEvent` of one hook call on *uop*."""
+    return TraceEvent(cycle, kind, uop.seq, uop.pc, _mnemonic(uop), info)
+
+
+def format_event(event):
+    """One :class:`TraceEvent` as a diagnostic line (no indent)."""
+    return "cycle %d %-8s seq=%d pc=%d %s" % (
+        event.cycle, event.kind, event.seq, event.pc, event.op)
+
+
 class EventTracer(PipelineObserver):
     """Records structured events and instruction lifecycles.
 
@@ -247,9 +262,7 @@ class EventTracer(PipelineObserver):
 
     def _event(self, kind, uop, cycle, info=None):
         self.counts[kind] += 1
-        self.events.append(
-            TraceEvent(cycle, kind, uop.seq, uop.pc, _mnemonic(uop), info)
-        )
+        self.events.append(trace_event(kind, uop, cycle, info))
 
     def on_fetch(self, uop, cycle):
         self._event("fetch", uop, cycle)
@@ -309,34 +322,151 @@ class EventTracer(PipelineObserver):
                 yield self._open[seq]
 
 
-#: Per-cycle occupancy snapshot for counter tracks.
-OccupancySample = namedtuple(
-    "OccupancySample", "cycle rob iq bq tq lq sq mshr"
-)
+class CycleRecord(namedtuple("CycleRecord", (
+    "cycle fetch_pc fetched renamed issued retired squashed recoveries "
+    "bq_misses spec_tcr fetch_stalled rob iq bq tq lq sq mshr"
+))):
+    """One cycle's row: its index (the ``cycle`` events carry), the
+    front end's state and the cycle's event counts, and the occupancy of
+    the windows, CFD queues and L1D MSHRs at its end."""
+
+    __slots__ = ()
+
+    def flags(self):
+        """One-character event markers for the timeline."""
+        marks = ""
+        if self.recoveries:
+            marks += "R"
+        if self.squashed:
+            marks += "x"
+        if self.bq_misses:
+            marks += "m"
+        if self.fetch_stalled:
+            marks += "s"
+        return marks
 
 
-class OccupancySampler(PipelineObserver):
-    """Samples window / queue / MSHR occupancy once per simulated cycle."""
+class CycleRecorder(PipelineObserver):
+    """Records one :class:`CycleRecord` per simulated cycle.
 
-    __slots__ = ("samples", "every")
+    The event counts come from the same hooks every observer sees, so the
+    timeline cannot drift from the simulation.  ``bq_misses`` counts
+    retiring speculative BQ pops (exactly the retirements that bump
+    ``SimStats.bq_misses``); ``recoveries`` counts every ``on_recovery``
+    hook, both the execute-time repair and the retirement recovery.
 
-    def __init__(self, capacity=65536, every=1):
-        self.samples = RingBuffer(capacity)
-        self.every = max(1, every)
+    Rows go to a bounded :class:`RingBuffer` of *capacity* rows, so past
+    that many cycles the oldest are overwritten (and counted in
+    ``records.dropped``); :meth:`render` and :meth:`utilization` cover
+    the rows it holds.
+
+    The run loop stops right after the retire stage of its last cycle
+    (the one that retires ``HALT`` or reaches the retire limit), before
+    the cycle-end hook.  To record that cycle too, end it for the
+    attached observers after the run with
+    ``pipeline.obs.on_cycle_end(pipeline)``, as ``repro trace`` does.
+    """
+
+    __slots__ = ("records", "fetched", "renamed", "issued", "retired",
+                 "squashed", "recoveries", "bq_misses")
+
+    def __init__(self, capacity=65536):
+        self.records = RingBuffer(capacity)
+        self._reset_counts()
+
+    def _reset_counts(self):
+        self.fetched = 0
+        self.renamed = 0
+        self.issued = 0
+        self.retired = 0
+        self.squashed = 0
+        self.recoveries = 0
+        self.bq_misses = 0
+
+    def on_fetch(self, uop, cycle):
+        self.fetched += 1
+
+    def on_rename(self, uop, cycle):
+        self.renamed += 1
+
+    def on_issue(self, uop, cycle):
+        self.issued += 1
+
+    def on_retire(self, uop, cycle):
+        self.retired += 1
+        if uop.bq_spec and uop.opclass == OpClass.BQ_BRANCH:
+            self.bq_misses += 1
+
+    def on_squash(self, uop, cycle):
+        self.squashed += 1
+
+    def on_recovery(self, uop, cycle, kind):
+        self.recoveries += 1
 
     def on_cycle_end(self, pipeline):
         cycle = pipeline.cycle
-        if cycle % self.every:
-            return
-        self.samples.append(
-            OccupancySample(
-                cycle=cycle,
-                rob=len(pipeline.rob),
-                iq=len(pipeline.iq),
-                bq=pipeline.hw_bq.length,
-                tq=pipeline.hw_tq.length,
-                lq=len(pipeline.load_queue),
-                sq=len(pipeline.store_queue),
-                mshr=pipeline.mshr.occupancy(cycle),
+        self.records.append(CycleRecord(
+            cycle=cycle,
+            fetch_pc=pipeline.fetch_pc,
+            fetched=self.fetched,
+            renamed=self.renamed,
+            issued=self.issued,
+            retired=self.retired,
+            squashed=self.squashed,
+            recoveries=self.recoveries,
+            bq_misses=self.bq_misses,
+            spec_tcr=pipeline.spec_tcr,
+            fetch_stalled=(
+                cycle + 1 < pipeline.next_fetch_cycle or pipeline.fetch_halted
+            ),
+            rob=len(pipeline.rob),
+            iq=len(pipeline.iq),
+            bq=pipeline.hw_bq.length,
+            tq=pipeline.hw_tq.length,
+            lq=len(pipeline.load_queue),
+            sq=len(pipeline.store_queue),
+            mshr=pipeline.mshr.occupancy(cycle),
+        ))
+        self._reset_counts()
+
+    def render(self, start=0, count=50):
+        """A fixed-width timeline of *count* rows from the *start*-th
+        row held.  The cycle column counts cycles elapsed at each row's
+        end, so the first cycle of a run shows as 1."""
+        header = "cycle  fetchPC  F R I C  ROB  IQ  BQ  TQ  TCR  events"
+        lines = [header, "-" * len(header)]
+        for record in islice(self.records, start, start + count):
+            lines.append(
+                "%5d  %7d  %d %d %d %d  %3d %3d %3d %3d %4d  %s"
+                % (
+                    record.cycle + 1,
+                    record.fetch_pc,
+                    record.fetched,
+                    record.renamed,
+                    record.issued,
+                    record.retired,
+                    record.rob,
+                    record.iq,
+                    record.bq,
+                    record.tq,
+                    record.spec_tcr,
+                    record.flags(),
+                )
             )
-        )
+        return "\n".join(lines)
+
+    def utilization(self):
+        """Per-cycle averages over the rows held (``{}`` when none)."""
+        records = self.records.to_list()
+        if not records:
+            return {}
+        n = len(records)
+        return {
+            "cycles": n,
+            "avg_fetch": sum(r.fetched for r in records) / n,
+            "avg_retire": sum(r.retired for r in records) / n,
+            "avg_rob": sum(r.rob for r in records) / n,
+            "avg_bq": sum(r.bq for r in records) / n,
+            "recovery_cycles": sum(1 for r in records if r.recoveries),
+            "stall_cycles": sum(1 for r in records if r.fetch_stalled),
+        }

@@ -108,8 +108,8 @@ def chrome_trace(tracer=None, occupancy=None, name="repro", lanes=_TRACE_LANES):
 
     *tracer* is an :class:`~repro.obs.events.EventTracer` (instruction
     lifecycles -> "X" duration events, recoveries -> "i" instant events);
-    *occupancy* an :class:`~repro.obs.events.OccupancySampler` (counter
-    tracks).  Either may be ``None``.
+    *occupancy* a :class:`~repro.obs.events.CycleRecorder` (its
+    occupancy columns become counter tracks).  Either may be ``None``.
     """
     events = [
         {"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
@@ -159,20 +159,20 @@ def chrome_trace(tracer=None, occupancy=None, name="repro", lanes=_TRACE_LANES):
                 "args": {"pc": event.pc, "seq": event.seq, "op": event.op},
             })
     if occupancy is not None:
-        dropped["occupancy"] = occupancy.samples.dropped
-        for sample in occupancy.samples:
+        dropped["occupancy"] = occupancy.records.dropped
+        for record in occupancy.records:
             events.append({
                 "name": "occupancy",
                 "ph": "C",
-                "ts": sample.cycle,
+                "ts": record.cycle,
                 "pid": 0,
                 "tid": 0,
                 "args": {
-                    "rob": sample.rob,
-                    "iq": sample.iq,
-                    "bq": sample.bq,
-                    "tq": sample.tq,
-                    "mshr": sample.mshr,
+                    "rob": record.rob,
+                    "iq": record.iq,
+                    "bq": record.bq,
+                    "tq": record.tq,
+                    "mshr": record.mshr,
                 },
             })
     return {

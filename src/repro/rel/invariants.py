@@ -40,7 +40,7 @@ from collections import deque
 from repro.arch.executor import FunctionalExecutor
 from repro.arch.state import ArchState
 from repro.errors import SimulatorInvariantError
-from repro.obs.events import PipelineObserver, TraceEvent
+from repro.obs.events import PipelineObserver, format_event, trace_event
 
 
 class InvariantChecker(PipelineObserver):
@@ -98,12 +98,7 @@ class InvariantChecker(PipelineObserver):
     # ------------------------------------------------------------- events
 
     def _event(self, kind, uop, cycle):
-        opcode = getattr(uop.inst, "opcode", None)
-        name = getattr(opcode, "name", None)
-        self.events.append(TraceEvent(
-            cycle, kind, uop.seq, uop.pc,
-            name.lower() if name else str(opcode), None,
-        ))
+        self.events.append(trace_event(kind, uop, cycle))
 
     def iter_events(self):
         """Last-N events, oldest first (consumed by the deadlock dump)."""
@@ -123,11 +118,7 @@ class InvariantChecker(PipelineObserver):
         lines = [message]
         if self.events:
             lines.append("recent events:")
-            lines.extend(
-                "  cycle %d %-8s seq=%d pc=%d %s"
-                % (e.cycle, e.kind, e.seq, e.pc, e.op)
-                for e in self.events
-            )
+            lines.extend("  " + format_event(e) for e in self.events)
         raise SimulatorInvariantError("\n".join(lines))
 
     # -------------------------------------------------------------- hooks

@@ -1,52 +1,24 @@
-"""Sweep grid runner."""
+"""The Fig 21a trend, re-derived from two configs."""
 
 import dataclasses
 
-from repro.analysis.sweep import Sweep
-from repro.core import sandy_bridge_config
-
-
-def test_grid_runs_and_shares_bases():
-    small = sandy_bridge_config(rob_size=64, iq_size=24, lq_size=16, sq_size=12)
-    deep = dataclasses.replace(small, front_end_depth=14, name="deep")
-    sweep = Sweep()
-    sweep.add_configs(("shallow", small), ("deep", deep))
-    sweep.add_cases(("jpeg_compr", "cfd", None), ("jpeg_compr", "cfd_plus", None))
-    rows = sweep.run(scale=0.125)
-    assert len(rows) == 4
-    # base runs shared: 2 configs x (base + cfd + cfd_plus) = 6 sims total
-    assert len(sweep._run_cache) == 6
-    for row in rows:
-        assert row.comparison.speedup > 0
-        assert row.base_mpki > 0
-
-
-def test_default_config_injected():
-    sweep = Sweep()
-    sweep.add_cases(("hammock", "if_conv", None))
-    rows = sweep.run(scale=0.125)
-    assert rows[0].config_name == "baseline"
-    assert rows[0].comparison.variant == "if_conv"
-
-
-def test_format_renders_table():
-    sweep = Sweep()
-    sweep.add_cases(("hammock", "if_conv", None))
-    rows = sweep.run(scale=0.125)
-    text = Sweep.format(rows)
-    assert "hammock" in text
-    assert "speedup" in text
+from repro.analysis import compare_runs
+from repro.core import sandy_bridge_config, simulate
+from repro.workloads import get_workload
 
 
 def test_deeper_pipe_bigger_cfd_win():
-    """Use the sweep to re-derive the Fig 21a trend in two lines."""
+    """A deeper front end makes CFD's win bigger (Fig 21a)."""
     small = sandy_bridge_config(rob_size=64, iq_size=24, lq_size=16, sq_size=12)
     deep = dataclasses.replace(small, front_end_depth=18, name="deep")
-    rows = (
-        Sweep()
-        .add_configs(("shallow", small), ("deep", deep))
-        .add_cases(("gromacs", "cfd", None))
-        .run(scale=0.25)
-    )
-    by_config = {row.config_name: row.comparison.speedup for row in rows}
-    assert by_config["deep"] > by_config["shallow"]
+    workload = get_workload("gromacs")
+    base = workload.build("base", None, scale=0.25, seed=1)
+    cfd = workload.build("cfd", None, scale=0.25, seed=1)
+    speedup = {
+        name: compare_runs(
+            "gromacs()", "cfd",
+            simulate(base.program, config), simulate(cfd.program, config),
+        ).speedup
+        for name, config in (("shallow", small), ("deep", deep))
+    }
+    assert speedup["deep"] > speedup["shallow"]

@@ -1,10 +1,12 @@
 """Shared value semantics (alu_compute / branch_taken)."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.arch.bits import to_signed, to_unsigned
-from repro.arch.semantics import alu_compute, branch_taken
+from repro.arch.semantics import ALU_OPCODES, alu_compute, alu_fn, branch_taken
 from repro.isa.opcodes import Opcode
 
 _U32 = st.integers(0, 0xFFFFFFFF)
@@ -68,3 +70,73 @@ def test_non_alu_opcode_rejected():
 def test_mul_matches_signed_product(a, b):
     expected = to_unsigned(to_signed(a) * to_signed(b))
     assert alu_compute(Opcode.MUL, a, b) == expected
+
+
+def _trunc_div(a, b):
+    """C-style division of the signed 32-bit readings; x / 0 -> 0."""
+    a, b = to_signed(a), to_signed(b)
+    return to_unsigned(int(Fraction(a, b))) if b else 0
+
+
+def _trunc_rem(a, b):
+    """C-style remainder of the signed 32-bit readings; x % 0 -> x."""
+    a, b = to_signed(a), to_signed(b)
+    return to_unsigned(a - b * int(Fraction(a, b))) if b else to_unsigned(a)
+
+
+#: Reference formulas for every ALU opcode, from the 32-bit helpers.
+_REFERENCE = {
+    Opcode.ADD: lambda a, b, imm: to_unsigned(a + b),
+    Opcode.SUB: lambda a, b, imm: to_unsigned(a - b),
+    Opcode.MUL: lambda a, b, imm: to_unsigned(to_signed(a) * to_signed(b)),
+    Opcode.DIV: lambda a, b, imm: _trunc_div(a, b),
+    Opcode.REM: lambda a, b, imm: _trunc_rem(a, b),
+    Opcode.AND: lambda a, b, imm: to_unsigned(a) & to_unsigned(b),
+    Opcode.OR: lambda a, b, imm: to_unsigned(a) | to_unsigned(b),
+    Opcode.XOR: lambda a, b, imm: to_unsigned(a) ^ to_unsigned(b),
+    Opcode.SLL: lambda a, b, imm: to_unsigned(to_unsigned(a) << b % 32),
+    Opcode.SRL: lambda a, b, imm: to_unsigned(a) >> b % 32,
+    Opcode.SRA: lambda a, b, imm: to_unsigned(to_signed(a) >> b % 32),
+    Opcode.SLT: lambda a, b, imm: int(to_signed(a) < to_signed(b)),
+    Opcode.SLTU: lambda a, b, imm: int(to_unsigned(a) < to_unsigned(b)),
+    Opcode.SEQ: lambda a, b, imm: int(to_unsigned(a) == to_unsigned(b)),
+    Opcode.SNE: lambda a, b, imm: int(to_unsigned(a) != to_unsigned(b)),
+    Opcode.SGE: lambda a, b, imm: int(to_signed(a) >= to_signed(b)),
+    Opcode.ADDI: lambda a, b, imm: to_unsigned(a + imm),
+    Opcode.ANDI: lambda a, b, imm: to_unsigned(a) & to_unsigned(imm),
+    Opcode.ORI: lambda a, b, imm: to_unsigned(a) | to_unsigned(imm),
+    Opcode.XORI: lambda a, b, imm: to_unsigned(a) ^ to_unsigned(imm),
+    Opcode.SLLI: lambda a, b, imm: to_unsigned(to_unsigned(a) << imm % 32),
+    Opcode.SRLI: lambda a, b, imm: to_unsigned(a) >> imm % 32,
+    Opcode.SRAI: lambda a, b, imm: to_unsigned(to_signed(a) >> imm % 32),
+    Opcode.SLTI: lambda a, b, imm: int(to_signed(a) < imm),
+    Opcode.SEQI: lambda a, b, imm: int(to_signed(a) == imm),
+    Opcode.SNEI: lambda a, b, imm: int(to_signed(a) != imm),
+    Opcode.LUI: lambda a, b, imm: to_unsigned(imm * 65536),
+}
+
+#: 32-bit register values, sign-extended immediates, and any wider int.
+_OPERAND = st.one_of(
+    _U32,
+    st.integers(-(1 << 15), (1 << 15) - 1),
+    st.sampled_from([0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, -1, 1 << 32]),
+    st.integers(),
+)
+
+
+def test_reference_covers_every_alu_opcode():
+    assert set(_REFERENCE) == ALU_OPCODES
+    for opcode in Opcode:
+        if opcode not in ALU_OPCODES:
+            assert alu_fn(opcode) is None
+    assert alu_fn(Opcode.CMOVZ) is None and alu_fn(Opcode.CMOVNZ) is None
+
+
+@pytest.mark.parametrize("opcode", sorted(ALU_OPCODES, key=lambda op: op.name),
+                         ids=lambda op: op.name)
+@given(a=_OPERAND, b=_OPERAND, imm=_OPERAND)
+def test_every_alu_opcode_matches_its_reference(opcode, a, b, imm):
+    expected = _REFERENCE[opcode](a, b, imm)
+    assert 0 <= expected <= 0xFFFFFFFF
+    assert alu_fn(opcode)(a, b, imm) == expected
+    assert alu_compute(opcode, a, b, imm) == expected

@@ -63,14 +63,20 @@ def test_predictor_state_is_per_simulation():
 
 
 def test_tracer_matches_run():
-    """Stepping through the tracer reproduces run()'s cycle count."""
+    """A run traced as ``repro trace`` does, its stopped cycle ended for
+    the recorder, reproduces an untraced run()'s counts exactly."""
     from repro.core.pipeline import Pipeline
-    from repro.core.trace import PipelineTracer
+    from repro.obs.events import CycleRecorder
 
     built = get_workload("hammock").build("base", scale=0.125)
     plain = Pipeline(built.program, sandy_bridge_config())
     plain_stats = plain.run()
-    tracer = PipelineTracer(Pipeline(built.program, sandy_bridge_config()))
-    tracer.run(max_cycles=10_000_000)
-    assert tracer.pipeline.stats.retired == plain_stats.retired
-    assert abs(tracer.pipeline.cycle - plain_stats.cycles) <= 1
+    traced = Pipeline(built.program, sandy_bridge_config())
+    recorder = CycleRecorder()
+    traced.attach_observer(recorder)
+    traced.run()
+    traced.obs.on_cycle_end(traced)
+    assert traced.stats.retired == plain_stats.retired
+    assert traced.stats.cycles == plain_stats.cycles
+    assert traced.cycle == plain.cycle
+    assert len(recorder.records) == plain_stats.cycles + 1

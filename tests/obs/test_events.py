@@ -5,9 +5,9 @@ import pytest
 from repro.core.pipeline import Pipeline
 from repro.obs.events import (
     EVENT_KINDS,
+    CycleRecorder,
     EventTracer,
     MultiObserver,
-    OccupancySampler,
     PipelineObserver,
     RingBuffer,
 )
@@ -79,7 +79,7 @@ def test_attach_detach_observer(count_program, tiny_config):
     tracer = EventTracer()
     pipeline.attach_observer(tracer)
     assert pipeline.obs is tracer
-    sampler = OccupancySampler()
+    sampler = CycleRecorder()
     pipeline.attach_observer(sampler)  # second attach -> fan-out
     assert isinstance(pipeline.obs, MultiObserver)
     pipeline.detach_observer(sampler)
@@ -94,7 +94,7 @@ def test_attach_detach_observer(count_program, tiny_config):
 def traced_run(count_program, tiny_config):
     pipeline = Pipeline(count_program, tiny_config)
     tracer = EventTracer()
-    sampler = OccupancySampler()
+    sampler = CycleRecorder()
     pipeline.attach_observer(tracer)
     pipeline.attach_observer(sampler)
     stats = pipeline.run()
@@ -150,9 +150,9 @@ def test_squashed_lifecycles_recorded(traced_run):
 
 def test_occupancy_sampler_tracks_cycles(traced_run):
     pipeline, _, sampler, stats = traced_run
-    samples = sampler.samples.to_list()
+    samples = sampler.records.to_list()
     assert samples
-    assert len(samples) + sampler.samples.dropped == stats.cycles
+    assert len(samples) + sampler.records.dropped == stats.cycles
     assert max(s.rob for s in samples) > 0
     assert max(s.bq for s in samples) > 0  # count program uses the BQ
     for sample in samples:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import sandy_bridge_config, simulate
 from repro.core.pipeline import Pipeline
-from repro.obs.events import EventTracer, OccupancySampler
+from repro.obs.events import CycleRecorder, EventTracer
 from repro.obs.export import (
     MANIFEST_VERSION,
     chrome_trace,
@@ -22,7 +22,7 @@ from repro.workloads import get_workload
 def traced(count_program, tiny_config):
     pipeline = Pipeline(count_program, tiny_config)
     tracer = EventTracer()
-    sampler = OccupancySampler()
+    sampler = CycleRecorder()
     pipeline.attach_observer(tracer)
     pipeline.attach_observer(sampler)
     pipeline.run()

@@ -295,3 +295,22 @@ def test_recording_and_materializing_never_step(monkeypatch):
     derived = trace.materialize(pipeline, 20_000, marks, marks)
     assert len(derived.snapshots) == len(marks)
     assert calls == []
+
+
+@pytest.mark.parametrize("stride", [4, 8])
+@pytest.mark.parametrize("length", [7, 8, 9])
+def test_snapshot_at_total_reads_the_traces_halted(length, stride):
+    """A program of *length* straight-line instructions runs off the end
+    of its code.  Whether or not *length* is a stride multiple, the last
+    boundary and the snapshot at ``total`` read the machine's final
+    ``halted``, as ``trace.halted`` does."""
+    source = ".text\nmain:\n" + "    addi r1, r1, 1\n" * length
+    pipeline = _pipeline(source)
+    trace = record_portable_trace(pipeline, 1000, stride)
+    assert (trace.total, trace.halted) == (length, True)
+    assert trace.boundaries[-1].halted
+    stored = PortableWarmTrace.from_bytes(trace.to_bytes())
+    derived = stored.materialize(pipeline, 1000, [length], [length])
+    assert derived.snapshots[length].halted is trace.halted
+    reference, _ = reference_record(pipeline, 1000, stride)
+    assert reference.to_bytes() == trace.to_bytes()
