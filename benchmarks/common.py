@@ -49,16 +49,10 @@ import json
 import os
 import re
 from collections import OrderedDict
-from dataclasses import asdict
 
 from repro.analysis import compare_runs, format_table
+from repro.core import sandy_bridge_config, simulate
 from repro.obs.export import ARTIFACT_VERSION, jsonable
-from repro.core import (
-    memory_bound_config,
-    sandy_bridge_config,
-    scale_window,
-    simulate,
-)
 from repro.perf import ResultCache, SweepPoint
 from repro.perf.cache import config_fingerprint
 from repro.rel import SupervisionPolicy, run_supervised_sweep

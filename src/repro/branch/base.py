@@ -73,7 +73,3 @@ class BranchPredictor:
         """Optional predictor-internal statistics (dict)."""
         return {}
 
-
-def saturate(value, delta, lo, hi):
-    """Add *delta* to *value*, clamped to [lo, hi]."""
-    return max(lo, min(hi, value + delta))

@@ -1,6 +1,6 @@
 """Bimodal predictor: per-PC 2-bit saturating counters."""
 
-from repro.branch.base import BranchPredictor, saturate
+from repro.branch.base import BranchPredictor
 
 
 class BimodalPredictor(BranchPredictor):
@@ -21,7 +21,8 @@ class BimodalPredictor(BranchPredictor):
 
     def update(self, pc, taken, meta=None):
         idx = self._index(pc)
-        self._table[idx] = saturate(self._table[idx], 1 if taken else -1, 0, 3)
+        v = self._table[idx]
+        self._table[idx] = v + (v < 3) if taken else v - (v > 0)
 
     def stats(self):
         return {"table_entries": len(self._table)}

@@ -7,8 +7,6 @@ allocation (confidence-guided checkpointing, Section VI): only
 low-confidence branches take one of the scarce checkpoints.
 """
 
-from repro.branch.base import saturate
-
 
 class JRSConfidenceEstimator:
     """Resetting-counter confidence estimator indexed by PC^history."""
@@ -48,6 +46,7 @@ class JRSConfidenceEstimator:
         """Train with whether the overall prediction was *correct*."""
         idx = self._index(pc)
         if correct:
-            self._table[idx] = saturate(self._table[idx], 1, 0, self._counter_max)
+            v = self._table[idx]
+            self._table[idx] = v + (v < self._counter_max)
         else:
             self._table[idx] = 0

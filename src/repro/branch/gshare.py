@@ -1,6 +1,6 @@
 """GShare predictor: global history XOR PC indexing 2-bit counters."""
 
-from repro.branch.base import BranchPredictor, HistorySnapshot, saturate
+from repro.branch.base import BranchPredictor, HistorySnapshot
 
 
 class GSharePredictor(BranchPredictor):
@@ -36,7 +36,8 @@ class GSharePredictor(BranchPredictor):
 
     def update(self, pc, taken, meta=None):
         idx = meta if meta is not None else self._index(pc, self._history)
-        self._table[idx] = saturate(self._table[idx], 1 if taken else -1, 0, 3)
+        v = self._table[idx]
+        self._table[idx] = v + (v < 3) if taken else v - (v > 0)
 
     def stats(self):
         return {"table_entries": len(self._table), "history_bits": self.history_bits}

@@ -7,8 +7,6 @@ simplification relative to the speculative iteration tracking of the CBP3
 code, and only costs accuracy in the shadow of in-flight iterations.
 """
 
-from repro.branch.base import saturate
-
 
 class _LoopEntry:
     __slots__ = ("tag", "past_iter", "current_iter", "confidence", "age")
@@ -32,18 +30,11 @@ class LoopPredictor:
         self._max_iter = max_iter
         self._table = [None] * (1 << table_bits)
 
-    def _lookup(self, pc):
-        idx = pc & self._mask
-        tag = (pc >> 2) & self._tag_mask
-        entry = self._table[idx]
-        if entry is not None and entry.tag == tag:
-            return idx, tag, entry
-        return idx, tag, None
-
     def predict(self, pc):
         """Return (valid, taken): valid only for confident regular loops."""
-        _, _, entry = self._lookup(pc)
-        if entry is None or entry.confidence < self.CONFIDENCE_THRESHOLD:
+        entry = self._table[pc & self._mask]
+        if (entry is None or entry.tag != (pc >> 2) & self._tag_mask
+                or entry.confidence < self.CONFIDENCE_THRESHOLD):
             return False, True
         # Loop-back branch: taken past_iter times, then one not-taken exit.
         # current_iter counts takens so far in the current run, so the
@@ -51,12 +42,13 @@ class LoopPredictor:
         return True, entry.current_iter < entry.past_iter
 
     def update(self, pc, taken):
-        idx, tag, entry = self._lookup(pc)
-        if entry is None:
-            slot = self._table[idx]
-            if slot is not None:
-                slot.age -= 1
-                if slot.age > 0:
+        idx = pc & self._mask
+        tag = (pc >> 2) & self._tag_mask
+        entry = self._table[idx]
+        if entry is None or entry.tag != tag:
+            if entry is not None:
+                entry.age -= 1
+                if entry.age > 0:
                     return
             entry = _LoopEntry(tag)
             entry.age = 8
@@ -69,7 +61,7 @@ class LoopPredictor:
                 entry.current_iter = 0
         else:
             if entry.current_iter == entry.past_iter:
-                entry.confidence = saturate(entry.confidence, 1, 0, 7)
+                entry.confidence += entry.confidence < 7
             else:
                 entry.confidence = 0
                 entry.past_iter = entry.current_iter

@@ -9,10 +9,31 @@ low-confidence TAGE predictions.
 
 Global history is an integer bit-vector updated speculatively at fetch and
 repaired from checkpoints on mispredictions (see
-:class:`~repro.branch.base.BranchPredictor`).
+:class:`~repro.branch.base.BranchPredictor`).  The tables are indexed by
+folded histories that are kept incrementally, as hardware does.
+
+Every fetched, retired and warm-trained branch runs through here, so the
+per-branch paths are written for the interpreter:
+
+* Equal folds are kept once.  A fold is fixed by its history length and
+  width, and a window no wider than its fold is the fold itself.  In the
+  default geometry the 20 logical folds are 11 registers: each table's
+  index fold is its second tag fold, the 4- and 8-bit windows fold to
+  themselves at every width, and the corrector's 8-bit fold is table 1's
+  index fold.
+* The speculative state is one tuple, the history bits and then the
+  distinct registers, so a snapshot is a reference and a restore one
+  assignment.
+* The shift rotates each register through a lookup table per fold width
+  and reads each history length's outgoing bit once.  It and the index
+  and tag computation are compiled once per geometry per process, on
+  first use, and shared by every predictor of that geometry.
+* Counters step inline, and the allocation orders are precomputed.
 """
 
-from repro.branch.base import BranchPredictor, HistorySnapshot, saturate
+from functools import lru_cache
+
+from repro.branch.base import BranchPredictor, HistorySnapshot
 from repro.branch.loop_pred import LoopPredictor
 
 _DEFAULT_HISTORY_LENGTHS = (4, 8, 16, 32, 64, 128)
@@ -27,23 +48,96 @@ class _TaggedEntry:
         self.useful = 0
 
 
-def _fold(history, in_bits, out_bits):
-    """XOR-fold the low *in_bits* of *history* down to *out_bits*.
+def _compile(src, name, namespace=None):
+    namespace = dict(namespace or {})
+    exec(src, namespace)
+    return namespace[name]
 
-    The result is the XOR of consecutive *out_bits*-wide chunks.  Chunk
-    folding is associative — folding by any multiple of *out_bits* first
-    and then by *out_bits* XORs the same chunks — so we halve the chunk
-    count each round (log passes) instead of peeling one chunk at a time.
+
+@lru_cache(maxsize=None)
+def _rotations(bits):
+    """Rotate-left-by-one tables for a *bits*-wide fold: entry ``b`` maps
+    a fold to its rotation with direction bit ``b`` shifted in.  The
+    rotation maps the lower half of the folds to the even numbers in
+    order and the upper half to the odd ones."""
+    evens, odds = range(0, 1 << bits, 2), range(1, 1 << bits, 2)
+    return (*evens, *odds), (*odds, *evens)
+
+
+@lru_cache(maxsize=None)
+def _build_shift(folds, history_bits):
+    """Compile the history shift for the logical *folds* ``(length,
+    bits)``; returns ``(shift, slots)``.
+
+    Register ``k`` of the state tuple (after the history at slot 0) holds
+    the chunk-XOR fold of the low *length* history bits down to *bits*.
+    A fold depends only on its length and width, and a window no wider
+    than its fold is the window itself, so only the distinct ``(length,
+    min(length, bits))`` pairs are kept: ``slots[i]`` is logical fold
+    *i*'s position in the tuple.  ``shift(state, b)`` returns the state
+    with direction *b* shifted in.  A window shifts like the history.  A
+    folded register rotates left within its width through a lookup
+    table, which also shifts in *b*; the history bit that left its window
+    re-enters at ``length % bits`` and is cancelled there, so the fold
+    stays exact.  Each length's outgoing bit is read once.  Cached per
+    geometry: every predictor of that geometry shares the shift.
     """
-    if out_bits <= 0:
-        return 0
-    history &= (1 << in_bits) - 1
-    while in_bits > out_bits:
-        chunks = (in_bits + out_bits - 1) // out_bits
-        half = (chunks + 1) // 2 * out_bits
-        history = (history ^ (history >> half)) & ((1 << half) - 1)
-        in_bits = half
-    return history
+    folds = [(length, min(length, bits)) for length, bits in folds]
+    distinct = list(dict.fromkeys(folds))
+    folded = [(length, bits) for length, bits in distinct if length > bits]
+    widths = sorted({bits for _, bits in folded})
+    lines = ["def _shift(s, b):", "    h = s[0]"]
+    lines += ["    r%d = ROT%d[b]" % (w, w) for w in widths]
+    lines += ["    o%d = h >> %d & 1" % (length, length - 1)
+              for length in sorted({length for length, _ in folded})]
+    terms = []
+    for slot, (length, bits) in enumerate(distinct, 1):
+        if length == bits:
+            terms.append("((s[%d] << 1) | b) & %d" % (slot, (1 << bits) - 1))
+            continue
+        k = length % bits
+        out = "o%d << %d" % (length, k) if k else "o%d" % length
+        terms.append("r%d[s[%d]] ^ %s" % (bits, slot, out))
+    lines.append("    return (((h << 1) | b) & %d, %s)"
+                 % ((1 << history_bits) - 1, ", ".join(terms)))
+    namespace = {"ROT%d" % w: _rotations(w) for w in widths}
+    shift = _compile("\n".join(lines), "_shift", namespace)
+    return shift, tuple(1 + distinct.index(fold) for fold in folds)
+
+
+@lru_cache(maxsize=None)
+def _build_index_tags(slots):
+    """Compile the per-table index/tag computation for the fold *slots*
+    of :func:`_build_shift` (three per table: index, tag, second tag).
+
+    ``_it(parts, state)`` returns the index and tag lists as two list
+    displays: no per-table loop, no appends.  *parts* is the PC's
+    memoized ``(pc ^ (pc >> (t + 1))) & index_mask`` per table, then
+    ``pc & tag_mask``.  No fold is wider than its mask, so no mask is
+    left to apply.
+    """
+    tables = len(slots) // 3
+    idx_terms = ["parts[%d] ^ s[%d]" % (t, slots[3 * t]) for t in range(tables)]
+    tag_terms = ["parts[%d] ^ s[%d] ^ (s[%d] << 1)"
+                 % (tables, slots[3 * t + 1], slots[3 * t + 2])
+                 for t in range(tables)]
+    src = "def _it(parts, s):\n    return [%s], [%s]" % (
+        ", ".join(idx_terms), ", ".join(tag_terms))
+    return _compile(src, "_it")
+
+
+@lru_cache(maxsize=None)
+def _allocation_orders(num_tables):
+    """``orders[start][tick]``: the tables above a provider, rotated by
+    the allocation tick (see :meth:`TAGEPredictor._allocate_raw`)."""
+    orders = []
+    for start in range(num_tables):
+        candidates = tuple(range(start, num_tables))
+        orders.append(tuple(
+            candidates[tick % len(candidates):]
+            + candidates[:tick % len(candidates)]
+            for tick in range(3)))
+    return tuple(orders)
 
 
 class TAGEPredictor(BranchPredictor):
@@ -69,91 +163,40 @@ class TAGEPredictor(BranchPredictor):
         self._base_mask = (1 << 13) - 1
         self._index_mask = size - 1
         self._tag_mask = (1 << tag_bits) - 1
-        self._history = 0
         self._use_alt_on_na = 8  # 4-bit counter, >=8 means "use alt"
         self._update_count = 0
         self._alloc_tick = 0
-        # pc ^ (pc >> (table + 1)) per table, memoized per static PC.
+        # (pc ^ (pc >> (t + 1))) & index_mask per table, then
+        # pc & tag_mask, memoized per static PC.
         self._pc_parts = {}
-        # Incrementally-maintained folded histories (the hardware CSR
-        # trick): register 3t+k holds _fold(history & (2^L - 1), L, B) for
-        # table t's index/tag/tag2 fold width B.  speculative_update shifts
-        # them in O(1) per register; restore() recomputes from scratch.
-        # _fold_params rows are (L-1, B-1, 2^B - 1, L % B).
-        params = []
-        for length in self.history_lengths:
-            for bits in (table_bits, tag_bits, tag_bits - 1):
-                params.append((length - 1, bits - 1, (1 << bits) - 1, length % bits))
-        self._fold_params = params
-        self._fold_regs = [0] * len(params)  # folds of the empty history
-        self._hist_mask = (1 << (self.history_lengths[-1] + 1)) - 1
-        self._build_shift()
-        self._build_index_tags()
+        self._scan_order = tuple(range(self.num_tables - 1, -1, -1))
+        self._alloc_orders = _allocation_orders(self.num_tables)
+        # The speculative state: the history bits, then every distinct
+        # folded history (see _build_shift), all folds of the empty
+        # history.  _fold_slots[i] is logical fold i's tuple position.
+        self._shift, self._fold_slots = _build_shift(
+            tuple(self._folds()), self.history_lengths[-1] + 1)
+        self._spec = (0,) * (1 + max(self._fold_slots))
+        self._index_tags = _build_index_tags(
+            self._fold_slots[:3 * self.num_tables])
 
-    def _build_shift(self):
-        """Compile the history-shift step with every constant inlined.
-
-        One straight-line exec-generated function updates all folded
-        registers and the history in a single call — the interpreted
-        per-register loop would pay tuple unpacking and index arithmetic
-        on every predicted branch.
-        """
-        lines = ["def _shift(regs, h, b):"]
-        for i, (lm1, bm1, mask, topshift) in enumerate(self._fold_params):
-            # Rotate the fold left within its B bits, then cancel the
-            # history bit that left the L-bit window and shift in the new
-            # direction bit.  This preserves the chunk-XOR fold exactly.
-            lines.append("    f = regs[%d]" % i)
-            lines.append("    f = ((f << 1) | (f >> %d)) & %d" % (bm1, mask))
-            lines.append(
-                "    regs[%d] = f ^ (((h >> %d) & 1) << %d) ^ b" % (i, lm1, topshift)
-            )
-        lines.append("    return ((h << 1) | b) & %d" % self._hist_mask)
-        namespace = {}
-        exec("\n".join(lines), namespace)
-        self._shift = namespace["_shift"]
-
-    def _build_index_tags(self):
-        """Compile the per-table index/tag computation as two list displays
-        (same rationale as :meth:`_build_shift`: no per-table loop, no
-        appends, masks inlined as constants)."""
-        idx_terms = []
-        tag_terms = []
-        for t in range(self.num_tables):
-            i = 3 * t
-            idx_terms.append(
-                "(parts[%d] ^ regs[%d]) & %d" % (t, i, self._index_mask)
-            )
-            tag_terms.append(
-                "(pc ^ regs[%d] ^ (regs[%d] << 1)) & %d"
-                % (i + 1, i + 2, self._tag_mask)
-            )
-        src = "def _it(parts, regs, pc):\n    return [%s], [%s]" % (
-            ", ".join(idx_terms),
-            ", ".join(tag_terms),
-        )
-        namespace = {}
-        exec(src, namespace)
-        self._index_tags = namespace["_it"]
+    def _folds(self):
+        """The logical folded histories as ``(length, bits)``: each
+        table's index, tag and second tag fold."""
+        return [(length, bits) for length in self.history_lengths
+                for bits in (self.table_bits, self.tag_bits,
+                             self.tag_bits - 1)]
 
     # -- history management -------------------------------------------------
 
     def speculative_update(self, pc, taken):
-        self._history = self._shift(
-            self._fold_regs, self._history, 1 if taken else 0
-        )
+        self._spec = self._shift(self._spec, 1 if taken else 0)
 
     def snapshot(self):
-        return HistorySnapshot(self._history)
+        return HistorySnapshot(self._spec)
 
     def restore(self, snapshot):
-        self._history = h = snapshot.payload
-        regs = self._fold_regs
-        i = 0
-        for lm1, bm1, _mask, _topshift in self._fold_params:
-            length = lm1 + 1
-            regs[i] = _fold(h & ((1 << length) - 1), length, bm1 + 1)
-            i += 1
+        self._spec = snapshot.payload
 
     # -- predict and train ----------------------------------------------------
 
@@ -162,27 +205,27 @@ class TAGEPredictor(BranchPredictor):
 
         Returns ``(indices, tags, provider, alt, entry, provider_pred,
         alt_pred, weak, base_index, pred)`` as a plain tuple — the meta
-        :meth:`predict` hands the pipeline, and exactly the arguments
-        :meth:`_train_tables` takes after *taken*.  *provider*/*alt* are
-        table numbers (None for the base table), *entry* the provider
-        entry, *weak* whether it is newly allocated, *pred* the TAGE
+        :meth:`predict` hands the pipeline, and what
+        :meth:`_train_tables` trains on.  *provider*/*alt* are table
+        numbers (None for the base table), *entry* the provider entry,
+        *weak* whether it is newly allocated, *pred* the TAGE
         prediction.  Entries are updated in place, never replaced, so
         *entry* is still the provider slot when the branch retires.
         """
         parts = self._pc_parts.get(pc)
         if parts is None:
-            parts = tuple(
-                pc ^ (pc >> (t + 1)) for t in range(self.num_tables)
-            )
-            self._pc_parts[pc] = parts
-        indices, tags = self._index_tags(parts, self._fold_regs, pc)
+            mask = self._index_mask
+            parts = self._pc_parts[pc] = tuple(
+                (pc ^ (pc >> (t + 1))) & mask for t in range(self.num_tables)
+            ) + (pc & self._tag_mask,)
+        indices, tags = self._index_tags(parts, self._spec)
         tables = self._tables
         provider = alt = None
-        for table in range(self.num_tables - 1, -1, -1):
+        for table in self._scan_order:
             if tables[table][indices[table]].tag == tags[table]:
                 if provider is None:
                     provider = table
-                elif alt is None:
+                else:
                     alt = table
                     break
         base_index = pc & self._base_mask
@@ -192,8 +235,9 @@ class TAGEPredictor(BranchPredictor):
         )
         if provider is not None:
             entry = tables[provider][indices[provider]]
-            provider_pred = entry.ctr >= 0
-            weak = entry.ctr in (-1, 0)
+            ctr = entry.ctr
+            provider_pred = ctr >= 0
+            weak = ctr == 0 or ctr == -1
             if weak and self._use_alt_on_na >= 8:
                 final = alt_pred
             else:
@@ -206,37 +250,43 @@ class TAGEPredictor(BranchPredictor):
         return (indices, tags, provider, alt, entry, provider_pred,
                 alt_pred, weak, base_index, final)
 
-    def _train_tables(self, taken, indices, tags, provider, alt, entry,
-                      provider_pred, alt_pred, weak, base_index, tage_pred):
+    def _train_tables(self, taken, scan):
         """The one table update, on a :meth:`_scan` tuple.
 
         Trains the provider (and the alternate or base counter while the
         provider is newly allocated), allocates on a TAGE misprediction
-        and periodically ages the usefulness bits.
+        and periodically ages the usefulness bits.  Every counter
+        saturates: ``v + (v < hi)`` counts up, ``v - (v > lo)`` down.
         """
+        (indices, tags, provider, alt, entry, provider_pred, alt_pred,
+         weak, base_index, tage_pred) = scan
         self._update_count += 1
-        if provider is not None:
+        train_base = provider is None
+        if not train_base:
             # use_alt_on_na: when a weak provider disagreed with alt,
             # learn which of the two to trust.
             if weak and provider_pred != alt_pred:
-                if alt_pred == taken:
-                    self._use_alt_on_na = saturate(self._use_alt_on_na, 1, 0, 15)
-                else:
-                    self._use_alt_on_na = saturate(self._use_alt_on_na, -1, 0, 15)
-            entry.ctr = saturate(entry.ctr, 1 if taken else -1, -4, 3)
+                v = self._use_alt_on_na
+                self._use_alt_on_na = (
+                    v + (v < 15) if alt_pred == taken else v - (v > 0))
+            v = entry.ctr
+            entry.ctr = v + (v < 3) if taken else v - (v > -4)
             if provider_pred != alt_pred:
-                entry.useful = saturate(
-                    entry.useful, 1 if provider_pred == taken else -1, 0, 3
-                )
+                v = entry.useful
+                entry.useful = (
+                    v + (v < 3) if provider_pred == taken else v - (v > 0))
             # Train the alternate too when the provider is newly allocated.
             if entry.useful == 0:
                 if alt is not None:
                     alt_entry = self._tables[alt][indices[alt]]
-                    alt_entry.ctr = saturate(alt_entry.ctr, 1 if taken else -1, -4, 3)
+                    v = alt_entry.ctr
+                    alt_entry.ctr = v + (v < 3) if taken else v - (v > -4)
                 else:
-                    self._update_base(base_index, taken)
-        else:
-            self._update_base(base_index, taken)
+                    train_base = True
+        if train_base:
+            base = self._base
+            v = base[base_index]
+            base[base_index] = v + (v < 3) if taken else v - (v > 0)
         if tage_pred != taken:
             self._allocate_raw(indices, tags, provider, taken)
         if self._update_count % self.u_reset_period == 0:
@@ -247,40 +297,32 @@ class TAGEPredictor(BranchPredictor):
         return scan[-1], scan
 
     def update(self, pc, taken, meta=None):
-        self._train_tables(taken, *(self._scan(pc) if meta is None else meta))
+        self._train_tables(taken, self._scan(pc) if meta is None else meta)
 
     def train(self, pc, taken):
         """Warm-mode training: :meth:`predict`, :meth:`update` and the
         history shift, without a meta travelling between them."""
         scan = self._scan(pc)
-        self._train_tables(taken, *scan)
-        self._history = self._shift(
-            self._fold_regs, self._history, 1 if taken else 0
-        )
+        self._train_tables(taken, scan)
+        self._spec = self._shift(self._spec, 1 if taken else 0)
         return scan[-1]
-
-    def _update_base(self, index, taken):
-        self._base[index] = saturate(self._base[index], 1 if taken else -1, 0, 3)
 
     def _allocate_raw(self, indices, tags, provider, taken):
         start = (provider + 1) if provider is not None else 0
         if start >= self.num_tables:
             return
         # Deterministic pseudo-random start offset spreads allocations.
-        self._alloc_tick = (self._alloc_tick + 1) % 3
-        candidates = list(range(start, self.num_tables))
-        offset = self._alloc_tick % len(candidates)
-        ordered = candidates[offset:] + candidates[:offset]
-        for table in ordered:
-            entry = self._tables[table][indices[table]]
+        self._alloc_tick = tick = (self._alloc_tick + 1) % 3
+        tables = self._tables
+        for table in self._alloc_orders[start][tick]:
+            entry = tables[table][indices[table]]
             if entry.useful == 0:
                 entry.tag = tags[table]
                 entry.ctr = 0 if taken else -1
-                entry.useful = 0
                 return
-        for table in candidates:
-            entry = self._tables[table][indices[table]]
-            entry.useful = saturate(entry.useful, -1, 0, 3)
+        for table in range(start, self.num_tables):
+            entry = tables[table][indices[table]]
+            entry.useful -= entry.useful > 0
 
     def _age_useful_bits(self):
         for table in self._tables:
@@ -292,6 +334,23 @@ class TAGEPredictor(BranchPredictor):
             1 for table in self._tables for e in table if e.ctr != 0 or e.useful
         )
         return {"tables": self.num_tables, "live_entries": live}
+
+
+@lru_cache(maxsize=None)
+def _build_sc_read(slots, mask):
+    """Compile the corrector read for fold *slots* (0: PC only).
+
+    ``_sc(tables, s, pc)`` returns the ``(table, index)`` counter cells
+    the branch selects, and the sum of their counters."""
+    lines = ["def _sc(tables, s, pc):"]
+    for j, slot in enumerate(slots):
+        lines.append("    t%d = tables[%d]" % (j, j))
+        lines.append("    i%d = (pc ^ s[%d]) & %d" % (j, slot, mask) if slot
+                     else "    i%d = pc & %d" % (j, mask))
+    cells = ["(t%d, i%d)" % (j, j) for j in range(len(slots))]
+    counters = ["t%d[i%d]" % (j, j) for j in range(len(slots))]
+    lines.append("    return [%s], %s" % (", ".join(cells), " + ".join(counters)))
+    return _compile("\n".join(lines), "_sc")
 
 
 class ISLTAGEPredictor(TAGEPredictor):
@@ -309,68 +368,57 @@ class ISLTAGEPredictor(TAGEPredictor):
         self._loop_trust = 4  # 0..7; >=4 means trust a confident loop pred
         sc_size = 1 << self.SC_TABLE_BITS
         self._sc_tables = [[0] * sc_size for _ in self.SC_HISTORY]
-        self._sc_mask = sc_size - 1
         self._sc_threshold = 6
-        # The corrector's folds ride the same incremental registers as the
-        # TAGE tables: append one register per non-zero SC history length
-        # (appending keeps the TAGE registers at their expected offsets).
-        self._sc_reg_base = len(self._fold_params)
-        bits = self.SC_TABLE_BITS
-        for length in self.SC_HISTORY:
-            if length:
-                self._fold_params.append(
-                    (length - 1, bits - 1, (1 << bits) - 1, length % bits)
-                )
-                self._fold_regs.append(0)
-        self._build_shift()  # re-unroll with the corrector registers included
+        # The corrector's folds ride the same registers as the TAGE
+        # tables (they follow them in _folds; 0 marks the PC-only table).
+        sc_slots = iter(self._fold_slots[3 * self.num_tables:])
+        self._sc_read = _build_sc_read(
+            tuple(next(sc_slots) if length else 0
+                  for length in self.SC_HISTORY), sc_size - 1)
+
+    def _folds(self):
+        return super()._folds() + [
+            (length, self.SC_TABLE_BITS) for length in self.SC_HISTORY if length
+        ]
 
     def predict(self, pc):
         """TAGE, overridden by a trusted loop prediction or vetoed by the
         statistical corrector; meta is ``(scan, used_loop, loop_pred,
-        sc_indices)``."""
+        sc_cells)``."""
         scan = self._scan(pc)
         loop_valid, loop_pred = self.loop.predict(pc)
         if loop_valid and self._loop_trust >= 4:
             return loop_pred, (scan, True, loop_pred, ())
         # Statistical corrector: vetoes only weak TAGE predictions.
         final = scan[-1]
-        regs = self._fold_regs
-        sc_mask = self._sc_mask
-        sc_indices = []
-        j = self._sc_reg_base
-        for h in self.SC_HISTORY:
-            if h:
-                sc_indices.append((pc ^ regs[j]) & sc_mask)
-                j += 1
-            else:
-                sc_indices.append(pc & sc_mask)
-        sc_sum = sum(
-            table[idx] for table, idx in zip(self._sc_tables, sc_indices)
-        )
-        sc_sum += 2 * (1 if final else -1)  # bias toward TAGE
+        sc_cells, sc_sum = self._sc_read(self._sc_tables, self._spec, pc)
+        sc_sum += 2 if final else -2  # bias toward TAGE
         if scan[7] and abs(sc_sum) >= self._sc_threshold:  # weak provider
             final = sc_sum >= 0
-        return final, (scan, False, loop_pred, sc_indices)
+        return final, (scan, False, loop_pred, sc_cells)
 
     def update(self, pc, taken, meta=None):
         if meta is None:
             meta = (self._scan(pc), False, True, ())
-        scan, used_loop, loop_pred, sc_indices = meta
+        scan, used_loop, loop_pred, sc_cells = meta
         if used_loop:
-            self._loop_trust = saturate(
-                self._loop_trust, 1 if loop_pred == taken else -2, 0, 7
-            )
+            v = self._loop_trust
+            self._loop_trust = v + (v < 7) if loop_pred == taken else max(v - 2, 0)
         self.loop.update(pc, taken)
-        for table, idx in zip(self._sc_tables, sc_indices):
-            table[idx] = saturate(table[idx], 1 if taken else -1, -31, 31)
-        self._train_tables(taken, *scan)
+        if taken:
+            for table, idx in sc_cells:
+                v = table[idx]
+                table[idx] = v + (v < 31)
+        else:
+            for table, idx in sc_cells:
+                v = table[idx]
+                table[idx] = v - (v > -31)
+        self._train_tables(taken, scan)
 
     def train(self, pc, taken):
         """Warm-mode training: :meth:`predict`, :meth:`update` and the
         history shift."""
         predicted, meta = self.predict(pc)
         self.update(pc, taken, meta)
-        self._history = self._shift(
-            self._fold_regs, self._history, 1 if taken else 0
-        )
+        self._spec = self._shift(self._spec, 1 if taken else 0)
         return predicted

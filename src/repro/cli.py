@@ -377,9 +377,10 @@ def cmd_classify(args, out):
 
 
 def cmd_trace(args, out):
-    built = _build(args)
     config = _make_config(args)
     config.max_cycles = args.cycles
+    config.validate()
+    built = _build(args)
     if args.max_instructions is not None:
         config._oracle_horizon = args.max_instructions + 50_000
     pipeline = Pipeline(built.program, config)

@@ -112,6 +112,8 @@ class CoreConfig:
             raise ConfigError("front_end_depth must be >= 1")
         if self.deadlock_cycles < 1:
             raise ConfigError("deadlock_cycles must be >= 1")
+        if self.max_cycles < 1:
+            raise ConfigError("max_cycles must be >= 1")
         return self
 
 

@@ -258,7 +258,9 @@ class Pipeline:
         self.checkpoints = CheckpointPool(
             config.num_checkpoints, config.ooo_checkpoint_reclaim
         )
-        self.inflight = {}  # seq -> uop (for BQ late-push validation)
+        # seq -> speculative BQ pop (bq_spec), from fetch until it
+        # retires or is squashed: a late push looks its pop up here.
+        self.inflight = {}
         self.serialize_pending = False
         # Issue-scan skip flag: cleared after a scan that issued nothing,
         # set again by any event that could wake an IQ entry (a register
@@ -818,7 +820,6 @@ class Pipeline:
             # Dispatch
             rob.append(uop)
             rob_len += 1
-            self.inflight[uop.seq] = uop
 
             if opclass is OpClass.QSAVE or opclass is OpClass.QRESTORE:
                 uop.serializing = True
@@ -1387,7 +1388,8 @@ class Pipeline:
             if uop.phys_rd is not None:
                 self.rename_tables.freelist.release(uop.phys_rd)
                 uop.phys_rd = None
-            self.inflight.pop(uop.seq, None)
+            if uop.bq_spec:
+                self.inflight.pop(uop.seq, None)
             if uop.serializing:
                 self.serialize_pending = False
                 self.fetch_halted = False
@@ -1397,7 +1399,8 @@ class Pipeline:
                 stats.squashed += 1
                 if obs is not None:
                     obs.on_squash(uop, self.cycle)
-                self.inflight.pop(uop.seq, None)
+                if uop.bq_spec:
+                    self.inflight.pop(uop.seq, None)
         self.fetch_pipe = deque(
             item for item in self.fetch_pipe if item[1].seq <= seq
         )
@@ -1416,7 +1419,6 @@ class Pipeline:
         events = stats.events
         obs = self.obs
         cycle = self.cycle
-        inflight_pop = self.inflight.pop
         retire_width = self.config.retire_width
         retire_limit = self.retire_limit
         retired = 0
@@ -1431,7 +1433,8 @@ class Pipeline:
                 break
             self._retire_one(uop)
             rob.popleft()
-            inflight_pop(uop.seq, None)
+            if uop.bq_spec:
+                self.inflight.pop(uop.seq, None)
             retired += 1
             if obs is not None:
                 obs.on_retire(uop, cycle)

@@ -5,6 +5,11 @@ predictor is near-perfect on regular control flow and near-coin-flip on
 i.i.d. random predicates (the separable-branch inputs).
 """
 
+import hashlib
+import json
+import os
+import random
+
 import numpy as np
 import pytest
 
@@ -205,6 +210,51 @@ class TestTAGEInternals:
             correct += predicted == taken
         assert correct == 2
 
+    @pytest.mark.parametrize("geometry", [
+        {},
+        {"table_bits": 9, "tag_bits": 12, "history_lengths": (3, 11, 40)},
+    ])
+    @pytest.mark.parametrize("cls", [TAGEPredictor, ISLTAGEPredictor])
+    def test_folded_registers_fold_the_history(self, cls, geometry):
+        """Every logical fold, read through its register, is the XOR of
+        the history window's fold-wide chunks, after shifts and after a
+        restore."""
+        def fold(history, length, bits):
+            window, out = history & ((1 << length) - 1), 0
+            while window:
+                out ^= window & ((1 << bits) - 1)
+                window >>= bits
+            return out
+
+        predictor = cls(**geometry)
+        rng = random.Random(5)
+        for step in range(400):
+            predictor.speculative_update(0, rng.random() < 0.5)
+            if step == 200:
+                snap = predictor.snapshot()
+        predictor.restore(snap)
+        state = predictor._spec
+        for (length, bits), slot in zip(predictor._folds(),
+                                        predictor._fold_slots):
+            assert state[slot] == fold(state[0], length, bits)
+
+    def test_second_predictor_compiles_nothing(self, monkeypatch):
+        """The shift, index and corrector code is compiled once per
+        geometry and shared."""
+        from repro.branch import tage
+
+        first = ISLTAGEPredictor(), TAGEPredictor()
+
+        def refuse(*args):
+            raise AssertionError("compiled again")
+
+        monkeypatch.setattr(tage, "exec", refuse, raising=False)
+        second = ISLTAGEPredictor(), TAGEPredictor()
+        for a, b in zip(first, second):
+            assert a._shift is b._shift
+            assert a._index_tags is b._index_tags
+        assert first[0]._sc_read is second[0]._sc_read
+
 
 @pytest.fixture(scope="module")
 def committed_branches():
@@ -268,3 +318,148 @@ def test_train_matches_predict_update(name, committed_branches):
         assert loop_used > 100
         assert sum(1 for t in fused._sc_tables for c in t if c) > 100
         assert sum(1 for t in fused._tables for e in t if e.tag) > 100
+
+
+# -- golden: every prediction and the end state, pinned ------------------
+
+with open(os.path.join(os.path.dirname(__file__),
+                       "golden_predictors.json")) as _fh:
+    _PREDICTOR_GOLDEN = json.load(_fh)
+
+
+def _golden_stream(committed_branches):
+    """The committed stream, then 20,000 seeded ``(pc, taken)`` pairs.
+
+    Half the random branches come from 24 hot PCs and half from 3,000
+    cold ones.  Each PC is strongly biased, unbiased, or follows a short
+    period, so the corrector's PC-indexed table reaches its ±31 bounds
+    and the tagged tables allocate on many mispredictions."""
+    rng = random.Random(2612)
+    hot = [0x400 + 7 * i for i in range(24)]
+    cold = [0x2000 + 3 * i for i in range(3000)]
+    kinds = {pc: rng.randrange(4) for pc in hot + cold}
+    visits = {}
+    stream = list(committed_branches)
+    for _ in range(20_000):
+        pc = rng.choice(hot) if rng.random() < 0.5 else rng.choice(cold)
+        count = visits[pc] = visits.get(pc, 0) + 1
+        kind = kinds[pc]
+        if kind == 0:
+            taken = rng.random() < 0.97
+        elif kind == 1:
+            taken = rng.random() < 0.03
+        elif kind == 2:
+            taken = rng.random() < 0.5
+        else:
+            taken = count % 5 != 0
+        stream.append((pc, taken))
+    return stream
+
+
+#: The pinned predictors.  ``tage_small`` has 16-entry tables: there an
+#: allocation finds every candidate entry useful and decays them instead,
+#: which the full-size tables never do on this stream.
+_GOLDEN_PREDICTORS = {
+    "tage": TAGEPredictor,
+    "isl_tage": ISLTAGEPredictor,
+    "tage_small": lambda: TAGEPredictor(table_bits=4, tag_bits=5),
+}
+
+
+def _golden_predictor(name):
+    predictor = _GOLDEN_PREDICTORS[name]()
+    # Small enough that the useful bits age 10 times over the stream,
+    # large enough that they still saturate in between.
+    predictor.u_reset_period = 2053
+    return predictor
+
+
+def _stepped_predictions(predictor, stream):
+    """The detailed core's calls: ``predict``, ``snapshot`` and the
+    speculative shift; on a mispredict three wrong-path shifts, then
+    ``restore`` and the correct shift; then ``update``."""
+    out = []
+    for pc, taken in stream:
+        predicted, meta = predictor.predict(pc)
+        snap = predictor.snapshot()
+        predictor.speculative_update(pc, predicted)
+        if predicted != taken:
+            predictor.speculative_update(pc + 1, True)
+            predictor.speculative_update(pc + 2, False)
+            predictor.speculative_update(pc + 3, True)
+            predictor.restore(snap)
+            predictor.speculative_update(pc, taken)
+        predictor.update(pc, taken, meta)
+        out.append(predicted)
+    return out
+
+
+def _fused_predictions(predictor, stream):
+    return [predictor.train(pc, taken) for pc, taken in stream]
+
+
+def _tagged_entries(predictor):
+    """Every tagged entry as ``(tag, ctr, useful)``, table by table."""
+    return [[(e.tag, e.ctr, e.useful) for e in table]
+            for table in predictor._tables]
+
+
+def _loop_entries(loop):
+    """Every loop entry's five fields (None for an empty slot)."""
+    return [None if e is None else
+            (e.tag, e.past_iter, e.current_iter, e.confidence, e.age)
+            for e in loop._table]
+
+
+def _end_state(predictor):
+    """A canonical dump of everything a prediction can read later.  The
+    folded histories are left out: they are functions of the history."""
+    state = {
+        "history": predictor._spec[0],
+        "tagged": _tagged_entries(predictor),
+        "base": list(predictor._base),
+        "use_alt_on_na": predictor._use_alt_on_na,
+        "update_count": predictor._update_count,
+        "alloc_tick": predictor._alloc_tick,
+    }
+    if isinstance(predictor, ISLTAGEPredictor):
+        state["sc_tables"] = [list(t) for t in predictor._sc_tables]
+        state["loop_trust"] = predictor._loop_trust
+        state["loop"] = _loop_entries(predictor.loop)
+    return state
+
+
+def _digest(value):
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _golden_record(name, stream):
+    """What ``golden_predictors.json`` pins for predictor *name*."""
+    record = {}
+    for path, run in (("stepped", _stepped_predictions),
+                      ("fused", _fused_predictions)):
+        predictor = _golden_predictor(name)
+        predictions = run(predictor, stream)
+        state = _end_state(predictor)
+        record[path] = {
+            "predictions": hashlib.sha256(
+                bytes(int(p) for p in predictions)).hexdigest(),
+            "correct": sum(p == t for p, (_, t) in zip(predictions, stream)),
+            "state": _digest(state),
+        }
+        if name == "isl_tage":
+            flat = [c for t in state["sc_tables"] for c in t]
+            record[path]["sc_bounds_reached"] = [min(flat), max(flat)]
+    return record
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_PREDICTORS))
+def test_predictors_match_golden(name, committed_branches):
+    """Every prediction on the stepped and the fused path, and the end
+    state each reaches, equal the pinned digests.  The stream reaches
+    paths the benchmark cases do not: useful-bit aging, the corrector at
+    its ±31 bounds and failed allocations."""
+    stream = _golden_stream(committed_branches)
+    assert _digest(stream) == _PREDICTOR_GOLDEN["stream"]
+    assert _golden_record(name, stream) == _PREDICTOR_GOLDEN[name]

@@ -36,6 +36,15 @@ def test_validation_rejects_bad_values():
         sandy_bridge_config(front_end_depth=0)
 
 
+def test_max_cycles_must_be_positive():
+    # The run loop tests the cap after a cycle, so a cap below 1 would
+    # still simulate one cycle.
+    for bad in (0, -1):
+        with pytest.raises(ConfigError, match="max_cycles"):
+            sandy_bridge_config(max_cycles=bad)
+    assert sandy_bridge_config(max_cycles=1).max_cycles == 1
+
+
 def test_scale_window_scales_proportionally():
     base = sandy_bridge_config()
     big = scale_window(base, 640)

@@ -48,6 +48,15 @@ def test_simulation_error_exits_three(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_trace_zero_cycles_exits_three(tmp_path):
+    proc = _repro(["trace", "soplex", "--cycles", "0",
+                   "--output", str(tmp_path / "trace.json")], tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("repro: error: max_cycles must be >= 1")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "trace.json").exists()
+
+
 def test_invariant_violation_exits_four(tmp_path):
     proc = _repro(
         ["run", "astar_r1", "--deadlock-cycles", "1", "--scale", "0.0625",
