@@ -11,17 +11,19 @@ Scale control: ``REPRO_BENCH_SCALE`` multiplies workload sizes
 (default 0.2; the paper-vs-measured records in EXPERIMENTS.md were made
 at 0.2).
 
-Caching: simulation results are cached in two layers.  A bounded
-in-process LRU serves repeats within one bench session (figures share
-most baselines), and the persistent :class:`repro.perf.ResultCache`
-(``~/.cache/repro``, override with ``REPRO_CACHE_DIR``) survives across
-sessions, so re-running a figure after an unrelated edit is incremental.
-Set ``REPRO_BENCH_NO_CACHE=1`` to bypass the persistent layer.
+Caching: :func:`run` runs each point through
+:func:`repro.perf.sweep.run_point`, the runner ``repro run`` and the
+sweep workers use, against the persistent :class:`repro.perf.ResultCache`
+(``~/.cache/repro``, override with ``REPRO_CACHE_DIR``).  Repeats within
+a session (figures share most baselines) are disk hits, and re-running
+a figure after an unrelated edit is incremental.  Set
+``REPRO_BENCH_NO_CACHE=1`` to start from an empty cache in a temporary
+directory that lives for the session.
 
 Parallelism: figures call :func:`prefetch` with their full point list
 before the (serial) table-building loop; with ``REPRO_BENCH_JOBS=N``
 (N > 1) the uncached points fan out over a process pool via
-:func:`repro.rel.run_supervised_sweep` and land in both cache layers,
+:func:`repro.rel.run_supervised_sweep` and land in the result cache,
 after which the loop is pure cache hits.  The default is serial —
 results are byte-identical either way.
 
@@ -48,13 +50,11 @@ scraping tables.
 import json
 import os
 import re
-from collections import OrderedDict
+import tempfile
 
 from repro.analysis import compare_runs, format_table
-from repro.core import sandy_bridge_config, simulate
 from repro.obs.export import ARTIFACT_VERSION, jsonable
-from repro.perf import ResultCache, SweepPoint
-from repro.perf.cache import config_fingerprint
+from repro.perf import ResultCache, SweepPoint, run_point
 from repro.rel import SupervisionPolicy, run_supervised_sweep
 from repro.workloads import get_workload
 
@@ -113,19 +113,13 @@ TQ_APPS = [
 
 _BUILD_CACHE = {}
 
-#: In-process result LRU (bounded; the old unbounded ``_RUN_CACHE``),
-#: keyed on the full :func:`~repro.perf.cache.config_fingerprint` as the
-#: persistent cache is.  Backed by that on-disk cache, so an eviction
-#: costs a JSON read, not a re-simulation.
-_RUN_CACHE = OrderedDict()
-_RUN_CACHE_MAX = 128
-
-#: The persistent cross-session layer (None when disabled via env).
-_DISK_CACHE = (
-    None
-    if os.environ.get("REPRO_BENCH_NO_CACHE")
-    else ResultCache()
+#: The session's result cache: the persistent one, or with
+#: ``REPRO_BENCH_NO_CACHE`` an empty one that is deleted at exit.
+_SESSION_DIR = (
+    tempfile.TemporaryDirectory(prefix="repro-bench-cache-")
+    if os.environ.get("REPRO_BENCH_NO_CACHE") else None
 )
+_CACHE = ResultCache(root=_SESSION_DIR.name if _SESSION_DIR else None)
 
 
 def build(workload_name, variant, input_name=None, scale=None):
@@ -138,62 +132,30 @@ def build(workload_name, variant, input_name=None, scale=None):
     return _BUILD_CACHE[key]
 
 
-def _remember(key, result):
-    """Insert into the in-process LRU, evicting the oldest past the cap."""
-    _RUN_CACHE[key] = result
-    _RUN_CACHE.move_to_end(key)
-    while len(_RUN_CACHE) > _RUN_CACHE_MAX:
-        _RUN_CACHE.popitem(last=False)
-    return result
-
-
 def run(workload_name, variant, input_name=None, config=None, scale=None,
         max_instructions=None):
     """Cached simulation of one workload binary on one core config.
 
-    Lookup order: in-process LRU, then the persistent on-disk cache,
-    then a live :func:`simulate` (whose snapshot is persisted for next
-    time).  All three produce byte-identical ``stats.to_dict()``.
+    A hit in the session's result cache, or a fresh simulation stored
+    there; either way ``stats.to_dict()`` is byte-identical.
     """
-    config = sandy_bridge_config() if config is None else config
+    scale = SCALE if scale is None else scale
     built = build(workload_name, variant, input_name, scale)
-    key = (
-        built.name,
-        SCALE if scale is None else scale,
-        config_fingerprint(config),
-        max_instructions,
+    point = SweepPoint(
+        workload=workload_name,
+        variant=variant,
+        input_name=input_name,
+        config=config,
+        scale=scale,
+        seed=SEED,
+        max_instructions=max_instructions,
     )
-    result = _RUN_CACHE.get(key)
-    if result is not None:
-        _RUN_CACHE.move_to_end(key)
-        return built, result
-    disk_key = None
-    if _DISK_CACHE is not None:
-        disk_key = _DISK_CACHE.key_for(built.program, config, max_instructions)
-        result = _DISK_CACHE.load(disk_key, config=config)
-        if result is not None:
-            return built, _remember(key, result)
-    result = simulate(built.program, config, max_instructions=max_instructions)
-    if _DISK_CACHE is not None:
-        _DISK_CACHE.store_result(
-            disk_key,
-            result,
-            workload={
-                "name": workload_name,
-                "variant": variant,
-                "input": input_name,
-                "scale": SCALE if scale is None else scale,
-                "seed": SEED,
-            },
-            run={"max_instructions": max_instructions,
-                 "warmup_instructions": 0},
-        )
-    return built, _remember(key, result)
+    return built, run_point(point, cache=_CACHE, built=built).result
 
 
 def prefetch(apps, variants=("base",), config=None, scale=None,
              max_instructions=None, jobs=None):
-    """Warm both cache layers for a figure's {app x variant} grid.
+    """Warm the result cache for a figure's {app x variant} grid.
 
     *apps* is a list of ``(workload, input_name)`` pairs (the module-level
     app lists above); *variants* the variant names each app runs under.
@@ -202,10 +164,10 @@ def prefetch(apps, variants=("base",), config=None, scale=None,
     ``REPRO_BENCH_TIMEOUT``/``RETRIES``/``JOURNAL`` supervision policy,
     after which the figure's serial ``run()``/``compare()`` loop is pure
     cache hits.  Points that fail are left for the serial path to
-    re-raise with full context.
+    re-raise with full context, and so are points resumed from the
+    journal whose entries the cache no longer holds.
     """
     jobs = JOBS if jobs is None else max(1, int(jobs))
-    config = sandy_bridge_config() if config is None else config
     scale = SCALE if scale is None else scale
     points = [
         SweepPoint(
@@ -226,17 +188,7 @@ def prefetch(apps, variants=("base",), config=None, scale=None,
         journal_path=JOURNAL,
         resume=JOURNAL is not None,
     )
-    outcomes = run_supervised_sweep(
-        points, jobs=jobs, cache=_DISK_CACHE, policy=policy
-    )
-    for outcome in outcomes:
-        if not outcome.ok or outcome.result is None:
-            continue
-        point = outcome.point
-        built = build(point.workload, point.variant, point.input_name, scale)
-        key = (built.name, scale, config_fingerprint(config), max_instructions)
-        _remember(key, outcome.result)
-    return outcomes
+    return run_supervised_sweep(points, jobs=jobs, cache=_CACHE, policy=policy)
 
 
 def compare(workload_name, variant, input_name=None, config=None, scale=None):

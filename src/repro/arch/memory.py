@@ -40,11 +40,11 @@ class Memory:
     def install_validated(self, words):
         """Merge an already-validated, already-masked word image.
 
-        Trusted fast path for :meth:`~repro.arch.state.ArchState.\
-load_program`'s per-program memo: the first load validates and masks
-        via :meth:`load_image`; every later machine built on the same
-        program merges the memoized image without re-checking each of
-        its (possibly millions of) words.
+        Trusted fast path for the per-program memo of
+        :func:`~repro.arch.state.program_image`, validated and masked
+        once via :meth:`load_image`: every machine built on the program
+        merges it without re-checking each of its (possibly millions
+        of) words.
         """
         self._words.update(words)
 

@@ -12,6 +12,26 @@ from repro.arch.queues import BranchQueue, TripCountQueue, ValueQueue
 from repro.isa.instructions import NUM_GPRS, ZERO_REG
 
 
+def program_image(program):
+    """*program*'s validated, masked data image ({byte_addr: word}).
+
+    Memoized on the program object (``_image_words``): a sweep builds
+    many machines and warm-trace materializations over the same
+    immutable program, and large workloads' data images run to millions
+    of words.  Callers copy or merge it and never write to it.
+    """
+    image = getattr(program, "_image_words", None)
+    if image is None:
+        memory = Memory()
+        memory.load_image(program.data)
+        image = memory.words()
+        try:
+            program._image_words = image
+        except AttributeError:  # pragma: no cover - slotted stand-ins
+            pass
+    return image
+
+
 class ArchState:
     """Architectural machine state."""
 
@@ -38,25 +58,10 @@ class ArchState:
     def load_program(self, program):
         """Install *program*'s data image and entry point.
 
-        The validated, masked image is memoized on the program object
-        (``_image_words``): a sweep constructs many machines over the
-        same immutable program, and large workloads' data images run to
-        millions of words.  The memo is merged copy-on-install and
-        never aliased, so machines stay independent.
+        The image comes from :func:`program_image`'s memo and is merged
+        copy-on-install, never aliased, so machines stay independent.
         """
-        image = getattr(program, "_image_words", None)
-        if image is None:
-            # Memoize only a load into pristine memory; loading over
-            # existing contents would capture the merge, not the image.
-            pristine = not self.memory.words()
-            self.memory.load_image(program.data)
-            if pristine:
-                try:
-                    program._image_words = self.memory.words()
-                except AttributeError:  # pragma: no cover - slotted
-                    pass
-        else:
-            self.memory.install_validated(image)
+        self.memory.install_validated(program_image(program))
         self.pc = program.entry
 
     def read_reg(self, reg):

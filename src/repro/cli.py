@@ -71,12 +71,12 @@ import sys
 import time
 
 from repro.analysis import compare_runs, format_table
-from repro.core import memory_bound_config, sandy_bridge_config, simulate
+from repro.core.config import NAMED_CONFIGS
 from repro.core.pipeline import Pipeline
 from repro.errors import ReproError, SimulatorInvariantError
 from repro.obs.events import CycleRecorder, EventTracer
 from repro.obs.export import jsonable, write_chrome_trace, write_jsonl
-from repro.perf import ResultCache, SweepPoint
+from repro.perf import ResultCache, SweepPoint, run_point
 from repro.profiling import profile_program, run_classification_study
 from repro.rel import InvariantChecker, SupervisionPolicy, run_supervised_sweep
 from repro.workloads import all_workloads, get_workload
@@ -91,12 +91,6 @@ EXIT_LINT_FINDINGS = 5
 EXIT_PERF_REGRESSION = 6
 EXIT_HOST_LINT_FINDINGS = 7
 
-_CONFIGS = {
-    "baseline": sandy_bridge_config,
-    "memory-bound": memory_bound_config,
-}
-
-
 def _make_config(args):
     overrides = {}
     if getattr(args, "predictor", None):
@@ -105,7 +99,7 @@ def _make_config(args):
         overrides["rob_size"] = args.rob
     if getattr(args, "deadlock_cycles", None):
         overrides["deadlock_cycles"] = args.deadlock_cycles
-    return _CONFIGS[args.config](**overrides)
+    return NAMED_CONFIGS[args.config](**overrides)
 
 
 def _build(args):
@@ -159,54 +153,32 @@ def _supervision_policy(args):
 
 
 def cmd_run(args, out):
-    built = _build(args)
-    config = _make_config(args)
-    plan = None
-    if args.sample is not None:
-        from repro.perf.sample import SamplingPlan
-
-        plan = SamplingPlan.from_spec(args.sample)
+    point = SweepPoint(
+        workload=args.workload,
+        variant=args.variant,
+        input_name=args.input,
+        config=_make_config(args),
+        scale=args.scale,
+        seed=args.seed,
+        max_instructions=args.max_instructions,
+        sampling=args.sample,
+    )
     # --check simulates fresh with the independent invariant checker
     # attached; a cached result would bypass the very validation asked for.
-    cache = None if args.check else _result_cache(args)
-    result = None
-    key = None
-    run_info = {"max_instructions": args.max_instructions,
-                "sampling": plan.fingerprint() if plan is not None else None}
-    if cache is not None:
-        key = cache.key_for(
-            built.program, config, args.max_instructions,
-            sampling=plan.fingerprint() if plan is not None else None,
-        )
-        result = cache.load(key, config=config)
-    if result is None:
-        observer = InvariantChecker() if args.check else None
-        if plan is not None:
-            from repro.perf.sample import SampledSimulator
-
-            result = SampledSimulator(built.program, config, plan).run(
-                args.max_instructions, observer=observer,
-            )
-        else:
-            result = simulate(
-                built.program, config,
-                max_instructions=args.max_instructions,
-                observer=observer,
-            )
-        if cache is not None:
-            cache.store_result(
-                key, result,
-                workload=_workload_identity(args),
-                run=run_info,
-            )
+    if args.check:
+        result = run_point(point, observer=InvariantChecker()).result
+    else:
+        result = run_point(point, cache=_result_cache(args)).result
     if args.json:
+        plan = point.sampling_plan()
         manifest = result.manifest(
             workload=_workload_identity(args),
-            run=run_info,
+            run={"max_instructions": args.max_instructions,
+                 "sampling": plan.fingerprint() if plan is not None else None},
         )
         return _emit_json(out, manifest)
     stats = result.stats
-    out.write("program: %s\n" % built.name)
+    out.write("program: %s\n" % result.program_name)
     report = getattr(result, "sampling", None)
     if report:
         out.write(
@@ -936,7 +908,7 @@ def build_parser():
         p.add_argument("--scale", type=float, default=0.25)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--max-instructions", type=int, default=None)
-        p.add_argument("--config", choices=sorted(_CONFIGS), default="baseline")
+        p.add_argument("--config", choices=sorted(NAMED_CONFIGS), default="baseline")
         p.add_argument("--predictor", default=None)
         p.add_argument("--rob", type=int, default=None)
         p.add_argument(

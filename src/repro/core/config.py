@@ -149,6 +149,14 @@ def memory_bound_config(**overrides):
     return replace(CoreConfig(), **merged).validate()
 
 
+#: The configs a command line (``--config``) or a service job spec can
+#: name, each a factory taking field overrides.
+NAMED_CONFIGS = {
+    "baseline": sandy_bridge_config,
+    "memory-bound": memory_bound_config,
+}
+
+
 def scale_window(config, rob_size):
     """Scale window resources with ROB size (paper Figs 2b, 21b, 23).
 

@@ -50,7 +50,7 @@ from repro.perf.speed import (
     SpeedCase,
     run_sampled_benchmark,
 )
-from repro.perf.sweep import SweepOutcome, SweepPoint, default_jobs
+from repro.perf.sweep import SweepOutcome, SweepPoint, default_jobs, run_point
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -67,6 +67,7 @@ __all__ = [
     "default_jobs",
     "program_digest",
     "result_key",
+    "run_point",
     "run_sampled_benchmark",
     "snapshot_result",
 ]

@@ -1,4 +1,4 @@
-"""Sweep points, outcomes and the per-point work of the sweep engine.
+"""Sweep points, outcomes and the one runner of a point.
 
 The evaluation grid — {workload x variant x input x config} — is
 embarrassingly parallel: no point depends on another.  The engine,
@@ -8,17 +8,19 @@ default ``os.cpu_count()`` / ``$REPRO_JOBS``) and returns one
 :class:`SweepOutcome` per point **in input order**; this module holds
 what it schedules.
 
-:func:`_simulate_point` is the worker: it rebuilds the workload from
-the (deterministic) build recipe and ships the result back as the
-lossless snapshot dict from :func:`repro.perf.cache.snapshot_result`, so
-nothing heavyweight (live pipelines, cache hierarchies, predictor state)
-crosses the process boundary.  Given the sweep's
-:class:`~repro.perf.cache.ResultCache`, it also owns the cache: having
-built the program, it computes the point's key (:func:`_probe_cache`),
-returns a stored entry without simulating, and stores a fresh result
-itself, so the parent builds nothing for a point it dispatches.  A
-point that raises is captured as a full traceback string without
-killing the sweep.
+:func:`run_point` runs one point, and everything that runs a point
+calls it: ``repro run``, the figure benches' ``run()`` and the sweep
+worker.  It builds the workload from the (deterministic) build recipe,
+probes the :class:`~repro.perf.cache.ResultCache` (:func:`_probe_cache`),
+returns a stored entry without simulating, and otherwise simulates full
+detail or sampled and stores the lossless snapshot from
+:func:`repro.perf.cache.snapshot_result`.
+:func:`_simulate_point` is the worker: it wraps :func:`run_point` with
+the pid, the timing, error capture (a point that raises comes back as a
+full traceback string without killing the sweep) and telemetry, and
+ships the snapshot back, so nothing heavyweight (live pipelines, cache
+hierarchies, predictor state) crosses the process boundary and the
+parent builds nothing for a point it dispatches.
 :func:`prewarm_traces` records a sampled point group's shared warm
 trace once, in the sweep's own process.
 """
@@ -30,8 +32,10 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.config import CoreConfig
+from repro.core.config import CoreConfig, sandy_bridge_config
+from repro.core.simulator import Simulator
 from repro.perf.cache import CachedSimResult, snapshot_result
+from repro.perf.sample import SampledSimulator
 
 _ENV_JOBS = "REPRO_JOBS"
 
@@ -54,7 +58,8 @@ class SweepPoint:
     workload: str
     variant: str = "base"
     input_name: Optional[str] = None
-    config: Optional[CoreConfig] = None  # None -> sandy_bridge_config()
+    #: ``None`` becomes ``sandy_bridge_config()`` when the point is built.
+    config: Optional[CoreConfig] = None
     scale: float = 1.0
     seed: int = 1
     max_instructions: Optional[int] = None
@@ -65,6 +70,10 @@ class SweepPoint:
     #: :class:`~repro.perf.sample.SampledSimulator` and the plan
     #: fingerprint enters the point's cache key.
     sampling: Optional[str] = None
+
+    def __post_init__(self):
+        if self.config is None:
+            self.config = sandy_bridge_config()
 
     def label(self):
         return "%s(%s)/%s" % (self.workload, self.input_name or "", self.variant)
@@ -171,16 +180,18 @@ def _build_point(point):
     return built
 
 
-def _probe_cache(cache, point):
+def _probe_cache(cache, point, built=None):
     """``(key, hit)``: *point*'s key in *cache* and the stored
     :class:`~repro.perf.cache.CachedSimResult` (``None`` on a miss).
 
-    Builds through :func:`_build_point` and holds no reference to the
-    program afterwards, so it lives only as long as the memo keeps it.
+    Builds through :func:`_build_point` unless given *point*'s *built*
+    workload, and holds no reference to the program afterwards.
     """
+    if built is None:
+        built = _build_point(point)
     plan = point.sampling_plan()
     key = cache.key_for(
-        _build_point(point).program, point.config,
+        built.program, point.config,
         point.max_instructions, point.warmup_instructions,
         sampling=plan.fingerprint() if plan is not None else None,
     )
@@ -197,9 +208,76 @@ def _workload_identity(point):
     }
 
 
+#: What :func:`run_point` produced: the result (live, or the stored
+#: entry on a hit), its snapshot payload, the cache key it was served
+#: from or stored at (``None`` without a cache or when the store could
+#: not be written) and whether it was a hit.
+PointResult = namedtuple("PointResult", "result payload cache_key cached")
+
+
+def run_point(point, cache=None, trace_store=None, observer=None,
+              built=None, wrap=None):
+    """Run one :class:`SweepPoint`; returns a :class:`PointResult`.
+
+    Builds the workload (or takes *point*'s already *built* one),
+    probes *cache* — a hit returns the stored entry and simulates
+    nothing — and otherwise simulates with
+    :class:`~repro.core.simulator.Simulator`, or with
+    :class:`~repro.perf.sample.SampledSimulator` when the point has a
+    sampling spec, and stores the snapshot in *cache*.  *trace_store*
+    (a :class:`~repro.perf.tracestore.TraceStore` or its root path)
+    serves a sampled point's warm pre-scan.  Raises whatever the build
+    or the simulation raises.
+
+    *observer* watches the simulation of a miss.  *wrap*, if given,
+    runs that simulation instead: ``wrap(simulate)`` must return
+    ``simulate(observer)`` for an observer of its own, which is how the
+    sweep worker puts its telemetry around a miss and nothing around a
+    hit.
+    """
+    if built is None:
+        built = _build_point(point)
+    cache_key = None
+    if cache is not None:
+        cache_key, hit = _probe_cache(cache, point, built)
+        if hit is not None:
+            return PointResult(hit, hit.payload, cache_key, True)
+    plan = point.sampling_plan()
+    if plan is None:
+        simulator = Simulator(built.program, point.config)
+    else:
+        if isinstance(trace_store, str):
+            from repro.perf.tracestore import TraceStore
+
+            trace_store = TraceStore(root=trace_store)
+        simulator = SampledSimulator(
+            built.program, point.config, plan, trace_store=trace_store
+        )
+
+    def simulate(observer):
+        return simulator.run(
+            point.max_instructions, point.warmup_instructions,
+            observer=observer,
+        )
+
+    result = simulate(observer) if wrap is None else wrap(simulate)
+    payload = snapshot_result(
+        result,
+        workload=_workload_identity(point),
+        run={
+            "max_instructions": point.max_instructions,
+            "warmup_instructions": point.warmup_instructions,
+            "sampling": point.sampling,
+        },
+    )
+    if cache_key is not None and cache.store(cache_key, payload) is None:
+        cache_key = None  # not persisted: name no entry
+    return PointResult(result, payload, cache_key, False)
+
+
 def _simulate_point(point, spool_dir=None, key=None, trace_store=None,
                     cache=None):
-    """Pool worker: build + simulate one point; never raises.
+    """Pool worker: :func:`run_point` for one point; never raises.
 
     Returns a :class:`PointRun` — the result snapshot (or a full
     traceback on failure), the worker pid, the worker-measured wall
@@ -209,110 +287,63 @@ def _simulate_point(point, spool_dir=None, key=None, trace_store=None,
     attributable to a specific pool process.
 
     *cache* (the sweep's :class:`~repro.perf.cache.ResultCache`, sent
-    along so its root, schema and size bound apply here) is probed once
-    the program is built: a hit returns the stored payload with
-    ``cached`` set and simulates nothing, and a miss stores the fresh
-    payload before returning.  The store's time counts in ``seconds``.
+    along so its root, schema and size bound apply here) and
+    *trace_store* (a :class:`~repro.perf.tracestore.TraceStore` or, as
+    it crosses the process boundary, a store root path) go to
+    :func:`run_point`: a hit comes back with ``cached`` set, and a
+    miss's store counts in ``seconds``.  When the scheduler pre-recorded
+    a sampled point's warm trace, the run loads it instead of
+    re-scanning.
 
-    *spool_dir* (telemetry enabled) makes the worker emit
-    ``point_start`` / ``progress`` heartbeats / ``point_finish`` to its
-    spool, correlated by *key* (the engine's point key; the point label
-    when ``None``).  With *spool_dir* ``None`` this path does no
-    telemetry work at all.
-
-    *trace_store* — a :class:`~repro.perf.tracestore.TraceStore` or a
-    store root path (what actually crosses the process boundary) —
-    serves sampled points' warm pre-scan from the shared store: when the
-    scheduler pre-recorded the workload group's trace, this worker loads
-    it instead of re-scanning, and emits a ``trace_reuse`` telemetry
-    event.
+    *spool_dir* (telemetry enabled) makes a miss emit ``point_start`` /
+    ``progress`` heartbeats / ``point_finish`` to the worker's spool,
+    then ``sampling`` for a sampled run and ``trace_reuse`` when it
+    loaded a stored trace, correlated by *key* (the engine's point key;
+    the point label when ``None``).  A hit emits nothing, and with
+    *spool_dir* ``None`` this path does no telemetry work at all.
     """
     pid = os.getpid()
     start = time.perf_counter()
     try:
-        from repro.core import sandy_bridge_config
-        from repro.core.simulator import Simulator
-
-        built = _build_point(point)
-        cache_key = None
-        if cache is not None:
-            cache_key, hit = _probe_cache(cache, point)
-            if hit is not None:
-                return PointRun(hit.payload, None, pid,
-                                time.perf_counter() - start, None,
-                                cache_key=cache_key, cached=True)
-        config = point.config if point.config is not None else sandy_bridge_config()
-        plan = point.sampling_plan()
-        if plan is not None:
-            from repro.perf.sample import SampledSimulator
-
-            store = trace_store
-            if isinstance(store, str):
-                from repro.perf.tracestore import TraceStore
-
-                store = TraceStore(root=store)
-            simulator = SampledSimulator(
-                built.program, config, plan, trace_store=store
-            )
-        else:
-            simulator = Simulator(built.program, config)
-        resources = None
+        measured = {}
+        wrap = None
         if spool_dir is not None:
             from repro.obs.telemetry import emit_point_run, worker_spool
 
             spool = worker_spool(spool_dir)
-            result, resources = emit_point_run(
-                spool,
-                point.label(),
-                key or point.label(),
-                lambda observer: simulator.run(
-                    point.max_instructions, point.warmup_instructions,
-                    observer=observer,
-                ),
-            )
-            report = getattr(result, "sampling", None)
-            if report:
-                spool.emit(
-                    "sampling",
-                    point=point.label(),
-                    key=key or point.label(),
-                    fingerprint=report.get("fingerprint"),
-                    intervals=report.get("intervals"),
-                    measured_fraction=report.get("measured_fraction"),
-                    ipc_rel_ci95=report.get("ipc_rel_ci95"),
+            label, key = point.label(), key or point.label()
+
+            def wrap(simulate):
+                result, measured["resources"] = emit_point_run(
+                    spool, label, key, simulate
                 )
-            info = getattr(result, "trace_info", None)
-            if info and info.get("source") == "hit":
-                spool.emit(
-                    "trace_reuse",
-                    point=point.label(),
-                    key=key or point.label(),
-                    trace_key=info.get("key"),
-                    events=info.get("events"),
-                )
-        else:
-            result = simulator.run(
-                point.max_instructions, point.warmup_instructions
-            )
-        payload = snapshot_result(
-            result,
-            workload=_workload_identity(point),
-            run={
-                "max_instructions": point.max_instructions,
-                "warmup_instructions": point.warmup_instructions,
-                "sampling": point.sampling,
-            },
-        )
-        if cache_key is not None and cache.store(cache_key, payload) is None:
-            cache_key = None  # not persisted: name no entry
+                report = getattr(result, "sampling", None)
+                if report:
+                    spool.emit(
+                        "sampling", point=label, key=key,
+                        fingerprint=report.get("fingerprint"),
+                        intervals=report.get("intervals"),
+                        measured_fraction=report.get("measured_fraction"),
+                        ipc_rel_ci95=report.get("ipc_rel_ci95"),
+                    )
+                info = getattr(result, "trace_info", None)
+                if info and info.get("source") == "hit":
+                    spool.emit(
+                        "trace_reuse", point=label, key=key,
+                        trace_key=info.get("key"), events=info.get("events"),
+                    )
+                return result
+
+        run = run_point(point, cache, trace_store, wrap=wrap)
         return PointRun(
-            payload,
+            run.payload,
             None,
             pid,
             time.perf_counter() - start,
-            resources,
-            getattr(result, "trace_info", None),
-            cache_key,
+            measured.get("resources"),
+            getattr(run.result, "trace_info", None),
+            run.cache_key,
+            run.cached,
         )
     except BaseException:
         return PointRun(None, traceback.format_exc(), pid,
@@ -333,10 +364,6 @@ def _trace_groups(items, point_of=lambda item: item):
         if point.sampling is None or point.max_instructions is None:
             ungrouped.append(item)
             continue
-        if point.config is None:
-            from repro.core import sandy_bridge_config
-
-            point.config = sandy_bridge_config()
         groups.setdefault((
             point.workload, point.variant, point.input_name, point.scale,
             point.seed, point.warmup_instructions + point.max_instructions,

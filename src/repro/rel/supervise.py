@@ -147,9 +147,7 @@ def point_key(point):
         "seed": point.seed,
         "max_instructions": point.max_instructions,
         "warmup_instructions": point.warmup_instructions,
-        "config": (
-            config_fingerprint(point.config) if point.config is not None else None
-        ),
+        "config": config_fingerprint(point.config),
     }
     if getattr(point, "sampling", None) is not None:
         identity["sampling"] = point.sampling_plan().fingerprint()
@@ -438,10 +436,6 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
         outcomes.extend([None] * len(new_points))
         tasks = []
         for index, point in enumerate(new_points, base):
-            if point.config is None:
-                from repro.core import sandy_bridge_config
-
-                point.config = sandy_bridge_config()
             key = point_key(point)
             entry = journaled.get(key)
             if entry is not None:

@@ -98,16 +98,14 @@ def point_from_spec(spec):
     mirroring the CLI) so job identity covers the full config
     fingerprint, not just its name.
     """
-    from repro.core import memory_bound_config, sandy_bridge_config
+    from repro.core.config import NAMED_CONFIGS
     from repro.perf.sweep import SweepPoint
 
     spec = normalize_spec(spec)
-    factories = {"baseline": sandy_bridge_config,
-                 "memory-bound": memory_bound_config}
-    factory = factories.get(spec["config"])
+    factory = NAMED_CONFIGS.get(spec["config"])
     if factory is None:
         raise ValueError("unknown config %r (known: %s)"
-                         % (spec["config"], ", ".join(sorted(factories))))
+                         % (spec["config"], ", ".join(sorted(NAMED_CONFIGS))))
     overrides = {}
     if spec["rob"]:
         overrides["rob_size"] = spec["rob"]

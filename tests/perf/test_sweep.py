@@ -10,8 +10,9 @@ import json
 
 import pytest
 
+from repro.core import sandy_bridge_config
 from repro.perf import ResultCache, SweepPoint
-from repro.rel import SupervisionPolicy, run_supervised_sweep
+from repro.rel import SupervisionPolicy, point_key, run_supervised_sweep
 
 #: Two small, distinct points (different workloads and configs exercise
 #: the per-point build + config plumbing through the process boundary).
@@ -348,3 +349,10 @@ def test_one_shot_pool_is_sized_from_held_points_too(tmp_path, monkeypatch):
                                     trace_store=str(tmp_path / "traces"))
     assert all(o.ok for o in outcomes)
     assert [pool.jobs for pool in pools] == [2]
+
+
+def test_sweep_point_defaults_its_config_when_built():
+    point = SweepPoint(workload="soplex")
+    assert point.config == sandy_bridge_config()
+    explicit = SweepPoint(workload="soplex", config=sandy_bridge_config())
+    assert point_key(point) == point_key(explicit)

@@ -10,6 +10,7 @@ and torn files that must refuse to load rather than mis-warm.
 
 import pytest
 
+from repro.arch.state import ArchState, program_image
 from repro.core import sandy_bridge_config
 from repro.core.pipeline import Pipeline
 from repro.core.simulator import Simulator
@@ -135,3 +136,19 @@ def test_window_spec_parses_and_rejects_negative():
     assert plan.warm_window == 600
     with pytest.raises(ConfigError):
         SamplingPlan(warm_window=-1).validate()
+
+
+def test_one_data_image_memo_per_program():
+    program = _build().program
+    plan = SamplingPlan.from_spec(
+        "interval=400,warmup=100,period=2000,head=500,tail=500")
+    SampledSimulator(program, sandy_bridge_config(), plan).run(20_000)
+    image = program_image(program)
+    images = [name for name, value in vars(program).items()
+              if isinstance(value, dict) and name != "data"
+              and len(value) == len(program.data)]
+    assert images == ["_image_words"]
+    pristine = dict(image)
+    ArchState(program).memory.store_word(next(iter(image)), 0xDEAD)
+    assert program_image(program) is image
+    assert image == pristine
