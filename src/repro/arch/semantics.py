@@ -6,7 +6,7 @@ functional interpreter (which operates on architectural registers) cannot
 diverge on arithmetic.
 """
 
-from repro.arch.bits import signed_div, signed_rem, to_signed, to_unsigned
+from repro.arch.bits import signed_div, signed_rem
 from repro.isa.opcodes import Opcode
 
 #: ``opcode -> (a, b, imm) -> unsigned 32-bit result`` for every ALU
@@ -64,13 +64,20 @@ _ALU = {
     Opcode.LUI: lambda a, b, imm: (imm << 16) & 0xFFFFFFFF,
 }
 
+#: ``opcode -> (a, b) -> bool`` for every conditional branch, each one
+#: expression on the same 32-bit tricks as ``_ALU``: the low 32 bits of
+#: ``a`` and ``b`` are equal when ``(a - b) & 0xFFFFFFFF`` is 0.
 _BRANCH = {
-    Opcode.BEQ: lambda a, b: to_unsigned(a) == to_unsigned(b),
-    Opcode.BNE: lambda a, b: to_unsigned(a) != to_unsigned(b),
-    Opcode.BLT: lambda a, b: to_signed(a) < to_signed(b),
-    Opcode.BGE: lambda a, b: to_signed(a) >= to_signed(b),
-    Opcode.BLTU: lambda a, b: to_unsigned(a) < to_unsigned(b),
-    Opcode.BGEU: lambda a, b: to_unsigned(a) >= to_unsigned(b),
+    Opcode.BEQ: lambda a, b: (a - b) & 0xFFFFFFFF == 0,
+    Opcode.BNE: lambda a, b: (a - b) & 0xFFFFFFFF != 0,
+    Opcode.BLT: lambda a, b: (
+        ((a & 0xFFFFFFFF) ^ 0x80000000) < ((b & 0xFFFFFFFF) ^ 0x80000000)
+    ),
+    Opcode.BGE: lambda a, b: (
+        ((a & 0xFFFFFFFF) ^ 0x80000000) >= ((b & 0xFFFFFFFF) ^ 0x80000000)
+    ),
+    Opcode.BLTU: lambda a, b: (a & 0xFFFFFFFF) < (b & 0xFFFFFFFF),
+    Opcode.BGEU: lambda a, b: (a & 0xFFFFFFFF) >= (b & 0xFFFFFFFF),
 }
 
 

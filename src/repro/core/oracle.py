@@ -17,6 +17,8 @@ from repro.arch.executor import FunctionalExecutor
 from repro.arch.state import ArchState
 from repro.isa.opcodes import OpClass
 
+_BRANCH = OpClass.BRANCH  # bound once: an enum-metaclass lookup per use
+
 
 class DirectionOracle:
     """Per-static-PC branch outcome FIFOs with checkpointable cursors."""
@@ -39,7 +41,7 @@ class DirectionOracle:
         )
 
         def observe(record):
-            if record.inst.info.opclass == OpClass.BRANCH:
+            if record.inst.info.opclass is _BRANCH:
                 outcomes[record.pc].append(bool(record.taken))
 
         executor.run(max_instructions + 10_000, observer=observe)

@@ -40,34 +40,46 @@ from repro.memsys.mshr import MSHRFile
 from repro.obs.events import MultiObserver, format_event
 from repro.obs.metrics import flatten, histogram
 
+# Every enum member the stages compare against, bound once: on CPython
+# 3.10/3.11 the enum metaclass's ``__getattr__`` makes ``OpClass.LOAD``
+# cost over 100 ns where a module global costs a few, and the stages
+# made ~28 such loads per retired instruction (docs/PERFORMANCE.md).
+_ALU, _MUL, _DIV, _NOP, _HALT = (
+    OpClass.ALU, OpClass.MUL, OpClass.DIV, OpClass.NOP, OpClass.HALT)
+_LOAD, _STORE, _BRANCH, _JUMP = (
+    OpClass.LOAD, OpClass.STORE, OpClass.BRANCH, OpClass.JUMP)
+_BQ_PUSH, _BQ_BRANCH, _BQ_MARK, _BQ_FORWARD = (
+    OpClass.BQ_PUSH, OpClass.BQ_BRANCH, OpClass.BQ_MARK, OpClass.BQ_FORWARD)
+_TQ_PUSH, _TQ_POP, _TQ_POP_BOV, _TCR_BRANCH = (
+    OpClass.TQ_PUSH, OpClass.TQ_POP, OpClass.TQ_POP_BOV, OpClass.TCR_BRANCH)
+_VQ_PUSH, _VQ_POP, _QSAVE, _QRESTORE = (
+    OpClass.VQ_PUSH, OpClass.VQ_POP, OpClass.QSAVE, OpClass.QRESTORE)
+_OP_J, _OP_JAL, _OP_JALR, _OP_CMOVZ, _OP_PREFETCH = (
+    Opcode.J, Opcode.JAL, Opcode.JALR, Opcode.CMOVZ, Opcode.PREFETCH)
+_OP_LW, _OP_LB, _OP_LBU, _OP_SW, _OP_SB = (
+    Opcode.LW, Opcode.LB, Opcode.LBU, Opcode.SW, Opcode.SB)
+_OP_SAVE_BQ, _OP_SAVE_VQ = Opcode.SAVE_BQ, Opcode.SAVE_VQ
+_OP_RESTORE_BQ, _OP_RESTORE_TQ, _OP_RESTORE_VQ = (
+    Opcode.RESTORE_BQ, Opcode.RESTORE_TQ, Opcode.RESTORE_VQ)
+_LVL_NONE, _LVL_L1, _LVL_L2, _LVL_L3, _LVL_MEM = (
+    MemLevel.NONE, MemLevel.L1, MemLevel.L2, MemLevel.L3, MemLevel.MEM)
+
 #: Instruction-space base address (keeps code blocks apart from data in L2/L3).
 CODE_BASE = 0x40000000
-
-_ALU_CLASSES = frozenset(
-    {
-        OpClass.ALU,
-        OpClass.BRANCH,
-        OpClass.BQ_PUSH,
-        OpClass.TQ_PUSH,
-        OpClass.VQ_PUSH,
-        OpClass.VQ_POP,
-        OpClass.JUMP,  # only JALR reaches the IQ
-    }
-)
 
 #: Opclasses fully resolved in the front end: they never enter the issue
 #: queue and are marked done at rename.  This is the paper's key property —
 #: Branch_on_BQ, Branch_on_TCR and the TQ pops "execute in the fetch stage".
 _FETCH_RESOLVED = frozenset(
     {
-        OpClass.BQ_BRANCH,
-        OpClass.TCR_BRANCH,
-        OpClass.TQ_POP,
-        OpClass.TQ_POP_BOV,
-        OpClass.BQ_MARK,
-        OpClass.BQ_FORWARD,
-        OpClass.NOP,
-        OpClass.HALT,
+        _BQ_BRANCH,
+        _TCR_BRANCH,
+        _TQ_POP,
+        _TQ_POP_BOV,
+        _BQ_MARK,
+        _BQ_FORWARD,
+        _NOP,
+        _HALT,
     }
 )
 
@@ -105,22 +117,22 @@ _D_BR_FN = 14
 #: control transfers, serializers).  Everything else takes the lean fetch
 #: path: create the uop and advance the PC.
 _FETCH_SPECIAL = frozenset({
-    OpClass.BQ_PUSH, OpClass.BQ_BRANCH, OpClass.BQ_MARK, OpClass.BQ_FORWARD,
-    OpClass.TQ_PUSH, OpClass.TQ_POP, OpClass.TQ_POP_BOV, OpClass.TCR_BRANCH,
-    OpClass.BRANCH, OpClass.JUMP, OpClass.HALT,
-    OpClass.QSAVE, OpClass.QRESTORE,
+    _BQ_PUSH, _BQ_BRANCH, _BQ_MARK, _BQ_FORWARD,
+    _TQ_PUSH, _TQ_POP, _TQ_POP_BOV, _TCR_BRANCH,
+    _BRANCH, _JUMP, _HALT,
+    _QSAVE, _QRESTORE,
 })
 
 #: Opclasses whose retirement touches a structure beyond the ROB/PRF
 #: (queues, predictors, branch bookkeeping).  Plain ALU/MUL/DIV/NOP ops
 #: skip the whole dispatch chain in ``_retire_one``.
 _RETIRE_SPECIAL = frozenset({
-    OpClass.LOAD, OpClass.STORE,
-    OpClass.BQ_PUSH, OpClass.BQ_BRANCH, OpClass.BQ_MARK, OpClass.BQ_FORWARD,
-    OpClass.TQ_PUSH, OpClass.TQ_POP, OpClass.TQ_POP_BOV, OpClass.TCR_BRANCH,
-    OpClass.VQ_PUSH, OpClass.VQ_POP,
-    OpClass.BRANCH, OpClass.JUMP, OpClass.HALT,
-    OpClass.QSAVE, OpClass.QRESTORE,
+    _LOAD, _STORE,
+    _BQ_PUSH, _BQ_BRANCH, _BQ_MARK, _BQ_FORWARD,
+    _TQ_PUSH, _TQ_POP, _TQ_POP_BOV, _TCR_BRANCH,
+    _VQ_PUSH, _VQ_POP,
+    _BRANCH, _JUMP, _HALT,
+    _QSAVE, _QRESTORE,
 })
 
 
@@ -170,9 +182,9 @@ class Uop:
     is_byte = False
     addr = None
     addr_known = False
-    mem_level = MemLevel.NONE
+    mem_level = _LVL_NONE
     value = None
-    level = MemLevel.NONE
+    level = _LVL_NONE
     vq_source_phys = None
     vq_dangling = False
     needs_retire_redirect = False
@@ -247,7 +259,7 @@ class Pipeline:
         self.vq_renamer = VQRenamer(config.vq_size)
         self.prf_value = [0] * config.num_phys_regs
         self.prf_ready = [False] * config.num_phys_regs
-        self.prf_level = [MemLevel.NONE] * config.num_phys_regs
+        self.prf_level = [_LVL_NONE] * config.num_phys_regs
         for phys in range(32):
             self.prf_ready[phys] = True
         self.rob = deque()
@@ -371,9 +383,9 @@ class Pipeline:
                 sources.append(inst.rd)
             needs_iq = (
                 opclass not in _FETCH_RESOLVED
-                and not (opclass is OpClass.JUMP and opcode is not Opcode.JALR)
-                and opclass is not OpClass.QSAVE
-                and opclass is not OpClass.QRESTORE
+                and not (opclass is _JUMP and opcode is not _OP_JALR)
+                and opclass is not _QSAVE
+                and opclass is not _QRESTORE
             )
             decoded.append((
                 inst,
@@ -382,11 +394,11 @@ class Pipeline:
                 tuple(sources),
                 inst.destination_register(),
                 needs_iq,
-                opclass is OpClass.LOAD and opcode is not Opcode.PREFETCH,
-                opclass is OpClass.STORE,
-                opcode in (Opcode.LB, Opcode.LBU, Opcode.SB),
+                opclass is _LOAD and opcode is not _OP_PREFETCH,
+                opclass is _STORE,
+                opcode in (_OP_LB, _OP_LBU, _OP_SB),
                 info.latency,
-                opcode is Opcode.PREFETCH,
+                opcode is _OP_PREFETCH,
                 opclass not in _FETCH_SPECIAL,
                 opclass not in _RETIRE_SPECIAL,
                 alu_fn(opcode),
@@ -448,7 +460,7 @@ class Pipeline:
             self.last_inst_block = block
             result = self.memory.access_inst(CODE_BASE + self.fetch_pc * 4)
             events["icache_access"] += 1
-            if result.level != MemLevel.L1:
+            if result.level != _LVL_L1:
                 stats.icache_stall_cycles += result.latency
                 self.next_fetch_cycle = cycle + result.latency
                 return
@@ -490,13 +502,13 @@ class Pipeline:
 
             uop = Uop(seq, pc, inst, cycle, opclass)
 
-            if opclass is OpClass.BQ_PUSH:
+            if opclass is _BQ_PUSH:
                 if hw_bq.push_would_stall():
                     stats.bq_full_stalls += 1
                     break
                 uop.bq_ptr = hw_bq.allocate_push()
                 events["bq_access"] += 1
-            elif opclass is OpClass.BQ_BRANCH:
+            elif opclass is _BQ_BRANCH:
                 events["bq_access"] += 1
                 events["btb_access"] += 1
                 kind, pointer, predicate, level = hw_bq.pop_at_fetch()
@@ -538,17 +550,17 @@ class Pipeline:
                     if predicted:
                         taken_transfer = True
                         next_pc = inst.target
-            elif opclass is OpClass.BQ_MARK:
+            elif opclass is _BQ_MARK:
                 hw_bq.mark_at_fetch()
-            elif opclass is OpClass.BQ_FORWARD:
+            elif opclass is _BQ_FORWARD:
                 hw_bq.forward_at_fetch()
                 events["bq_access"] += 1
-            elif opclass is OpClass.TQ_PUSH:
+            elif opclass is _TQ_PUSH:
                 if hw_tq.push_would_stall():
                     break
                 uop.tq_ptr = hw_tq.allocate_push()
                 events["tq_access"] += 1
-            elif opclass is OpClass.TQ_POP:
+            elif opclass is _TQ_POP:
                 events["tq_access"] += 1
                 kind, pointer, count, overflow = hw_tq.pop_at_fetch()
                 if kind != POP_HIT:
@@ -558,7 +570,7 @@ class Pipeline:
                 uop.popped_count = count
                 uop.popped_ovf = overflow
                 self.spec_tcr = 0 if overflow else count
-            elif opclass is OpClass.TQ_POP_BOV:
+            elif opclass is _TQ_POP_BOV:
                 events["tq_access"] += 1
                 events["btb_access"] += 1
                 kind, pointer, count, overflow = hw_tq.pop_at_fetch()
@@ -575,7 +587,7 @@ class Pipeline:
                 if overflow:
                     taken_transfer = True
                     next_pc = inst.target
-            elif opclass is OpClass.TCR_BRANCH:
+            elif opclass is _TCR_BRANCH:
                 events["btb_access"] += 1
                 uop.is_ctrl = True
                 taken = self.spec_tcr > 0
@@ -585,7 +597,7 @@ class Pipeline:
                     next_pc = inst.target
                 uop.actual_taken = taken
                 uop.actual_target = inst.target if taken else pc + 1
-            elif opclass is OpClass.BRANCH:
+            elif opclass is _BRANCH:
                 events["btb_access"] += 1
                 uop.is_ctrl = True
                 uop.conditional = True
@@ -608,16 +620,16 @@ class Pipeline:
                 if predicted:
                     taken_transfer = True
                     next_pc = inst.target
-            elif opclass is OpClass.JUMP:
+            elif opclass is _JUMP:
                 events["btb_access"] += 1
                 uop.is_ctrl = True
                 opcode = entry[_D_OPCODE]
-                if opcode is Opcode.J:
+                if opcode is _OP_J:
                     uop.predicted_taken = uop.actual_taken = True
                     uop.predicted_target = uop.actual_target = inst.target
                     taken_transfer = True
                     next_pc = inst.target
-                elif opcode is Opcode.JAL:
+                elif opcode is _OP_JAL:
                     uop.predicted_taken = uop.actual_taken = True
                     uop.predicted_target = uop.actual_target = inst.target
                     if inst.rd == LINK_REG:
@@ -638,16 +650,16 @@ class Pipeline:
                     uop.fe_snap = self._finish_fe_snapshot(snap)
                     taken_transfer = True
                     next_pc = predicted_target
-            elif opclass is OpClass.HALT:
+            elif opclass is _HALT:
                 self.fetch_halted = True
-            elif opclass is OpClass.QSAVE or opclass is OpClass.QRESTORE:
+            elif opclass is _QSAVE or opclass is _QRESTORE:
                 # Queue save/restore fully serializes: later instructions
                 # (in particular pops) must see the restored queue state.
                 self.fetch_halted = True
 
             # BTB-driven misfetch penalty for taken transfers.
             misfetch = False
-            if taken_transfer and entry[_D_OPCODE] is not Opcode.JALR:
+            if taken_transfer and entry[_D_OPCODE] is not _OP_JALR:
                 if self.btb.lookup(pc) is None:
                     misfetch = True
                     stats.misfetches += 1
@@ -660,9 +672,9 @@ class Pipeline:
             self.fetch_pc = next_pc
             fetched += 1
             if (
-                opclass is OpClass.HALT
-                or opclass is OpClass.QSAVE
-                or opclass is OpClass.QRESTORE
+                opclass is _HALT
+                or opclass is _QSAVE
+                or opclass is _QRESTORE
             ):
                 break
             if taken_transfer:
@@ -727,14 +739,14 @@ class Pipeline:
             needs_iq = entry[_D_NEEDS_IQ]
             if needs_iq and iq_len >= iq_size:
                 break
-            if opclass is OpClass.LOAD and len(load_queue) >= config.lq_size:
+            if opclass is _LOAD and len(load_queue) >= config.lq_size:
                 break
-            if opclass is OpClass.STORE and len(store_queue) >= config.sq_size:
+            if opclass is _STORE and len(store_queue) >= config.sq_size:
                 break
-            if opclass is OpClass.VQ_PUSH and self.vq_renamer.push_would_stall():
+            if opclass is _VQ_PUSH and self.vq_renamer.push_would_stall():
                 break
             dest_arch = entry[_D_DEST_ARCH]
-            needs_phys = dest_arch is not None or opclass is OpClass.VQ_PUSH
+            needs_phys = dest_arch is not None or opclass is _VQ_PUSH
             if needs_phys and not free_phys:
                 break
 
@@ -757,7 +769,7 @@ class Pipeline:
                 sources = []
             else:
                 sources = [rmt[reg] for reg in src_arch]
-            if opclass is OpClass.VQ_POP:
+            if opclass is _VQ_POP:
                 src = self.vq_renamer.pop()
                 events["vq_renamer_access"] += 1
                 if src is None:
@@ -776,13 +788,13 @@ class Pipeline:
                 uop.old_phys_rd = rmt[dest_arch]
                 rmt[dest_arch] = phys
                 prf_ready[phys] = False
-                prf_level[phys] = MemLevel.NONE
+                prf_level[phys] = _LVL_NONE
                 prf_allocs += 1
-            elif opclass is OpClass.VQ_PUSH:
+            elif opclass is _VQ_PUSH:
                 phys = free_phys.pop()
                 uop.phys_rd = phys
                 prf_ready[phys] = False
-                prf_level[phys] = MemLevel.NONE
+                prf_level[phys] = _LVL_NONE
                 self.vq_renamer.push(phys)
                 events["vq_renamer_access"] += 1
 
@@ -821,12 +833,12 @@ class Pipeline:
             rob.append(uop)
             rob_len += 1
 
-            if opclass is OpClass.QSAVE or opclass is OpClass.QRESTORE:
+            if opclass is _QSAVE or opclass is _QRESTORE:
                 uop.serializing = True
                 self.serialize_pending = True
             elif not needs_iq:
                 # Resolved in the front end: no execution needed.
-                if entry[_D_OPCODE] is Opcode.JAL and uop.phys_rd is not None:
+                if entry[_D_OPCODE] is _OP_JAL and uop.phys_rd is not None:
                     self.prf_value[uop.phys_rd] = uop.pc + 1
                     prf_ready[uop.phys_rd] = True
                     uop.value = uop.pc + 1
@@ -907,19 +919,19 @@ class Pipeline:
                     append(uop)
                     continue
             opclass = uop.opclass
-            if opclass is OpClass.LOAD or opclass is OpClass.STORE:
+            if opclass is _LOAD or opclass is _STORE:
                 if ldst_free <= 0:
                     append(uop)
                     continue
                 ldst_free -= 1
                 self._issue_memory(uop)
-            elif opclass is OpClass.MUL:
+            elif opclass is _MUL:
                 if mul_free <= 0:
                     append(uop)
                     continue
                 mul_free -= 1
                 self._issue_compute(uop)
-            elif opclass is OpClass.DIV:
+            elif opclass is _DIV:
                 if cycle < self.div_busy_until:
                     append(uop)
                     div_waited = True
@@ -995,7 +1007,7 @@ class Pipeline:
         for uop in self.waiting_loads:
             if uop.squashed:
                 continue
-            if uop.inst.opcode == Opcode.PREFETCH:
+            if uop.inst.opcode is _OP_PREFETCH:
                 if self._launch_prefetch(uop):
                     continue
                 still_waiting.append(uop)
@@ -1017,7 +1029,7 @@ class Pipeline:
                     still_waiting.append(uop)
                     continue
                 uop.value = self._load_extract(uop, data)
-                uop.mem_level = MemLevel.L1
+                uop.mem_level = _LVL_L1
                 stats.events["store_forward"] += 1
                 self._schedule(uop, 1)
                 continue
@@ -1028,10 +1040,10 @@ class Pipeline:
 
     def _load_extract(self, uop, word_or_byte):
         opcode = uop.inst.opcode
-        if opcode == Opcode.LW or opcode == Opcode.SW:
+        if opcode is _OP_LW or opcode is _OP_SW:
             return word_or_byte & 0xFFFFFFFF
         value = word_or_byte & 0xFF
-        if opcode == Opcode.LB and value & 0x80:
+        if opcode is _OP_LB and value & 0x80:
             value |= 0xFFFFFF00
         return value
 
@@ -1053,7 +1065,7 @@ class Pipeline:
         block_pending = self.mshr._pending.get(block)
         if block_pending is not None and block_pending > self.cycle:
             uop.value = self._read_committed(uop)
-            uop.mem_level = self.pending_fill_level.get(block, MemLevel.L2)
+            uop.mem_level = self.pending_fill_level.get(block, _LVL_L2)
             self.mshr.merges += 1
             delay = max(1, block_pending - self.cycle)
             self._schedule(uop, delay)
@@ -1062,13 +1074,13 @@ class Pipeline:
             return True
         result = self.memory.access_data(uop.addr, is_write=False, pc=uop.pc)
         stats.events["l1d_access"] += 1
-        if result.level >= MemLevel.L2:
+        if result.level >= _LVL_L2:
             stats.events["l2_access"] += 1
-        if result.level >= MemLevel.L3:
+        if result.level >= _LVL_L3:
             stats.events["l3_access"] += 1
-        if result.level >= MemLevel.MEM:
+        if result.level >= _LVL_MEM:
             stats.events["dram_access"] += 1
-        if result.level != MemLevel.L1:
+        if result.level != _LVL_L1:
             accepted, ready = self.mshr.request(uop.addr, self.cycle, result.latency)
             if not accepted:
                 # Structural MSHR stall; retry next cycle (the line is now
@@ -1119,7 +1131,7 @@ class Pipeline:
             if uop.squashed or uop.done:
                 continue
             opclass = uop.opclass
-            if opclass is OpClass.STORE:
+            if opclass is _STORE:
                 data_phys = uop.src_phys[1]
                 if not self.prf_ready[data_phys]:
                     self._schedule(uop, 1)  # data not ready yet; retry
@@ -1166,17 +1178,17 @@ class Pipeline:
             level = l0 if l0 >= l1 else l1
         elif n == 0:
             src_values = src_levels = ()
-            level = MemLevel.NONE
+            level = _LVL_NONE
         else:
             src_values = [prf_value[p] for p in src_phys]
             src_levels = [prf_level[p] for p in src_phys]
             level = max(src_levels)
 
-        if opclass is OpClass.ALU or opclass is OpClass.MUL or opclass is OpClass.DIV:
+        if opclass is _ALU or opclass is _MUL or opclass is _DIV:
             fn = self._decoded[uop.pc][_D_ALU_FN]
             if fn is None:  # CMOVZ / CMOVNZ merge with the previous rd
                 a, condition, old_rd = src_values
-                move = (condition == 0) == (opcode is Opcode.CMOVZ)
+                move = (condition == 0) == (opcode is _OP_CMOVZ)
                 self._write_dest(uop, a if move else old_rd, level)
             else:
                 n = len(src_values)
@@ -1193,11 +1205,11 @@ class Pipeline:
                     prf_level[phys] = level
                     self._issue_dirty = True
                     self.stats.events["prf_write"] += 1
-        elif opclass is OpClass.LOAD:
-            if opcode is not Opcode.PREFETCH:
+        elif opclass is _LOAD:
+            if opcode is not _OP_PREFETCH:
                 self._write_dest(uop, uop.value, uop.mem_level)
             uop.level = uop.mem_level
-        elif opclass is OpClass.BRANCH:
+        elif opclass is _BRANCH:
             a = src_values[0]
             b = src_values[1] if len(src_values) > 1 else 0
             taken = self._decoded[uop.pc][_D_BR_FN](a, b)
@@ -1210,17 +1222,17 @@ class Pipeline:
                 self._mispredict(uop, uop.actual_target, level)
             else:
                 self._confirm_control(uop)
-        elif opclass is OpClass.JUMP:  # JALR only
+        elif opclass is _JUMP:  # JALR only
             target = src_values[0]
             uop.actual_taken = True
             uop.actual_target = target
-            self._write_dest(uop, uop.pc + 1, MemLevel.NONE)
+            self._write_dest(uop, uop.pc + 1, _LVL_NONE)
             self.btb.install(uop.pc, target)
             if target != uop.predicted_target:
                 self._mispredict(uop, target, level)
             else:
                 self._confirm_control(uop)
-        elif opclass is OpClass.BQ_PUSH:
+        elif opclass is _BQ_PUSH:
             predicate = 1 if src_values[0] else 0
             uop.value = predicate
             uop.level = level
@@ -1230,15 +1242,15 @@ class Pipeline:
                 self._late_push_mismatch(uop, mismatch, level)
             else:
                 self._late_push_confirm(uop)
-        elif opclass is OpClass.TQ_PUSH:
+        elif opclass is _TQ_PUSH:
             count = src_values[0]
             uop.value = count
             self.hw_tq.execute_push(uop.tq_ptr, count)
             self.stats.events["tq_access"] += 1
-        elif opclass is OpClass.VQ_PUSH:
+        elif opclass is _VQ_PUSH:
             self._write_phys(uop.phys_rd, src_values[0], src_levels[0])
             uop.value = src_values[0]
-        elif opclass is OpClass.VQ_POP:
+        elif opclass is _VQ_POP:
             self._write_dest(uop, src_values[0], src_levels[0])
         else:  # pragma: no cover
             raise SimulationError("unexpected opclass in execute: %s" % opclass)
@@ -1319,15 +1331,15 @@ class Pipeline:
             self.oracle.restore(snap.oracle)
         opclass = uop.opclass
         actual = bool(uop.actual_taken)
-        if opclass == OpClass.BRANCH:
+        if opclass is _BRANCH:
             if uop.oracle_used:
                 self.oracle.reapply(uop.pc)
             self.predictor.speculative_update(uop.pc, actual)
             self.confidence.speculative_update(actual)
-        elif opclass == OpClass.BQ_BRANCH:
+        elif opclass is _BQ_BRANCH:
             self.predictor.speculative_update(uop.pc, actual)
             self.confidence.speculative_update(actual)
-        elif opclass == OpClass.JUMP and uop.inst.opcode == Opcode.JALR:
+        elif opclass is _JUMP and uop.inst.opcode is _OP_JALR:
             if uop.inst.rs1 == LINK_REG and uop.inst.rd == ZERO_REG:
                 self.ras.pop()
 
@@ -1466,9 +1478,9 @@ class Pipeline:
 
     def _queue_for(self, opcode):
         state = self.checker.state
-        if opcode in (Opcode.SAVE_BQ, Opcode.RESTORE_BQ):
+        if opcode in (_OP_SAVE_BQ, _OP_RESTORE_BQ):
             return state.bq
-        if opcode in (Opcode.SAVE_VQ, Opcode.RESTORE_VQ):
+        if opcode in (_OP_SAVE_VQ, _OP_RESTORE_VQ):
             return state.vq
         return state.tq
 
@@ -1525,7 +1537,7 @@ class Pipeline:
         opclass = uop.opclass
 
         # Structure-specific retirement.
-        if opclass is OpClass.STORE:
+        if opclass is _STORE:
             self.memory.access_data(uop.addr, is_write=True, pc=uop.pc)
             events["l1d_access"] += 1
             # Retirement is in program order, so the retiring store is the
@@ -1535,16 +1547,16 @@ class Pipeline:
                 del store_queue[0]
             else:
                 self.store_queue = [e for e in store_queue if e.uop is not uop]
-        elif opclass is OpClass.LOAD:
+        elif opclass is _LOAD:
             load_queue = self.load_queue
             if load_queue and load_queue[0] is uop:
                 del load_queue[0]
             else:
                 self.load_queue = [u for u in load_queue if u is not uop]
-        elif opclass == OpClass.BQ_PUSH:
+        elif opclass is _BQ_PUSH:
             self.hw_bq.retire_push()
             stats.bq_pushes += 1
-        elif opclass == OpClass.BQ_BRANCH:
+        elif opclass is _BQ_BRANCH:
             self.hw_bq.retire_pop()
             stats.bq_pops += 1
             if uop.bq_spec:
@@ -1565,27 +1577,27 @@ class Pipeline:
             if uop.bq_spec and uop.uses_predictor:
                 self.predictor.update(uop.pc, bool(uop.actual_taken), uop.pred_meta)
                 self.confidence.update(uop.pc, not uop.mispredicted)
-        elif opclass == OpClass.BQ_MARK:
+        elif opclass is _BQ_MARK:
             self.hw_bq.retire_mark()
-        elif opclass == OpClass.BQ_FORWARD:
+        elif opclass is _BQ_FORWARD:
             stats.forward_bulk_pops += self.hw_bq.retire_forward()
-        elif opclass == OpClass.TQ_PUSH:
+        elif opclass is _TQ_PUSH:
             self.hw_tq.retire_push()
             stats.tq_pushes += 1
-        elif opclass in (OpClass.TQ_POP, OpClass.TQ_POP_BOV):
+        elif opclass is _TQ_POP or opclass is _TQ_POP_BOV:
             self.hw_tq.retire_pop()
             stats.tq_pops += 1
-            if opclass == OpClass.TQ_POP_BOV:
+            if opclass is _TQ_POP_BOV:
                 stats.record_branch(
                     uop.pc, bool(uop.actual_taken), False, at_fetch=True
                 )
-        elif opclass == OpClass.TCR_BRANCH:
+        elif opclass is _TCR_BRANCH:
             stats.tcr_branches += 1
             stats.record_branch(uop.pc, bool(uop.actual_taken), False, at_fetch=True)
-        elif opclass == OpClass.VQ_PUSH:
+        elif opclass is _VQ_PUSH:
             self.vq_renamer.retire_push()
             stats.vq_pushes += 1
-        elif opclass == OpClass.VQ_POP:
+        elif opclass is _VQ_POP:
             self.vq_renamer.retire_pop()
             stats.vq_pops += 1
             if not uop.vq_dangling and uop.vq_source_phys is not None:
@@ -1595,25 +1607,25 @@ class Pipeline:
                 # wrong-path only; boot mappings of r1..r31 can have been
                 # legitimately recycled into push destinations.)
                 self.rename_tables.freelist.release(uop.vq_source_phys)
-        elif opclass == OpClass.BRANCH:
+        elif opclass is _BRANCH:
             stats.record_branch(
                 uop.pc, bool(uop.actual_taken), uop.mispredicted, uop.level
             )
             if uop.uses_predictor:
                 self.predictor.update(uop.pc, bool(uop.actual_taken), uop.pred_meta)
             self.confidence.update(uop.pc, not uop.mispredicted)
-        elif opclass == OpClass.JUMP:
+        elif opclass is _JUMP:
             stats.record_branch(
                 uop.pc, True, uop.mispredicted, uop.level, conditional=False
             )
-        elif opclass in (OpClass.QSAVE, OpClass.QRESTORE):
+        elif opclass is _QSAVE or opclass is _QRESTORE:
             self.serialize_pending = False
             self._resync_queues_after_serializing(inst.opcode)
             self.fetch_halted = False
             self.fetch_pc = uop.pc + 1
             self.next_fetch_cycle = self.cycle + 1
             self.last_inst_block = None
-        elif opclass == OpClass.HALT:
+        elif opclass is _HALT:
             self.sim_done = True
 
         if uop.ckpt_id is not None:
@@ -1627,14 +1639,14 @@ class Pipeline:
         exactly the freedom the ISA's length-register-only spec grants.
         """
         state = self.checker.state
-        if opcode == Opcode.RESTORE_BQ:
+        if opcode is _OP_RESTORE_BQ:
             bq = HardwareBQ(self.config.bq_size)
             for position, predicate in enumerate(state.bq.entries()):
                 bq.predicate[position] = predicate
                 bq.pushed[position] = True
             bq.fetch_tail = bq.committed_tail = state.bq.length
             self.hw_bq = bq
-        elif opcode == Opcode.RESTORE_TQ:
+        elif opcode is _OP_RESTORE_TQ:
             tq = HardwareTQ(self.config.tq_size, self.config.tq_bits)
             for position, (count, overflow) in enumerate(state.tq.entries()):
                 tq.count[position] = count
@@ -1642,13 +1654,13 @@ class Pipeline:
                 tq.pushed[position] = True
             tq.fetch_tail = tq.committed_tail = state.tq.length
             self.hw_tq = tq
-        elif opcode == Opcode.RESTORE_VQ:
+        elif opcode is _OP_RESTORE_VQ:
             renamer = VQRenamer(self.config.vq_size)
             for value in state.vq.entries():
                 phys = self.rename_tables.freelist.allocate()
                 if phys is None:
                     raise SimulationError("freelist exhausted during Restore_VQ")
-                self._write_phys(phys, value, MemLevel.NONE)
+                self._write_phys(phys, value, _LVL_NONE)
                 renamer.push(phys)
             renamer.committed_tail = renamer.fetch_tail
             old = self.vq_renamer
@@ -1722,10 +1734,10 @@ class Pipeline:
         amt = self.rename_tables.amt
         regs = arch.regs
         for reg in range(1, NUM_GPRS):
-            self._write_phys(amt[reg], regs[reg], MemLevel.NONE)
-        self._resync_queues_after_serializing(Opcode.RESTORE_BQ)
-        self._resync_queues_after_serializing(Opcode.RESTORE_TQ)
-        self._resync_queues_after_serializing(Opcode.RESTORE_VQ)
+            self._write_phys(amt[reg], regs[reg], _LVL_NONE)
+        self._resync_queues_after_serializing(_OP_RESTORE_BQ)
+        self._resync_queues_after_serializing(_OP_RESTORE_TQ)
+        self._resync_queues_after_serializing(_OP_RESTORE_VQ)
         self.rename_tables.restore_rmt_from_amt()
         self.committed_tcr = self.spec_tcr = arch.tcr
         self.sync_fetch_to_committed()

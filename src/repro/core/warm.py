@@ -58,11 +58,25 @@ from repro.arch.memory import Memory
 from repro.arch.queues import BranchQueue, TripCountQueue, ValueQueue
 from repro.arch.state import ArchState, program_image
 from repro.isa.instructions import LINK_REG, ZERO_REG
-from repro.isa.opcodes import OpClass, Opcode
 
-#: Instruction-space base address; mirrors ``core.pipeline.CODE_BASE``
-#: (imported lazily below to keep this module import-light).
-from repro.core.pipeline import CODE_BASE, _D_INST, _D_OPCLASS, _D_OPCODE
+#: The pipeline's code base, predecode layout and the enum members it
+#: binds once (``OpClass.LOAD`` is an enum-metaclass lookup per use).
+from repro.core.pipeline import (
+    CODE_BASE,
+    _ALU,
+    _BQ_BRANCH,
+    _BRANCH,
+    _D_INST,
+    _D_OPCLASS,
+    _D_OPCODE,
+    _JUMP,
+    _LOAD,
+    _OP_JAL,
+    _OP_JALR,
+    _STORE,
+    _TCR_BRANCH,
+    _TQ_POP_BOV,
+)
 
 #: Warm-trace event kinds (see :func:`record_portable_trace`).  One event is
 #: (kind, a, b); the meaning of a/b depends on the kind.
@@ -166,14 +180,14 @@ def warm_advance(pipeline, max_instructions):
             prev_block = block
         entry = decoded[pc]
         opclass = entry[_D_OPCLASS]
-        if opclass is OpClass.ALU:
+        if opclass is _ALU:
             continue
-        if opclass is OpClass.LOAD:
+        if opclass is _LOAD:
             # Includes PREFETCH: both walk the data hierarchy as reads.
             access_data(record.mem_addr, is_write=False, pc=pc)
-        elif opclass is OpClass.STORE:
+        elif opclass is _STORE:
             access_data(record.mem_addr, is_write=True, pc=pc)
-        elif opclass is OpClass.BRANCH:
+        elif opclass is _BRANCH:
             taken = bool(record.taken)
             if oracle is not None and (oracle_all or pc in perfect_pcs):
                 predicted = oracle.predict(pc)
@@ -185,20 +199,20 @@ def warm_advance(pipeline, max_instructions):
             if taken:
                 btb.install(pc, record.target)
                 prev_block = None
-        elif opclass is OpClass.JUMP:
+        elif opclass is _JUMP:
             inst = entry[_D_INST]
             opcode = entry[_D_OPCODE]
-            if opcode is Opcode.JAL and inst.rd == LINK_REG:
+            if opcode is _OP_JAL and inst.rd == LINK_REG:
                 ras.push(pc + 1)
-            elif opcode is Opcode.JALR:
+            elif opcode is _OP_JALR:
                 if inst.rs1 == LINK_REG and inst.rd == ZERO_REG:
                     ras.pop()
             btb.install(pc, record.target)
             prev_block = None
         elif (
-            opclass is OpClass.BQ_BRANCH
-            or opclass is OpClass.TCR_BRANCH
-            or opclass is OpClass.TQ_POP_BOV
+            opclass is _BQ_BRANCH
+            or opclass is _TCR_BRANCH
+            or opclass is _TQ_POP_BOV
         ):
             # Fetch-resolved CFD control: no predictor training, but a
             # taken transfer still lands in the BTB (misfetch install).
@@ -243,22 +257,22 @@ def _static_event_kinds(pipeline):
     perfect_pcs = pipeline.config.perfect_pcs
     for pc, entry in enumerate(pipeline._decoded):
         opclass = entry[_D_OPCLASS]
-        if opclass is OpClass.LOAD:
+        if opclass is _LOAD:
             kind = _E_LOAD
-        elif opclass is OpClass.STORE:
+        elif opclass is _STORE:
             kind = _E_STORE
-        elif opclass is OpClass.BRANCH:
+        elif opclass is _BRANCH:
             if oracle is not None and (oracle_all or pc in perfect_pcs):
                 kind = _E_ORACLE
             else:
                 kind = _E_BR
-        elif opclass is OpClass.JUMP:
+        elif opclass is _JUMP:
             inst = entry[_D_INST]
             opcode = entry[_D_OPCODE]
-            if opcode is Opcode.JAL and inst.rd == LINK_REG:
+            if opcode is _OP_JAL and inst.rd == LINK_REG:
                 kind = _E_JAL_LINK
             elif (
-                opcode is Opcode.JALR
+                opcode is _OP_JALR
                 and inst.rs1 == LINK_REG
                 and inst.rd == ZERO_REG
             ):
@@ -266,9 +280,9 @@ def _static_event_kinds(pipeline):
             else:
                 kind = _E_JUMP
         elif (
-            opclass is OpClass.BQ_BRANCH
-            or opclass is OpClass.TCR_BRANCH
-            or opclass is OpClass.TQ_POP_BOV
+            opclass is _BQ_BRANCH
+            or opclass is _TCR_BRANCH
+            or opclass is _TQ_POP_BOV
         ):
             kind = _E_CFD_T
         else:

@@ -25,9 +25,13 @@ class MemLevel(enum.IntEnum):
     MEM = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessResult:
-    """Outcome of one hierarchy access."""
+    """Outcome of one hierarchy access.
+
+    Frozen: a :class:`MemoryHierarchy` builds the four outcomes of each
+    first-level cache once and returns the shared one per access.
+    """
 
     latency: int
     level: MemLevel
@@ -68,38 +72,49 @@ class MemoryHierarchy:
         self.data_accesses = 0
         self.inst_accesses = 0
         self.prefetch_fills = 0
+        self._inst_outcomes = self._outcomes(self.config.l1i)
+        self._data_outcomes = self._outcomes(self.config.l1d)
 
-    def _walk(self, first_level_cache, addr, is_write):
+    def _outcomes(self, first_level_config):
+        """The four results of a walk from *first_level_config*'s cache:
+        served by it, by L2, by L3 or by DRAM (see :meth:`_walk`)."""
+        l1 = first_level_config.hit_latency
+        l2 = l1 + self.config.l2.hit_latency
+        l3 = l2 + self.config.l3.hit_latency
+        return (AccessResult(l1, MemLevel.L1), AccessResult(l2, MemLevel.L2),
+                AccessResult(l3, MemLevel.L3),
+                AccessResult(l3 + self.config.dram_latency, MemLevel.MEM))
+
+    def _walk(self, first_level_cache, outcomes, addr, is_write):
         """Probe down the hierarchy; fill on the way back.
 
-        Returns (total_latency, MemLevel).
+        Returns the one of *outcomes* (the first-level cache's, from
+        :meth:`_outcomes`) for the level that served *addr*.
         """
-        latency = first_level_cache.config.hit_latency
         if first_level_cache.lookup(addr, is_write):
-            return latency, MemLevel.L1
-        latency += self.l2.config.hit_latency
+            return outcomes[0]
         if self.l2.lookup(addr):
             first_level_cache.fill(addr, is_write)
-            return latency, MemLevel.L2
-        latency += self.l3.config.hit_latency
+            return outcomes[1]
         if self.l3.lookup(addr):
             self.l2.fill(addr)
             first_level_cache.fill(addr, is_write)
-            return latency, MemLevel.L3
-        latency += self.config.dram_latency
+            return outcomes[2]
         self.l3.fill(addr)
         self.l2.fill(addr)
         first_level_cache.fill(addr, is_write)
-        return latency, MemLevel.MEM
+        return outcomes[3]
 
     def access_data(self, addr, is_write=False, pc=None):
-        """A demand data access. Returns :class:`AccessResult`."""
+        """A demand data access. Returns a shared :class:`AccessResult`."""
         self.data_accesses += 1
-        latency, level = self._walk(self.l1d, addr, is_write)
+        outcomes = self._data_outcomes
+        result = self._walk(self.l1d, outcomes, addr, is_write)
         if self.prefetcher is not None and not is_write:
-            for pf_addr in self.prefetcher.observe(pc or 0, addr, level != MemLevel.L1):
+            was_miss = result is not outcomes[0]
+            for pf_addr in self.prefetcher.observe(pc or 0, addr, was_miss):
                 self.prefetch_fill(pf_addr)
-        return AccessResult(latency, level)
+        return result
 
     def probe_data_hit(self, addr):
         """Non-mutating L1D probe (used for MSHR-free fast-path checks)."""
@@ -116,10 +131,9 @@ class MemoryHierarchy:
             self.l1d.fill(addr)
 
     def access_inst(self, addr):
-        """An instruction fetch access. Returns :class:`AccessResult`."""
+        """An instruction fetch access. Returns a shared :class:`AccessResult`."""
         self.inst_accesses += 1
-        latency, level = self._walk(self.l1i, addr, is_write=False)
-        return AccessResult(latency, level)
+        return self._walk(self.l1i, self._inst_outcomes, addr, False)
 
     def miss_latency(self, level):
         """Total latency an access served at *level* pays (for MSHR fills)."""

@@ -18,6 +18,10 @@ from repro.isa.opcodes import OpClass
 from repro.memsys.hierarchy import MemLevel
 from repro.memsys.hierarchy import MemoryHierarchy, MemoryHierarchyConfig
 
+# Bound once: the observer below tests every retired instruction, and an
+# ``OpClass.LOAD`` is an enum-metaclass lookup per use.
+_LOAD, _BRANCH = OpClass.LOAD, OpClass.BRANCH
+
 
 @dataclass
 class BranchProfile:
@@ -63,7 +67,7 @@ class BranchProfiler:
             inst = record.inst
             opclass = inst.info.opclass
             if self.track_levels:
-                if opclass == OpClass.LOAD and record.mem_addr is not None:
+                if opclass is _LOAD and record.mem_addr is not None:
                     result = hierarchy.access_data(record.mem_addr)
                     if inst.rd is not None:
                         reg_level[inst.rd] = int(result.level)
@@ -73,7 +77,7 @@ class BranchProfiler:
                         if reg_level[reg] > level:
                             level = reg_level[reg]
                     reg_level[inst.rd] = level
-            if opclass != OpClass.BRANCH:
+            if opclass is not _BRANCH:
                 return
             taken = bool(record.taken)
             predicted, meta = predictor.predict(record.pc)

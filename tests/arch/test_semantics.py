@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.arch.bits import to_signed, to_unsigned
-from repro.arch.semantics import ALU_OPCODES, alu_compute, alu_fn, branch_taken
+from repro.arch.semantics import (
+    ALU_OPCODES,
+    alu_compute,
+    alu_fn,
+    branch_fn,
+    branch_taken,
+)
 from repro.isa.opcodes import Opcode
 
 _U32 = st.integers(0, 0xFFFFFFFF)
@@ -140,3 +146,41 @@ def test_every_alu_opcode_matches_its_reference(opcode, a, b, imm):
     assert 0 <= expected <= 0xFFFFFFFF
     assert alu_fn(opcode)(a, b, imm) == expected
     assert alu_compute(opcode, a, b, imm) == expected
+
+
+#: Reference directions for every conditional branch, from the helpers.
+_BRANCH_REFERENCE = {
+    Opcode.BEQ: lambda a, b: to_unsigned(a) == to_unsigned(b),
+    Opcode.BNE: lambda a, b: to_unsigned(a) != to_unsigned(b),
+    Opcode.BLT: lambda a, b: to_signed(a) < to_signed(b),
+    Opcode.BGE: lambda a, b: to_signed(a) >= to_signed(b),
+    Opcode.BLTU: lambda a, b: to_unsigned(a) < to_unsigned(b),
+    Opcode.BGEU: lambda a, b: to_unsigned(a) >= to_unsigned(b),
+}
+
+#: Sign and wrap boundaries, and values above 2**32 that alias them.
+_BRANCH_EDGES = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, -1,
+                 1 << 32, (1 << 32) + 1, (1 << 32) + 0x80000000,
+                 (1 << 33) - 1, (1 << 40) + 0x7FFFFFFF)
+_BRANCH_OPCODES = sorted(_BRANCH_REFERENCE, key=lambda op: op.name)
+
+
+def test_branch_reference_covers_every_branch_opcode():
+    branches = {op for op in Opcode if branch_fn(op) is not None}
+    assert branches == set(_BRANCH_REFERENCE)
+
+
+@pytest.mark.parametrize("opcode", _BRANCH_OPCODES, ids=lambda op: op.name)
+def test_every_branch_opcode_matches_its_reference_on_edges(opcode):
+    fn = branch_fn(opcode)
+    for a in _BRANCH_EDGES:
+        for b in _BRANCH_EDGES:
+            expected = _BRANCH_REFERENCE[opcode](a, b)
+            assert fn(a, b) is expected, (opcode, a, b)
+            assert branch_taken(opcode, a, b) is expected
+
+
+@pytest.mark.parametrize("opcode", _BRANCH_OPCODES, ids=lambda op: op.name)
+@given(a=_OPERAND, b=_OPERAND)
+def test_every_branch_opcode_matches_its_reference(opcode, a, b):
+    assert branch_fn(opcode)(a, b) is _BRANCH_REFERENCE[opcode](a, b)
