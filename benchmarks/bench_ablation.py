@@ -9,8 +9,6 @@ Not paper figures, but the studies a reviewer would ask for:
   predictors — it replaces prediction outright).
 """
 
-import dataclasses
-
 from benchmarks.common import compare, fmt, print_figure, run
 from repro.core import sandy_bridge_config
 

@@ -5,7 +5,7 @@ result).
 """
 
 from benchmarks.common import fmt, print_figure, run
-from repro.core import memory_bound_config, sandy_bridge_config, scale_window
+from repro.core import memory_bound_config, scale_window
 from repro.memsys.hierarchy import MemLevel
 
 _LEVELS = [MemLevel.NONE, MemLevel.L1, MemLevel.L2, MemLevel.L3, MemLevel.MEM]

@@ -7,13 +7,7 @@ hammocks (if-conversion) — separable is the largest remediable class.
 
 from benchmarks.common import SCALE, fmt, print_figure
 from repro.profiling import run_classification_study
-from repro.workloads.suite import (
-    CLASS_HAMMOCK,
-    CLASS_INSEPARABLE,
-    CLASS_LOOP_BRANCH,
-    CLASS_PARTIALLY_SEPARABLE,
-    CLASS_TOTALLY_SEPARABLE,
-)
+from repro.workloads.suite import CLASS_HAMMOCK, CLASS_INSEPARABLE
 
 
 def _study():

@@ -5,7 +5,7 @@ Paper: for BigLakes region #2 the CFD speedup grows from 1.51 at a
 baseline from using a larger window, while CFD turns the window into MLP.
 """
 
-from benchmarks.common import build, fmt, print_figure, run
+from benchmarks.common import fmt, print_figure, run
 from repro.core import memory_bound_config, scale_window
 
 _WINDOWS = [168, 320, 640]

@@ -6,15 +6,7 @@ work.  Paper ranges: CFD 0.90-1.86, DFD 1.01-1.36 (Table III); CFD(TQ)
 1.00-1.05 (Table IV).  Functional execution suffices (no timing needed).
 """
 
-from benchmarks.common import (
-    CFD_BQ_APPS,
-    CFD_PLUS_APPS,
-    DFD_APPS,
-    TQ_APPS,
-    build,
-    fmt,
-    print_figure,
-)
+from benchmarks.common import CFD_BQ_APPS, TQ_APPS, build, fmt, print_figure
 from repro.arch.executor import run_program
 from repro.workloads import get_workload
 

@@ -55,6 +55,7 @@ import tempfile
 from repro.analysis import compare_runs, format_table
 from repro.obs.export import ARTIFACT_VERSION, jsonable
 from repro.perf import ResultCache, SweepPoint, run_point
+from repro.perf.sweep import probe_cache
 from repro.rel import SupervisionPolicy, run_supervised_sweep
 from repro.workloads import get_workload
 
@@ -153,19 +154,33 @@ def run(workload_name, variant, input_name=None, config=None, scale=None,
     return built, run_point(point, cache=_CACHE, built=built).result
 
 
+def _cached(point):
+    """Whether the session's cache holds *point*, probed with the
+    session's build.  A build or probe that raises counts as a miss, so
+    the supervised sweep meets the error under its retry policy."""
+    try:
+        built = build(point.workload, point.variant, point.input_name,
+                      point.scale)
+        return probe_cache(_CACHE, point, built)[1] is not None
+    except Exception:
+        return False
+
+
 def prefetch(apps, variants=("base",), config=None, scale=None,
              max_instructions=None, jobs=None):
     """Warm the result cache for a figure's {app x variant} grid.
 
     *apps* is a list of ``(workload, input_name)`` pairs (the module-level
     app lists above); *variants* the variant names each app runs under.
-    Uncached points fan out over :func:`repro.rel.run_supervised_sweep`
+    The cache is probed here, with the session's own builds; only the
+    uncached points fan out over :func:`repro.rel.run_supervised_sweep`
     with *jobs* workers (default: ``REPRO_BENCH_JOBS``) under the
     ``REPRO_BENCH_TIMEOUT``/``RETRIES``/``JOURNAL`` supervision policy,
     after which the figure's serial ``run()``/``compare()`` loop is pure
     cache hits.  Points that fail are left for the serial path to
     re-raise with full context, and so are points resumed from the
-    journal whose entries the cache no longer holds.
+    journal whose entries the cache no longer holds.  Returns the
+    uncached points' outcomes.
     """
     jobs = JOBS if jobs is None else max(1, int(jobs))
     scale = SCALE if scale is None else scale
@@ -182,13 +197,16 @@ def prefetch(apps, variants=("base",), config=None, scale=None,
         for workload, input_name in apps
         for variant in variants
     ]
+    misses = [point for point in points if not _cached(point)]
+    if not misses:
+        return []
     policy = SupervisionPolicy(
         timeout=TIMEOUT,
         retries=RETRIES,
         journal_path=JOURNAL,
         resume=JOURNAL is not None,
     )
-    return run_supervised_sweep(points, jobs=jobs, cache=_CACHE, policy=policy)
+    return run_supervised_sweep(misses, jobs=jobs, cache=_CACHE, policy=policy)
 
 
 def compare(workload_name, variant, input_name=None, config=None, scale=None):

@@ -1,98 +1,196 @@
-"""Sparse architectural memory.
+"""Architectural memory: one dense word segment plus a sparse remainder.
 
-Word-granular backing store (a dict keyed by word-aligned byte address)
-with byte sub-access for the ``lb``/``lbu``/``sb`` instructions.  All
-values are stored as unsigned 32-bit words; signed interpretation is the
-consumer's concern (see :mod:`repro.arch.bits`).
+Word-granular and byte-addressed, with byte sub-access for the
+``lb``/``lbu``/``sb`` instructions.  The words from :data:`DATA_BASE` up,
+where the assembler lays out every ``.word`` and ``.space`` contiguously,
+live in one ``array('I')`` segment (4 bytes a word); any other word lives
+in a dict keyed by its byte address.  A program's initial data
+(:attr:`repro.isa.program.Program.data`), every machine's memory and
+every snapshot share this representation, so building a machine or
+taking a snapshot copies one array.
+
+All values are stored as unsigned 32-bit words; signed interpretation is
+the consumer's concern (see :mod:`repro.arch.bits`).  Absent words read
+0, and equality ignores zero words.  As a mapping, a memory holds the
+words that were laid out or stored (zeros included) and iterates them in
+address order.
 """
 
+from array import array
+
 from repro.errors import MemoryError_
+
+#: Byte address of the first data word: where the assembler places
+#: ``.data`` and where every image's dense segment begins.
+DATA_BASE = 0x10000
 
 _WORD_MASK = 0xFFFFFFFF
 
 
+def _word_error(addr):
+    """The error a word access at *addr* raises (misaligned first)."""
+    if addr & 3:
+        return MemoryError_("misaligned word access at 0x%x" % addr)
+    return MemoryError_("negative address 0x%x" % addr)
+
+
 class Memory:
-    """Byte-addressed memory with a word-granular sparse image."""
+    """Byte-addressed memory: a word segment from :data:`DATA_BASE` and a
+    sparse dict for every word outside it.
+
+    The segment's length is fixed when the image is made; stores outside
+    it go to the dict.
+    """
+
+    __slots__ = ("_seg", "_size", "_sparse")
 
     def __init__(self, image=None):
-        self._words = dict(image) if image else {}
+        self._seg = array("I")
+        self._size = 0
+        self._sparse = {}
+        if image is not None:
+            self.load_image(image)
+
+    @classmethod
+    def from_segment(cls, words):
+        """The image of *words*, an ``array('I')`` laid out from
+        :data:`DATA_BASE` on (taken, not copied)."""
+        memory = cls()
+        memory._seg = words
+        memory._size = len(words)
+        return memory
 
     def copy(self):
-        other = Memory()
-        other._words = dict(self._words)
-        return other
+        return Memory(self)
 
     def load_image(self, image):
-        """Install initial contents from a {byte_addr: word} mapping.
+        """Install contents from *image*: a :class:`Memory` or a
+        ``{byte_addr: word}`` mapping.
 
-        Validates like :meth:`store_word` but inline: data images run to
-        millions of words at large workload scales, and this is on every
-        pipeline's construction path.
+        Each address is validated like :meth:`store_word`, before any
+        word is installed, and each word masked to 32 bits.  Into an
+        empty memory a :class:`Memory` image is one array copy; otherwise
+        the words are stored one by one.
         """
-        words = self._words
+        if isinstance(image, Memory):
+            if not self._size and not self._sparse:
+                self._seg = image._seg[:]
+                self._size = image._size
+                self._sparse = dict(image._sparse)
+                return
+            image = dict(image.items())
+        for addr in image:
+            if addr & 3 or addr < 0:
+                raise _word_error(addr)
         for addr, value in image.items():
-            if addr % 4 != 0:
-                raise MemoryError_("misaligned word access at 0x%x" % addr)
-            if addr < 0:
-                raise MemoryError_("negative address 0x%x" % addr)
-            words[addr] = value & _WORD_MASK
-
-    def install_validated(self, words):
-        """Merge an already-validated, already-masked word image.
-
-        Trusted fast path for the per-program memo of
-        :func:`~repro.arch.state.program_image`, validated and masked
-        once via :meth:`load_image`: every machine built on the program
-        merges it without re-checking each of its (possibly millions
-        of) words.
-        """
-        self._words.update(words)
-
-    @staticmethod
-    def _check_aligned(addr):
-        if addr % 4 != 0:
-            raise MemoryError_("misaligned word access at 0x%x" % addr)
-        if addr < 0:
-            raise MemoryError_("negative address 0x%x" % addr)
+            self.store_word(addr, value)
 
     def load_word(self, addr):
         """Load the 32-bit word at byte address *addr* (must be aligned)."""
-        self._check_aligned(addr)
-        return self._words.get(addr, 0)
+        index = (addr - DATA_BASE) >> 2
+        if 0 <= index < self._size and not addr & 3:
+            return self._seg[index]
+        if addr & 3 or addr < 0:
+            raise _word_error(addr)
+        return self._sparse.get(addr, 0)
 
     def store_word(self, addr, value):
         """Store a 32-bit word at byte address *addr* (must be aligned)."""
-        self._check_aligned(addr)
-        self._words[addr] = value & _WORD_MASK
+        index = (addr - DATA_BASE) >> 2
+        if 0 <= index < self._size and not addr & 3:
+            self._seg[index] = value & _WORD_MASK
+            return
+        if addr & 3 or addr < 0:
+            raise _word_error(addr)
+        self._sparse[addr] = value & _WORD_MASK
+
+    def store_words(self, addr, words):
+        """Store the 32-bit *words*, an ``array('I')``, at consecutive
+        word addresses from *addr* on: one slice copy when they fall
+        inside the segment."""
+        index = (addr - DATA_BASE) >> 2
+        end = index + len(words)
+        if 0 <= index and end <= self._size and not addr & 3:
+            self._seg[index:end] = words
+            return
+        for offset, word in enumerate(words):
+            self.store_word(addr + 4 * offset, word)
 
     def load_byte(self, addr):
         """Load the unsigned byte at *addr* (little-endian within words)."""
-        if addr < 0:
+        index = (addr - DATA_BASE) >> 2
+        if 0 <= index < self._size:
+            word = self._seg[index]
+        elif addr < 0:
             raise MemoryError_("negative address 0x%x" % addr)
-        word = self._words.get(addr & ~3, 0)
+        else:
+            word = self._sparse.get(addr & ~3, 0)
         return (word >> (8 * (addr & 3))) & 0xFF
 
     def store_byte(self, addr, value):
         """Store the low 8 bits of *value* at byte address *addr*."""
+        shift = 8 * (addr & 3)
+        index = (addr - DATA_BASE) >> 2
+        if 0 <= index < self._size:
+            seg = self._seg
+            seg[index] = ((seg[index] & ~(0xFF << shift))
+                          | ((value & 0xFF) << shift))
+            return
         if addr < 0:
             raise MemoryError_("negative address 0x%x" % addr)
         base = addr & ~3
-        shift = 8 * (addr & 3)
-        word = self._words.get(base, 0)
-        word = (word & ~(0xFF << shift)) | ((value & 0xFF) << shift)
-        self._words[base] = word
+        sparse = self._sparse
+        sparse[base] = ((sparse.get(base, 0) & ~(0xFF << shift))
+                        | ((value & 0xFF) << shift))
+
+    # ------------------------------------------------ the image as a mapping
+
+    def arrays(self):
+        """Every word held, in address order: ``(addrs, words)`` as an
+        ``array('Q')`` of byte addresses and an ``array('I')``."""
+        sparse = self._sparse
+        low = sorted(addr for addr in sparse if addr < DATA_BASE)
+        high = sorted(addr for addr in sparse if addr >= DATA_BASE)
+        addrs = array("Q", low)
+        addrs.extend(range(DATA_BASE, DATA_BASE + 4 * self._size, 4))
+        addrs.extend(high)
+        words = array("I", [sparse[addr] for addr in low])
+        words.extend(self._seg)
+        words.extend([sparse[addr] for addr in high])
+        return addrs, words
+
+    def items(self):
+        """``(byte_addr, word)`` for every word held, in address order."""
+        return zip(*self.arrays())
+
+    def __iter__(self):
+        return iter(self.arrays()[0])
+
+    def __len__(self):
+        return self._size + len(self._sparse)
+
+    def __getitem__(self, addr):
+        index = (addr - DATA_BASE) >> 2
+        if 0 <= index < self._size and not addr & 3:
+            return self._seg[index]
+        return self._sparse[addr]
 
     def words(self):
-        """Snapshot of the non-zero word image ({byte_addr: word})."""
-        return dict(self._words)
+        """A ``{byte_addr: word}`` dict of every word held."""
+        return dict(self.items())
 
     def __eq__(self, other):
         if not isinstance(other, Memory):
             return NotImplemented
         # Zero-valued words are equivalent to absent words.
-        mine = {a: v for a, v in self._words.items() if v}
-        theirs = {a: v for a, v in other._words.items() if v}
-        return mine == theirs
+        if self._size == other._size:
+            if self._seg != other._seg:
+                return False
+            mine, theirs = self._sparse, other._sparse
+        else:
+            mine, theirs = self.words(), other.words()
+        return ({a: v for a, v in mine.items() if v}
+                == {a: v for a, v in theirs.items() if v})
 
     def __repr__(self):
-        return "Memory(%d words)" % len(self._words)
+        return "Memory(%d words)" % len(self)

@@ -12,26 +12,6 @@ from repro.arch.queues import BranchQueue, TripCountQueue, ValueQueue
 from repro.isa.instructions import NUM_GPRS, ZERO_REG
 
 
-def program_image(program):
-    """*program*'s validated, masked data image ({byte_addr: word}).
-
-    Memoized on the program object (``_image_words``): a sweep builds
-    many machines and warm-trace materializations over the same
-    immutable program, and large workloads' data images run to millions
-    of words.  Callers copy or merge it and never write to it.
-    """
-    image = getattr(program, "_image_words", None)
-    if image is None:
-        memory = Memory()
-        memory.load_image(program.data)
-        image = memory.words()
-        try:
-            program._image_words = image
-        except AttributeError:  # pragma: no cover - slotted stand-ins
-            pass
-    return image
-
-
 class ArchState:
     """Architectural machine state."""
 
@@ -58,10 +38,10 @@ class ArchState:
     def load_program(self, program):
         """Install *program*'s data image and entry point.
 
-        The image comes from :func:`program_image`'s memo and is merged
-        copy-on-install, never aliased, so machines stay independent.
+        The image is copied, never aliased, so machines stay
+        independent; into an empty memory that is one array copy.
         """
-        self.memory.install_validated(program_image(program))
+        self.memory.load_image(program.data)
         self.pc = program.entry
 
     def read_reg(self, reg):

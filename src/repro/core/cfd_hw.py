@@ -25,6 +25,10 @@ and a memory-level tag used for misprediction attribution statistics.
 
 from repro.memsys.hierarchy import MemLevel
 
+#: Bound once: on Python 3.10 and 3.11 every enum member load goes
+#: through the enum metaclass's ``__getattr__``.
+_LEVEL_NONE = int(MemLevel.NONE)
+
 #: Result kinds for a pop attempted at fetch.
 POP_HIT = "hit"
 POP_MISS = "miss"
@@ -41,7 +45,7 @@ class HardwareBQ:
         self.ckpt_id = [None] * size
         self.pred_predicate = [0] * size
         self.pop_seq = [None] * size
-        self.level = [int(MemLevel.NONE)] * size
+        self.level = [_LEVEL_NONE] * size
         self.fetch_tail = 0
         self.fetch_head = 0
         self.committed_tail = 0
@@ -77,15 +81,17 @@ class HardwareBQ:
         """Fetch of Branch_on_BQ: try to read the head predicate.
 
         Returns (POP_HIT, pointer, predicate, level) when the head entry's
-        push has executed, else (POP_MISS, pointer, None, None).  The head
-        pointer is NOT advanced on a miss; callers advance it via
-        :meth:`speculate_pop` or retry after a stall.
+        push has executed, else (POP_MISS, pointer, None, None).  *level*
+        is the stored int of the push's :class:`MemLevel`, which compares
+        equal to the member.  The head pointer is NOT advanced on a miss;
+        callers advance it via :meth:`speculate_pop` or retry after a
+        stall.
         """
         pointer = self.fetch_head
         index = pointer % self.size
         if pointer < self.fetch_tail and self.pushed[index]:
             self.fetch_head = pointer + 1
-            return POP_HIT, pointer, self.predicate[index], MemLevel(self.level[index])
+            return POP_HIT, pointer, self.predicate[index], self.level[index]
         return POP_MISS, pointer, None, None
 
     def speculate_pop(self, predicted_predicate, seq):

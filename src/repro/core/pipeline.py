@@ -511,7 +511,7 @@ class Pipeline:
             elif opclass is _BQ_BRANCH:
                 events["bq_access"] += 1
                 events["btb_access"] += 1
-                kind, pointer, predicate, level = hw_bq.pop_at_fetch()
+                kind, pointer, predicate, _level = hw_bq.pop_at_fetch()
                 if kind == POP_HIT:
                     uop.bq_ptr = pointer
                     uop.bq_pred = predicate

@@ -56,7 +56,7 @@ from collections import deque, namedtuple
 from repro.arch.executor import compile_handlers
 from repro.arch.memory import Memory
 from repro.arch.queues import BranchQueue, TripCountQueue, ValueQueue
-from repro.arch.state import ArchState, program_image
+from repro.arch.state import ArchState
 from repro.isa.instructions import LINK_REG, ZERO_REG
 
 #: The pipeline's code base, predecode layout and the enum members it
@@ -301,17 +301,14 @@ class _TrackingMemory(Memory):
     ``store_word``/``store_byte``, so the dirty set is complete.
     """
 
+    __slots__ = ("dirty",)
+
     def __init__(self, image=None):
-        Memory.__init__(self, image)
         self.dirty = set()
+        Memory.__init__(self, image)
 
     def store_word(self, addr, value):
-        # Inlined fast path (the pre-scan runs this per store); the
-        # error path defers to the base class for its diagnostics.
-        if addr & 3 or addr < 0:
-            Memory.store_word(self, addr, value)
-        else:
-            self._words[addr] = value & 0xFFFFFFFF
+        Memory.store_word(self, addr, value)
         self.dirty.add(addr)
 
     def store_byte(self, addr, value):
@@ -496,8 +493,8 @@ class _TraceRecorder:
         recorder's I-cache block register at *prev_block*."""
         state = self.state
         memory = state.memory
-        words = memory._words
-        delta = {addr: words.get(addr, 0) for addr in memory.dirty}
+        load = memory.load_word
+        delta = {addr: load(addr) for addr in memory.dirty}
         memory.dirty.clear()
         bq, vq, tq = state.bq, state.vq, state.tq
         bits = self.tq_bits
@@ -629,11 +626,9 @@ class PortableWarmTrace:
 
     # -------------------------------------------------- materialization
 
-    def _restart_state(self, boundary, words, config):
+    def _restart_state(self, boundary, memory, config):
         state = ArchState()
         state.regs = list(boundary.regs)
-        memory = Memory()
-        memory._words = words
         state.memory = memory
         bq = BranchQueue(config.bq_size)
         bq._entries = deque(boundary.bq[0])
@@ -701,10 +696,8 @@ class PortableWarmTrace:
             config = pipeline.config
             boundaries = self.boundaries
             boundary_positions = [b.position for b in boundaries]
-            # The program's memoized image (the one the pipeline loaded),
-            # so repeated materialize calls — a config sweep's points
-            # share one program — pay a plain copy, not a masking pass.
-            base_words = dict(program_image(program))
+            # The program's image, copied as one array.
+            base_memory = program.data.copy()
             applied = 0  # boundaries whose memory delta is folded in
             handler = None
             state = None
@@ -719,16 +712,18 @@ class PortableWarmTrace:
                     if handler is None or boundaries[floor].position > pos:
                         # Jump: fold deltas up to the floor boundary and
                         # restart the functional machine there.  The working
-                        # dict is handed to the machine WITHOUT a copy:
+                        # memory is handed to the machine WITHOUT a copy:
                         # mid-stride writes it makes are overwritten by the
                         # next fold anyway, because each boundary delta
                         # stores the absolute final value of every address
                         # written in its stride.
                         while applied <= floor:
-                            base_words.update(boundaries[applied].mem_delta)
+                            base_memory.load_image(
+                                boundaries[applied].mem_delta)
                             applied += 1
                         boundary = boundaries[floor]
-                        state = self._restart_state(boundary, base_words, config)
+                        state = self._restart_state(
+                            boundary, base_memory, config)
                         handler = handlers.start(state, boundary.prev_block)
                         pos = boundary.position
                         offset = boundary.offset

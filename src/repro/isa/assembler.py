@@ -25,7 +25,9 @@ onto :class:`~repro.isa.opcodes.Opcode` mnemonics.
 """
 
 import re
+from array import array
 
+from repro.arch.memory import Memory
 from repro.errors import AssemblerError
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode, opcode_for_mnemonic, op_info
@@ -208,10 +210,10 @@ def assemble(source, name=None):
     syntax or resolution problem.
     """
     in_data = False
-    data_words = []  # (symbol-or-None, values) in layout order
+    # The data words in layout order: the image's segment from DATA_BASE.
+    segment = array("I")
     pending = []  # code section: _PendingInstruction or ("label", name)
     symbols = {}
-    data_cursor = DATA_BASE
 
     for line_number, raw_line in enumerate(source.splitlines(), start=1):
         line = _strip_comment(raw_line)
@@ -228,7 +230,7 @@ def assemble(source, name=None):
                     raise AssemblerError(
                         "duplicate data symbol %r" % label_name, line_number
                     )
-                symbols[label_name] = data_cursor
+                symbols[label_name] = DATA_BASE + 4 * len(segment)
             else:
                 pending.append(("label", label_name, line_number))
             if not line:
@@ -246,17 +248,15 @@ def assemble(source, name=None):
             elif directive == ".word":
                 if not in_data:
                     raise AssemblerError(".word outside .data", line_number)
-                values = [_parse_int(v, line_number) for v in _split_operands(rest)]
-                data_words.append((data_cursor, values))
-                data_cursor += 4 * len(values)
+                segment.extend(_parse_int(v, line_number) & 0xFFFFFFFF
+                               for v in _split_operands(rest))
             elif directive == ".space":
                 if not in_data:
                     raise AssemblerError(".space outside .data", line_number)
                 count = _parse_int(rest, line_number)
                 if count < 0:
                     raise AssemblerError("negative .space", line_number)
-                data_words.append((data_cursor, [0] * count))
-                data_cursor += 4 * count
+                segment.frombytes(bytes(4 * count))
             else:
                 raise AssemblerError("unknown directive %r" % directive, line_number)
             continue
@@ -286,14 +286,10 @@ def assemble(source, name=None):
             continue
         code.extend(_expand(item, symbols, labels, len(code)))
 
-    data = {}
-    for base, values in data_words:
-        for offset, value in enumerate(values):
-            data[base + 4 * offset] = value & 0xFFFFFFFF
-
     entry = labels.get("main", 0)
     program = Program(
-        code=code, data=data, symbols=symbols, labels=labels, entry=entry, name=name
+        code=code, data=Memory.from_segment(segment), symbols=symbols,
+        labels=labels, entry=entry, name=name,
     )
     problems = program.validate()
     if problems:

@@ -2,28 +2,39 @@
 
 A program is the unit that both the functional executor and the cycle-level
 simulator consume.  PCs index the code list directly (one instruction per
-PC); data addresses are byte addresses into a word-granular initial image.
+PC); data addresses are byte addresses into a word-granular initial image,
+a :class:`~repro.arch.memory.Memory` whose dense segment starts at
+:data:`DATA_BASE`.
 """
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.arch.memory import DATA_BASE, Memory
 from repro.isa.instructions import Instruction, validate_instruction
 
-#: Byte address where the assembler places the first data word.
-DATA_BASE = 0x10000
+__all__ = ["DATA_BASE", "Program"]
 
 
 @dataclass
 class Program:
-    """An assembled DRISC program."""
+    """An assembled DRISC program.
+
+    ``data`` is the initial data image.  A ``{byte_addr: word}`` mapping
+    given here is validated and made into a
+    :class:`~repro.arch.memory.Memory` once, on construction.
+    """
 
     code: List[Instruction] = field(default_factory=list)
-    data: Dict[int, int] = field(default_factory=dict)  # byte addr -> word
+    data: Memory = field(default_factory=Memory)
     symbols: Dict[str, int] = field(default_factory=dict)  # data labels
     labels: Dict[str, int] = field(default_factory=dict)  # code labels
     entry: int = 0
     name: Optional[str] = None
+
+    def __post_init__(self):
+        if not isinstance(self.data, Memory):
+            self.data = Memory(self.data)
 
     def __len__(self):
         return len(self.code)

@@ -34,7 +34,6 @@ import json
 import os
 import sys
 import time
-from array import array
 
 from repro.core.stats import SimStats
 from repro.energy.mcpat import EnergyReport
@@ -154,13 +153,10 @@ def program_digest(program):
             ).encode()
         )
     hasher.update(b"--data--\n")
-    # Bulk-hash the data image (it can run to millions of words at large
-    # workload scales; per-word ``to_bytes`` calls dominated trace-store
-    # key computation before this).  Explicitly little-endian so the
-    # digest stays host-independent.
-    data = program.data
-    addrs = array("Q", sorted(data))
-    values = array("I", [data[addr] & 0xFFFFFFFF for addr in addrs])
+    # Bulk-hash the data image: every word's address, then every word,
+    # in address order.  Explicitly little-endian so the digest stays
+    # host-independent.
+    addrs, values = program.data.arrays()
     if sys.byteorder == "big":  # pragma: no cover - LE hosts everywhere
         addrs.byteswap()
         values.byteswap()

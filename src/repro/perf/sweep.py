@@ -11,7 +11,7 @@ what it schedules.
 :func:`run_point` runs one point, and everything that runs a point
 calls it: ``repro run``, the figure benches' ``run()`` and the sweep
 worker.  It builds the workload from the (deterministic) build recipe,
-probes the :class:`~repro.perf.cache.ResultCache` (:func:`_probe_cache`),
+probes the :class:`~repro.perf.cache.ResultCache` (:func:`probe_cache`),
 returns a stored entry without simulating, and otherwise simulates full
 detail or sampled and stores the lossless snapshot from
 :func:`repro.perf.cache.snapshot_result`.
@@ -180,7 +180,7 @@ def _build_point(point):
     return built
 
 
-def _probe_cache(cache, point, built=None):
+def probe_cache(cache, point, built=None):
     """``(key, hit)``: *point*'s key in *cache* and the stored
     :class:`~repro.perf.cache.CachedSimResult` (``None`` on a miss).
 
@@ -239,7 +239,7 @@ def run_point(point, cache=None, trace_store=None, observer=None,
         built = _build_point(point)
     cache_key = None
     if cache is not None:
-        cache_key, hit = _probe_cache(cache, point, built)
+        cache_key, hit = probe_cache(cache, point, built)
         if hit is not None:
             return PointResult(hit, hit.payload, cache_key, True)
     plan = point.sampling_plan()
@@ -415,7 +415,7 @@ def prewarm_traces(points, trace_store, telemetry=None, cache=None):
                     )
                 continue
             if cache is not None and all(
-                _probe_cache(cache, member)[1] is not None
+                probe_cache(cache, member)[1] is not None
                 for member in members
             ):
                 continue

@@ -81,11 +81,11 @@ from repro.perf.cache import CachedSimResult, config_fingerprint
 from repro.perf.sweep import (
     PointRun,
     SweepOutcome,
-    _probe_cache,
     _simulate_point,
     _trace_groups,
     default_jobs,
     prewarm_traces,
+    probe_cache,
 )
 
 #: Bump when the journal line format changes (old journals then resume
@@ -455,7 +455,7 @@ def run_supervised_sweep(points, jobs=None, cache=None, policy=None,
                 continue
             if probing:
                 try:
-                    cache_key, hit = _probe_cache(cache, point)
+                    cache_key, hit = probe_cache(cache, point)
                 except Exception:
                     # The worker hits the same error and reports it,
                     # under the retry policy like any other point error.

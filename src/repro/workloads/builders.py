@@ -15,6 +15,7 @@ Register conventions used across the kernels::
 
 import os
 import sys
+from array import array
 
 from repro.errors import LintError, WorkloadError
 from repro.isa.assembler import assemble
@@ -49,9 +50,8 @@ def install_array(program, symbol, values):
     """Fill a ``.space``-declared array with *values* (word granular)."""
     if symbol not in program.symbols:
         raise WorkloadError("unknown data symbol %r" % symbol)
-    base = program.symbols[symbol]
-    for offset, word in enumerate(to_words(values)):
-        program.data[base + 4 * offset] = word
+    program.data.store_words(
+        program.symbols[symbol], array("I", to_words(values)))
 
 
 def lint_mode():

@@ -71,4 +71,7 @@ def run_lengths(count, max_run=9, zero_fraction=0.2, seed=0):
 
 def to_words(values):
     """Clamp numpy values into unsigned 32-bit words for ``.word`` data."""
-    return [int(v) & _WORD for v in np.asarray(values).tolist()]
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":  # floats, or ints past 64 bits
+        return [int(v) & _WORD for v in values.tolist()]
+    return (values.astype(np.int64) & _WORD).tolist()

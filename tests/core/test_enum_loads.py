@@ -3,10 +3,12 @@
 On CPython 3.10 and 3.11 the enum metaclass defines ``__getattr__``, so
 a member load such as ``OpClass.LOAD`` costs several module-global
 loads.  :mod:`repro.core.pipeline` therefore binds every member it
-compares against once, at import, and
+compares against once, at import,
+:class:`~repro.core.cfd_hw.HardwareBQ` hands out the stored int of a
+popped entry's level, and
 :class:`~repro.memsys.hierarchy.MemoryHierarchy` returns one of a few
 prebuilt, frozen :class:`~repro.memsys.hierarchy.AccessResult` objects
-per access.  These tests build the pipelines first, then swap the two
+per access.  These tests build the pipelines first, then swap the three
 modules' enum names for counting proxies and run: a run must load no
 member and produce the stats of an unpatched run.  They count; they
 never time.
@@ -17,6 +19,7 @@ import json
 
 import pytest
 
+import repro.core.cfd_hw as cfd_hw_module
 import repro.core.pipeline as pipeline_module
 import repro.memsys.hierarchy as hierarchy_module
 from repro.core import memory_bound_config, sandy_bridge_config
@@ -131,7 +134,8 @@ target:
 
 
 class _CountingEnum:
-    """Stands in for an enum class and counts every member handed out."""
+    """Stands in for an enum class and counts every member handed out,
+    by attribute or by value lookup."""
 
     def __init__(self, enum):
         self._enum = enum
@@ -141,12 +145,16 @@ class _CountingEnum:
         self.loads += 1
         return getattr(self._enum, name)
 
+    def __call__(self, value):
+        self.loads += 1
+        return self._enum(value)
+
 
 def _count_enum_loads(monkeypatch):
-    """Swap the enum names of the pipeline and hierarchy modules for
-    counting proxies; returns ``{"module.Name": proxy}``."""
+    """Swap the enum names of the pipeline, hardware-queue and hierarchy
+    modules for counting proxies; returns ``{"module.Name": proxy}``."""
     proxies = {}
-    for module in (pipeline_module, hierarchy_module):
+    for module in (pipeline_module, cfd_hw_module, hierarchy_module):
         for name in _ENUM_NAMES:
             if hasattr(module, name):
                 proxy = _CountingEnum(getattr(module, name))
@@ -207,6 +215,7 @@ def test_detailed_runs_load_no_enum_member(monkeypatch):
     assert {name: proxy.loads for name, proxy in proxies.items()} == {
         name: 0 for name in proxies}
     assert sorted(proxies) == [
+        "repro.core.cfd_hw.MemLevel",
         "repro.core.pipeline.MemLevel", "repro.core.pipeline.OpClass",
         "repro.core.pipeline.Opcode", "repro.memsys.hierarchy.MemLevel"]
     assert got == expected

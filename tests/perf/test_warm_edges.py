@@ -8,9 +8,12 @@ never warm functionally, windowed warming that replays only a suffix,
 and torn files that must refuse to load rather than mis-warm.
 """
 
+from array import array
+
 import pytest
 
-from repro.arch.state import ArchState, program_image
+from repro.arch.memory import Memory
+from repro.arch.state import ArchState
 from repro.core import sandy_bridge_config
 from repro.core.pipeline import Pipeline
 from repro.core.simulator import Simulator
@@ -138,17 +141,19 @@ def test_window_spec_parses_and_rejects_negative():
         SamplingPlan(warm_window=-1).validate()
 
 
-def test_one_data_image_memo_per_program():
+def test_sampled_run_leaves_no_second_data_image():
+    """A sampled run keeps no second copy of the data image on the
+    program, and the machines built on it copy the image, never alias
+    it."""
     program = _build().program
+    pristine = program.data.words()
     plan = SamplingPlan.from_spec(
         "interval=400,warmup=100,period=2000,head=500,tail=500")
     SampledSimulator(program, sandy_bridge_config(), plan).run(20_000)
-    image = program_image(program)
     images = [name for name, value in vars(program).items()
-              if isinstance(value, dict) and name != "data"
+              if isinstance(value, (Memory, dict, array))
               and len(value) == len(program.data)]
-    assert images == ["_image_words"]
-    pristine = dict(image)
-    ArchState(program).memory.store_word(next(iter(image)), 0xDEAD)
-    assert program_image(program) is image
-    assert image == pristine
+    assert images == ["data"]
+    assert isinstance(program.data, Memory)
+    ArchState(program).memory.store_word(next(iter(program.data)), 0xDEAD)
+    assert program.data.words() == pristine

@@ -41,6 +41,18 @@ def test_to_words_masks_negative():
     assert data_gen.to_words(np.array([-1, 5])) == [0xFFFFFFFF, 5]
 
 
+def test_to_words_matches_the_per_value_loop():
+    values = [0, 1, -1, 2**31, -2**31, 2**32 - 1, 2**32, -2**32 - 7,
+              2**63 - 1, -2**63]
+    reference = [int(v) & 0xFFFFFFFF for v in values]
+    assert data_gen.to_words(np.array(values, dtype=np.int64)) == reference
+    assert data_gen.to_words(values) == reference
+    assert data_gen.to_words(np.array([2**64 - 1], dtype=np.uint64)) == [
+        0xFFFFFFFF]
+    assert data_gen.to_words([2**64 + 5, -1]) == [5, 0xFFFFFFFF]
+    assert data_gen.to_words(np.array([1.9, -1.5])) == [1, 0xFFFFFFFF]
+
+
 @given(st.integers(1, 500), st.integers(0, 2**31))
 def test_determinism(count, seed):
     a = data_gen.random_predicates(count, seed=seed)
