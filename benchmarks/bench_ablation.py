@@ -9,7 +9,7 @@ Not paper figures, but the studies a reviewer would ask for:
   predictors — it replaces prediction outright).
 """
 
-from benchmarks.common import compare, fmt, print_figure, run
+from benchmarks.common import compare, fmt, prefetch, print_figure, run
 from repro.core import sandy_bridge_config
 
 _WORKLOAD, _INPUT = "soplex", "ref"
@@ -18,7 +18,10 @@ _WORKLOAD, _INPUT = "soplex", "ref"
 def _chunk_sweep():
     """Strip-mine chunk sweep via the automatic CFD pass: small chunks give
     less fetch separation and more loop overhead; the BQ size (128) is the
-    ceiling.  Uses the IR kernel so the chunk is a real pass parameter."""
+    ceiling.  Uses the IR kernel so the chunk is a real pass parameter.
+
+    Stays serial: its programs are lowered here, not registered
+    workloads, so there are no sweep points to prefetch."""
     import numpy as np
 
     from repro.core import simulate
@@ -62,11 +65,13 @@ def _chunk_sweep():
 
 
 def _checkpoint_sweep():
+    configs = {
+        count: sandy_bridge_config(num_checkpoints=count, name="ckpt%d" % count)
+        for count in (0, 2, 4, 8, 16)
+    }
+    prefetch([(_WORKLOAD, _INPUT)], config=list(configs.values()))
     rows = []
-    for count in (0, 2, 4, 8, 16):
-        config = sandy_bridge_config(
-            num_checkpoints=count, name="ckpt%d" % count
-        )
+    for count, config in configs.items():
         _, result = run(_WORKLOAD, "base", _INPUT, config=config)
         rows.append((count, result.stats.ipc, result.stats.retire_recoveries))
     return rows
@@ -77,15 +82,21 @@ def _confidence_ablation():
     always = sandy_bridge_config(
         confidence_guided_checkpoints=False, name="conf-off"
     )
+    prefetch([(_WORKLOAD, _INPUT)], config=[guided, always])
     _, guided_result = run(_WORKLOAD, "base", _INPUT, config=guided)
     _, always_result = run(_WORKLOAD, "base", _INPUT, config=always)
     return guided_result, always_result
 
 
 def _predictor_sweep():
+    configs = {
+        predictor: sandy_bridge_config(predictor=predictor, name=predictor)
+        for predictor in ("bimodal", "gshare", "isl_tage")
+    }
+    prefetch([(_WORKLOAD, _INPUT)], variants=("base", "cfd"),
+             config=list(configs.values()))
     rows = []
-    for predictor in ("bimodal", "gshare", "isl_tage"):
-        config = sandy_bridge_config(predictor=predictor, name=predictor)
+    for predictor, config in configs.items():
         comparison, base_result, _ = compare(_WORKLOAD, "cfd", _INPUT, config=config)
         rows.append((predictor, base_result.stats.mpki, comparison.speedup))
     return rows

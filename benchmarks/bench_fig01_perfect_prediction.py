@@ -5,18 +5,17 @@ on the hard-branch applications.  We reproduce the sweep over the CFD
 application list and assert the same range shape.
 """
 
-from benchmarks.common import CFD_BQ_APPS, fmt, print_figure, run
+from benchmarks.common import CFD_BQ_APPS, fmt, prefetch, print_figure, run
 from repro.core import sandy_bridge_config
 
 
 def _sweep():
+    perfect_config = sandy_bridge_config(predictor="perfect")
+    prefetch(CFD_BQ_APPS, config=[None, perfect_config])
     rows = []
     for workload, input_name in CFD_BQ_APPS:
         _, real = run(workload, "base", input_name)
-        _, perfect = run(
-            workload, "base", input_name,
-            config=sandy_bridge_config(predictor="perfect"),
-        )
+        _, perfect = run(workload, "base", input_name, config=perfect_config)
         speedup = real.stats.cycles / perfect.stats.cycles
         energy_saving = 1.0 - perfect.energy.total_pj / real.energy.total_pj
         rows.append(

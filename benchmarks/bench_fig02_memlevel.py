@@ -4,7 +4,7 @@ and Figure 2b: astar IPC vs window size with/without perfect prediction
 result).
 """
 
-from benchmarks.common import fmt, print_figure, run
+from benchmarks.common import fmt, prefetch, print_figure, run
 from repro.core import memory_bound_config, scale_window
 from repro.memsys.hierarchy import MemLevel
 
@@ -19,9 +19,11 @@ _WINDOWS = [168, 320, 640]
 
 
 def _fig2a():
+    config = memory_bound_config()
+    prefetch(_APPS, config=config)
     rows = []
     for workload, input_name in _APPS:
-        _, result = run(workload, "base", input_name, config=memory_bound_config())
+        _, result = run(workload, "base", input_name, config=config)
         fractions = result.stats.mispredict_level_fractions()
         rows.append(
             [("%s(%s)" % (workload, input_name))]
@@ -31,12 +33,17 @@ def _fig2a():
 
 
 def _fig2b():
+    configs = {
+        rob: (scale_window(memory_bound_config(), rob),
+              scale_window(memory_bound_config(predictor="perfect"), rob))
+        for rob in _WINDOWS
+    }
+    prefetch([("astar_r1", "BigLakes")],
+             config=[cfg for pair in configs.values() for cfg in pair],
+             scale=1.0)
     series = []
     for rob in _WINDOWS:
-        real_cfg = scale_window(memory_bound_config(), rob)
-        perf_cfg = scale_window(
-            memory_bound_config(predictor="perfect"), rob
-        )
+        real_cfg, perf_cfg = configs[rob]
         _, real = run("astar_r1", "base", "BigLakes", config=real_cfg, scale=1.0)
         _, perfect = run("astar_r1", "base", "BigLakes", config=perf_cfg, scale=1.0)
         series.append((rob, real.stats.ipc, perfect.stats.ipc))

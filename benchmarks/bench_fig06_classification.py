@@ -5,13 +5,13 @@ mispredictions, 41.4% are separable (CFD-addressable) and 26.5% are
 hammocks (if-conversion) — separable is the largest remediable class.
 """
 
-from benchmarks.common import SCALE, fmt, print_figure
+from benchmarks.common import build, fmt, print_figure
 from repro.profiling import run_classification_study
 from repro.workloads.suite import CLASS_HAMMOCK, CLASS_INSEPARABLE
 
 
 def _study():
-    return run_classification_study(scale=SCALE, max_instructions=80_000)
+    return run_classification_study(max_instructions=80_000, build=build)
 
 
 def test_fig06_and_table1(benchmark):

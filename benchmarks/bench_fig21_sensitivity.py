@@ -8,7 +8,7 @@
     tiff applications show a real difference.
 """
 
-from benchmarks.common import compare, fmt, print_figure
+from benchmarks.common import compare, fmt, prefetch, print_figure
 from repro.core import sandy_bridge_config, scale_window
 from repro.core.config import BQ_MISS_STALL
 
@@ -20,13 +20,16 @@ _POLICY_APPS = [("soplex", "ref"), ("tiff_2bw", "2bw"), ("tiff_median", "median"
 
 
 def _depth_sweep():
+    configs = {
+        depth: sandy_bridge_config(front_end_depth=depth, name="depth%d" % depth)
+        for depth in _DEPTHS
+    }
+    prefetch(_DEPTH_APPS, variants=("base", "cfd"), config=list(configs.values()))
     rows = []
     for workload, input_name in _DEPTH_APPS:
         per_depth = []
         for depth in _DEPTHS:
-            config = sandy_bridge_config(
-                front_end_depth=depth, name="depth%d" % depth
-            )
+            config = configs[depth]
             comparison, base_result, _ = compare(
                 workload, "cfd", input_name, config=config
             )
@@ -36,11 +39,13 @@ def _depth_sweep():
 
 
 def _window_sweep():
+    configs = {rob: scale_window(sandy_bridge_config(), rob) for rob in _WINDOWS}
+    prefetch(_WINDOW_APPS, variants=("base", "cfd"), config=list(configs.values()))
     rows = []
     for workload, input_name in _WINDOW_APPS:
         per_window = []
         for rob in _WINDOWS:
-            config = scale_window(sandy_bridge_config(), rob)
+            config = configs[rob]
             comparison, _, _ = compare(workload, "cfd", input_name, config=config)
             per_window.append((rob, comparison.speedup))
         rows.append((workload, per_window))
@@ -48,12 +53,11 @@ def _window_sweep():
 
 
 def _policy_sweep():
+    stall_cfg = sandy_bridge_config(bq_miss_policy=BQ_MISS_STALL, name="bq-stall")
+    prefetch(_POLICY_APPS, variants=("base", "cfd"), config=[None, stall_cfg])
     rows = []
     for workload, input_name in _POLICY_APPS:
         spec, _, spec_result = compare(workload, "cfd", input_name)
-        stall_cfg = sandy_bridge_config(
-            bq_miss_policy=BQ_MISS_STALL, name="bq-stall"
-        )
         stall, _, stall_result = compare(
             workload, "cfd", input_name, config=stall_cfg
         )

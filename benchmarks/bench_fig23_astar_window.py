@@ -5,7 +5,7 @@ Paper: for BigLakes region #2 the CFD speedup grows from 1.51 at a
 baseline from using a larger window, while CFD turns the window into MLP.
 """
 
-from benchmarks.common import fmt, print_figure, run
+from benchmarks.common import fmt, prefetch, print_figure, run
 from repro.core import memory_bound_config, scale_window
 
 _WINDOWS = [168, 320, 640]
@@ -13,11 +13,14 @@ _REGIONS = [("astar_r1", "BigLakes"), ("astar_r2", "BigLakes")]
 
 
 def _sweep():
+    configs = {rob: scale_window(memory_bound_config(), rob) for rob in _WINDOWS}
+    prefetch(_REGIONS, variants=("base", "cfd"), config=list(configs.values()),
+             scale=1.0)
     rows = []
     for workload, input_name in _REGIONS:
         series = []
         for rob in _WINDOWS:
-            config = scale_window(memory_bound_config(), rob)
+            config = configs[rob]
             _, base = run(workload, "base", input_name, config=config, scale=1.0)
             _, cfd = run(workload, "cfd", input_name, config=config, scale=1.0)
             work = base.stats.retired

@@ -6,7 +6,7 @@ miss clusters) than CFD; and DFD moves the branches' data closer to the
 core — far-level-fed mispredictions become near-level-fed.
 """
 
-from benchmarks.common import fmt, print_figure, run
+from benchmarks.common import fmt, prefetch, print_figure, run
 from repro.core import memory_bound_config
 from repro.memsys.hierarchy import MemLevel
 
@@ -16,6 +16,7 @@ _LEVELS = [MemLevel.NONE, MemLevel.L1, MemLevel.L2, MemLevel.L3, MemLevel.MEM]
 
 def _collect():
     config = memory_bound_config()
+    prefetch([_APP], variants=("base", "cfd", "dfd"), config=config, scale=1.0)
     results = {}
     for variant in ("base", "cfd", "dfd"):
         _, results[variant] = run(_APP[0], variant, _APP[1], config=config,

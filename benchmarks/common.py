@@ -20,12 +20,12 @@ a figure after an unrelated edit is incremental.  Set
 ``REPRO_BENCH_NO_CACHE=1`` to start from an empty cache in a temporary
 directory that lives for the session.
 
-Parallelism: figures call :func:`prefetch` with their full point list
-before the (serial) table-building loop; with ``REPRO_BENCH_JOBS=N``
-(N > 1) the uncached points fan out over a process pool via
-:func:`repro.rel.run_supervised_sweep` and land in the result cache,
-after which the loop is pure cache hits.  The default is serial —
-results are byte-identical either way.
+Parallelism: before each (serial) table-building loop over registered
+workloads, a figure calls :func:`prefetch` with the loop's full point
+grid; with ``REPRO_BENCH_JOBS=N`` (N > 1) the uncached points fan out
+over a process pool via :func:`repro.rel.run_supervised_sweep` and land
+in the result cache, after which the loop is pure cache hits.  The
+default is serial — results are byte-identical either way.
 
 Supervision (see docs/ROBUSTNESS.md): ``REPRO_BENCH_TIMEOUT`` puts a
 per-point wall-clock limit (seconds) on prefetched points,
@@ -168,12 +168,14 @@ def _cached(point):
 
 def prefetch(apps, variants=("base",), config=None, scale=None,
              max_instructions=None, jobs=None):
-    """Warm the result cache for a figure's {app x variant} grid.
+    """Warm the result cache for a figure's {app x variant x config} grid.
 
     *apps* is a list of ``(workload, input_name)`` pairs (the module-level
-    app lists above); *variants* the variant names each app runs under.
-    The cache is probed here, with the session's own builds; only the
-    uncached points fan out over :func:`repro.rel.run_supervised_sweep`
+    app lists above); *variants* the variant names each app runs under;
+    *config* one core config (``None``: the default) or a list of them,
+    under each of which every app and variant runs.  The cache is
+    probed here, with the session's own builds; only the uncached
+    points fan out over :func:`repro.rel.run_supervised_sweep`
     with *jobs* workers (default: ``REPRO_BENCH_JOBS``) under the
     ``REPRO_BENCH_TIMEOUT``/``RETRIES``/``JOURNAL`` supervision policy,
     after which the figure's serial ``run()``/``compare()`` loop is pure
@@ -184,6 +186,7 @@ def prefetch(apps, variants=("base",), config=None, scale=None,
     """
     jobs = JOBS if jobs is None else max(1, int(jobs))
     scale = SCALE if scale is None else scale
+    configs = config if isinstance(config, list) else [config]
     points = [
         SweepPoint(
             workload=workload,
@@ -194,6 +197,7 @@ def prefetch(apps, variants=("base",), config=None, scale=None,
             seed=SEED,
             max_instructions=max_instructions,
         )
+        for config in configs
         for workload, input_name in apps
         for variant in variants
     ]

@@ -21,7 +21,6 @@ class FrontEndSnapshot:
     """Speculative front-end state captured when a branch is fetched."""
 
     predictor: Any = None
-    confidence: Any = None
     ras: Any = None
     oracle: Any = None
     bq: Optional[Tuple] = None

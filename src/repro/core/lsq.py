@@ -1,11 +1,13 @@
-"""Load/store queue helpers.
+"""Load/store disambiguation.
 
-The pipeline uses conservative memory disambiguation: a load with a
-computed address may proceed only once every older store's address is
-known.  Matching word-sized pairs forward store data in the LSQ;
-size-mismatched overlaps wait for the store to retire (then read the
-committed memory image).  This policy is conservative but never wrong,
-which keeps the retirement checker exact.
+The store queue holds the in-flight store uops themselves, in program
+order: a store's ``addr`` is ``None`` until its AGU runs and
+``is_byte`` gives its access size.  The pipeline uses conservative
+memory disambiguation: a load with a computed address may proceed only
+once every older store's address is known.  Matching word-sized pairs
+forward store data in the LSQ; size-mismatched overlaps wait for the
+store to retire (then read the committed memory image).  This policy is
+conservative but never wrong, which keeps the retirement checker exact.
 """
 
 
@@ -13,20 +15,8 @@ def word_of(addr):
     return addr & ~3
 
 
-class StoreQueueEntry:
-    """SQ bookkeeping for one in-flight store."""
-
-    __slots__ = ("uop", "addr", "addr_known", "is_byte")
-
-    def __init__(self, uop):
-        self.uop = uop
-        self.addr = None
-        self.addr_known = False
-        self.is_byte = False
-
-
-def scan_older_stores(store_entries, load_uop, load_addr, load_is_byte):
-    """Disambiguate *load_uop* against older SQ entries.
+def scan_older_stores(stores, load_uop, load_addr, load_is_byte):
+    """Disambiguate *load_uop* against the older store uops in *stores*.
 
     Returns one of:
       ("wait", blocking_uop)  — an older store blocks the load
@@ -34,21 +24,20 @@ def scan_older_stores(store_entries, load_uop, load_addr, load_is_byte):
       ("memory", None)        — no conflict; read committed memory
     """
     best = None
-    for entry in store_entries:
-        if entry.uop.seq >= load_uop.seq or entry.uop.squashed:
+    for store in stores:
+        if store.seq >= load_uop.seq or store.squashed:
             continue
-        if not entry.addr_known:
-            return "wait", entry.uop
-        if word_of(entry.addr) != word_of(load_addr):
+        addr = store.addr
+        if addr is None:
+            return "wait", store
+        if word_of(addr) != word_of(load_addr):
             continue
-        same_kind = entry.is_byte == load_is_byte
-        exact = entry.addr == load_addr
-        if same_kind and exact:
-            if best is None or entry.uop.seq > best.uop.seq:
-                best = entry
+        if store.is_byte == load_is_byte and addr == load_addr:
+            if best is None or store.seq > best.seq:
+                best = store
         else:
             # Partial/mismatched overlap: wait for the store to retire.
-            return "wait", entry.uop
+            return "wait", store
     if best is not None:
-        return "forward", best.uop
+        return "forward", best
     return "memory", None

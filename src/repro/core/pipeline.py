@@ -28,7 +28,7 @@ from repro.branch import (
 from repro.core.cfd_hw import HardwareBQ, HardwareTQ, POP_HIT
 from repro.core.checkpoints import CheckpointPool, FrontEndSnapshot
 from repro.core.config import BQ_MISS_SPECULATE
-from repro.core.lsq import StoreQueueEntry, scan_older_stores
+from repro.core.lsq import scan_older_stores
 from repro.core.oracle import DirectionOracle
 from repro.core.rename import RenameTables, VQRenamer
 from repro.core.stats import SimStats
@@ -137,58 +137,30 @@ _RETIRE_SPECIAL = frozenset({
 
 
 class Uop:
-    """One in-flight instruction.
+    """One in-flight instruction, from fetch until it retires or is
+    squashed.
 
-    Every field except the five identity ones defaults at class level:
-    reads fall through to the class attribute until a stage writes the
-    instance's own value.  (All defaults are immutable, so sharing is
-    safe.)  Constructing a uop therefore writes 5 attributes, not ~45 —
-    fetch creates one of these per slot per cycle, wrong path included,
-    which made ``__init__`` one of the hottest functions in the
-    simulator.
+    A slotted record: ``__init__`` writes every field, so each read is
+    a slot load rather than an instance-dict miss that falls through to
+    a class default (docs/PERFORMANCE.md).  Fetch builds one per slot
+    per cycle, wrong path included, and the fetch pipe, ROB, IQ, load
+    and store queues and the completion wheel all hold the same record.
+    ``addr`` stays ``None`` until the uop's AGU runs, which is how the
+    store queue tells an unknown store address (:mod:`repro.core.lsq`).
     """
 
-    phys_rd = None
-    old_phys_rd = None
-    arch_rd = None
-    src_phys = ()
-    in_iq = False
-    issued = False
-    done = False
-    squashed = False
-    serializing = False
-    serialize_start = None
-    is_ctrl = False
-    conditional = False
-    predicted_taken = False
-    predicted_target = None
-    pred_meta = None
-    actual_taken = None
-    actual_target = None
-    mispredicted = False
-    uses_predictor = False
-    oracle_used = False
-    conf_confident = True
-    ckpt_id = None
-    fe_snap = None
-    bq_ptr = None
-    bq_spec = False
-    bq_pred = None
-    tq_ptr = None
-    popped_count = None
-    popped_ovf = None
-    is_load = False
-    is_store = False
-    is_byte = False
-    addr = None
-    addr_known = False
-    mem_level = _LVL_NONE
-    value = None
-    level = _LVL_NONE
-    vq_source_phys = None
-    vq_dangling = False
-    needs_retire_redirect = False
-    redirect_pc = None
+    __slots__ = (
+        "seq", "pc", "inst", "opclass", "fetched_cycle",
+        "phys_rd", "arch_rd", "src_phys",
+        "issued", "done", "squashed", "serializing", "serialize_start",
+        "is_ctrl", "predicted_taken", "predicted_target", "pred_meta",
+        "actual_taken", "actual_target", "mispredicted", "uses_predictor",
+        "oracle_used", "conf_confident", "ckpt_id", "fe_snap",
+        "bq_ptr", "bq_spec", "tq_ptr",
+        "is_store", "is_byte", "addr", "mem_level", "value", "level",
+        "vq_source_phys", "vq_dangling",
+        "needs_retire_redirect", "redirect_pc",
+    )
 
     def __init__(self, seq, pc, inst, cycle, opclass=None):
         self.seq = seq
@@ -196,6 +168,39 @@ class Uop:
         self.inst = inst
         self.opclass = inst.info.opclass if opclass is None else opclass
         self.fetched_cycle = cycle
+        self.phys_rd = None
+        self.arch_rd = None
+        self.src_phys = ()
+        self.issued = False
+        self.done = False
+        self.squashed = False
+        self.serializing = False
+        self.serialize_start = None
+        self.is_ctrl = False
+        self.predicted_taken = False
+        self.predicted_target = None
+        self.pred_meta = None
+        self.actual_taken = None
+        self.actual_target = None
+        self.mispredicted = False
+        self.uses_predictor = False
+        self.oracle_used = False
+        self.conf_confident = True
+        self.ckpt_id = None
+        self.fe_snap = None
+        self.bq_ptr = None
+        self.bq_spec = False
+        self.tq_ptr = None
+        self.is_store = False
+        self.is_byte = False
+        self.addr = None
+        self.mem_level = _LVL_NONE
+        self.value = None
+        self.level = _LVL_NONE
+        self.vq_source_phys = None
+        self.vq_dangling = False
+        self.needs_retire_redirect = False
+        self.redirect_pc = None
 
 
 class Pipeline:
@@ -244,7 +249,9 @@ class Pipeline:
         self.fetch_pc = program.entry
         self.fetch_halted = False
         self.next_fetch_cycle = 0
-        self.fetch_pipe = deque()  # (ready_cycle, uop)
+        # Fetched uops, oldest first; one may rename once
+        # ``fetched_cycle + front_end_depth <= cycle``.
+        self.fetch_pipe = deque()
         self.fetch_pipe_cap = config.front_end_depth * config.fetch_width + config.fetch_width
         self.last_inst_block = None
 
@@ -418,10 +425,9 @@ class Pipeline:
     # ------------------------------------------------------------------ fetch
 
     def _capture_fe_snapshot(self):
-        """Pre-update front-end snapshot (predictor/conf/ras/oracle parts)."""
+        """Pre-update front-end snapshot (predictor/ras/oracle parts)."""
         return FrontEndSnapshot(
             predictor=self.predictor.snapshot(),
-            confidence=self.confidence.snapshot(),
             ras=self.ras.snapshot(),
             oracle=self.oracle.snapshot() if self.oracle is not None else None,
         )
@@ -470,7 +476,6 @@ class Pipeline:
         ncode = len(decoded)
         hw_bq = self.hw_bq
         hw_tq = self.hw_tq
-        ready_cycle = cycle + config.front_end_depth
         fetch_width = config.fetch_width
         seq = self.seq
         fetched = 0
@@ -488,7 +493,7 @@ class Pipeline:
                 # and is never a taken transfer — the common case.
                 uop = Uop(seq, pc, inst, cycle, opclass)
                 seq += 1
-                fetch_pipe.append((ready_cycle, uop))
+                fetch_pipe.append(uop)
                 fetched += 1
                 if obs is not None:
                     obs.on_fetch(uop, cycle)
@@ -514,14 +519,11 @@ class Pipeline:
                 kind, pointer, predicate, _level = hw_bq.pop_at_fetch()
                 if kind == POP_HIT:
                     uop.bq_ptr = pointer
-                    uop.bq_pred = predicate
                     uop.is_ctrl = True
-                    uop.conditional = True
                     uop.predicted_taken = bool(predicate)
                     uop.predicted_target = inst.target
                     uop.actual_taken = bool(predicate)
                     uop.actual_target = inst.target if predicate else next_pc
-                    uop.done = False  # marked done at rename
                     if predicate:
                         taken_transfer = True
                         next_pc = inst.target
@@ -534,11 +536,9 @@ class Pipeline:
                     events["predictor_access"] += 1
                     uop.conf_confident = self.confidence.is_confident(pc)
                     self.predictor.speculative_update(pc, predicted)
-                    self.confidence.speculative_update(predicted)
                     uop.bq_ptr = hw_bq.speculate_pop(predicted, uop.seq)
                     uop.bq_spec = True
                     uop.is_ctrl = True
-                    uop.conditional = True
                     uop.uses_predictor = True
                     uop.pred_meta = meta
                     uop.predicted_taken = predicted
@@ -567,8 +567,6 @@ class Pipeline:
                     stats.tq_stall_cycles += 1
                     break
                 uop.tq_ptr = pointer
-                uop.popped_count = count
-                uop.popped_ovf = overflow
                 self.spec_tcr = 0 if overflow else count
             elif opclass is _TQ_POP_BOV:
                 events["tq_access"] += 1
@@ -578,8 +576,6 @@ class Pipeline:
                     stats.tq_stall_cycles += 1
                     break
                 uop.tq_ptr = pointer
-                uop.popped_count = count
-                uop.popped_ovf = overflow
                 self.spec_tcr = count
                 uop.is_ctrl = True
                 uop.actual_taken = bool(overflow)
@@ -600,7 +596,6 @@ class Pipeline:
             elif opclass is _BRANCH:
                 events["btb_access"] += 1
                 uop.is_ctrl = True
-                uop.conditional = True
                 snap = self._capture_fe_snapshot()
                 if self._use_oracle_for(pc):
                     predicted = self.oracle.predict(pc)
@@ -613,7 +608,6 @@ class Pipeline:
                     uop.uses_predictor = True
                     uop.conf_confident = self.confidence.is_confident(pc)
                 self.predictor.speculative_update(pc, predicted)
-                self.confidence.speculative_update(predicted)
                 uop.predicted_taken = predicted
                 uop.predicted_target = inst.target
                 uop.fe_snap = self._finish_fe_snapshot(snap)
@@ -666,7 +660,7 @@ class Pipeline:
                 self.btb.install(pc, next_pc)
 
             seq += 1
-            fetch_pipe.append((ready_cycle, uop))
+            fetch_pipe.append(uop)
             if obs is not None:
                 obs.on_fetch(uop, cycle)
             self.fetch_pc = next_pc
@@ -695,11 +689,13 @@ class Pipeline:
         if not fetch_pipe:
             return
         cycle = self.cycle
+        config = self.config
+        # The youngest fetch cycle whose uops have crossed the front end.
+        fetched_by = cycle - config.front_end_depth
         # Nothing can rename this cycle: head still in the front-end pipe,
         # or a serializing instruction is draining.
-        if fetch_pipe[0][0] > cycle or self.serialize_pending:
+        if fetch_pipe[0].fetched_cycle > fetched_by or self.serialize_pending:
             return
-        config = self.config
         rob = self.rob
         rob_size = config.rob_size
         if len(rob) >= rob_size:
@@ -727,8 +723,8 @@ class Pipeline:
         rob_len = len(rob)  # rob/iq only grow inside this loop
         iq_len = len(iq)
         while renamed < rename_width and fetch_pipe:
-            ready_cycle, uop = fetch_pipe[0]
-            if ready_cycle > cycle:
+            uop = fetch_pipe[0]
+            if uop.fetched_cycle > fetched_by:
                 break
             if self.serialize_pending:
                 break
@@ -762,13 +758,13 @@ class Pipeline:
             src_arch = entry[_D_SRC_ARCH]
             n_src = len(src_arch)
             if n_src == 1:
-                sources = [rmt[src_arch[0]]]
+                sources = (rmt[src_arch[0]],)
             elif n_src == 2:
-                sources = [rmt[src_arch[0]], rmt[src_arch[1]]]
+                sources = (rmt[src_arch[0]], rmt[src_arch[1]])
             elif n_src == 0:
-                sources = []
+                sources = ()
             else:
-                sources = [rmt[reg] for reg in src_arch]
+                sources = tuple([rmt[reg] for reg in src_arch])
             if opclass is _VQ_POP:
                 src = self.vq_renamer.pop()
                 events["vq_renamer_access"] += 1
@@ -776,8 +772,8 @@ class Pipeline:
                     uop.vq_dangling = True
                     src = 0  # p0 (zero) — wrong-path only
                 uop.vq_source_phys = src
-                sources.append(src)
-            uop.src_phys = tuple(sources)
+                sources += (src,)
+            uop.src_phys = sources
 
             # Destination (inline of RenameTables.allocate_dest; the
             # freelist was checked non-empty above).
@@ -785,7 +781,6 @@ class Pipeline:
                 phys = free_phys.pop()
                 uop.arch_rd = dest_arch
                 uop.phys_rd = phys
-                uop.old_phys_rd = rmt[dest_arch]
                 rmt[dest_arch] = phys
                 prf_ready[phys] = False
                 prf_level[phys] = _LVL_NONE
@@ -844,21 +839,16 @@ class Pipeline:
                     uop.value = uop.pc + 1
                 uop.done = True
             else:
-                is_load = entry[_D_IS_LOAD]
                 is_store = entry[_D_IS_STORE]
-                uop.is_load = is_load
                 uop.is_store = is_store
                 uop.is_byte = entry[_D_IS_BYTE]
-                uop.in_iq = True
                 iq.append(uop)
                 iq_len += 1
                 iq_writes += 1
-                if is_load or entry[_D_IS_PREFETCH]:
+                if entry[_D_IS_LOAD] or entry[_D_IS_PREFETCH]:
                     load_queue.append(uop)
                 if is_store:
-                    sq_entry = StoreQueueEntry(uop)
-                    sq_entry.is_byte = uop.is_byte
-                    store_queue.append(sq_entry)
+                    store_queue.append(uop)
         if renamed:
             stats.renamed += renamed
             events["rename"] += renamed
@@ -946,7 +936,6 @@ class Pipeline:
                 # Inline of _issue_compute + _schedule: the single-cycle
                 # ALU op is the dominant issue case.
                 uop.issued = True
-                uop.in_iq = False
                 latency = decoded[uop.pc][_D_LATENCY]
                 when = cycle + (latency if latency > 1 else 1)
                 bucket = completions.get(when)
@@ -968,7 +957,6 @@ class Pipeline:
 
     def _issue_compute(self, uop):
         uop.issued = True
-        uop.in_iq = False
         # Completion is scheduled at the FU latency: dependent operations
         # issue back-to-back through the bypass network, as in real cores.
         # The deeper issue-to-execute pipe shows up only in the branch
@@ -979,17 +967,10 @@ class Pipeline:
     def _issue_memory(self, uop):
         """AGU issue: compute the address; the memory pipe takes it next."""
         uop.issued = True
-        uop.in_iq = False
         base = self.prf_value[uop.src_phys[0]]
         uop.addr = (base + uop.inst.imm) & 0xFFFFFFFF
-        uop.addr_known = True
         self.stats.events["agen"] += 1
         if uop.is_store:
-            for entry in self.store_queue:
-                if entry.uop is uop:
-                    entry.addr = uop.addr
-                    entry.addr_known = True
-                    break
             # A store is "done" once its address is known and data arrives.
             self._schedule(uop, 1)
         else:
@@ -1160,40 +1141,38 @@ class Pipeline:
         src_phys = uop.src_phys
         prf_value = self.prf_value
         prf_level = self.prf_level
-        # Gather operands; specialized for the overwhelmingly common 1-2
-        # source cases (a conditional move's 3 sources take the generic
-        # path).  ``level`` is the furthest feeding memory level.
+        # Operands ``a`` and ``b`` (0 where the instruction has fewer), read
+        # straight from the register file; ``level`` is the furthest
+        # feeding memory level.  Only a conditional move has 3 sources.
         n = len(src_phys)
         if n == 1:
             p0 = src_phys[0]
-            src_values = [prf_value[p0]]
+            a = prf_value[p0]
+            b = 0
             level = prf_level[p0]
-            src_levels = [level]
         elif n == 2:
             p0, p1 = src_phys
+            a = prf_value[p0]
+            b = prf_value[p1]
             l0 = prf_level[p0]
             l1 = prf_level[p1]
-            src_values = [prf_value[p0], prf_value[p1]]
-            src_levels = [l0, l1]
             level = l0 if l0 >= l1 else l1
         elif n == 0:
-            src_values = src_levels = ()
+            a = b = 0
             level = _LVL_NONE
         else:
-            src_values = [prf_value[p] for p in src_phys]
-            src_levels = [prf_level[p] for p in src_phys]
-            level = max(src_levels)
+            p0, p1, p2 = src_phys
+            a = prf_value[p0]
+            b = prf_value[p1]
+            old_rd = prf_value[p2]
+            level = max(prf_level[p0], prf_level[p1], prf_level[p2])
 
         if opclass is _ALU or opclass is _MUL or opclass is _DIV:
             fn = self._decoded[uop.pc][_D_ALU_FN]
             if fn is None:  # CMOVZ / CMOVNZ merge with the previous rd
-                a, condition, old_rd = src_values
-                move = (condition == 0) == (opcode is _OP_CMOVZ)
+                move = (b == 0) == (opcode is _OP_CMOVZ)
                 self._write_dest(uop, a if move else old_rd, level)
             else:
-                n = len(src_values)
-                a = src_values[0] if n else 0
-                b = src_values[1] if n > 1 else 0
                 # Inline of _write_dest/_write_phys; fn's result is already
                 # a masked 32-bit unsigned value.
                 uop.value = value = fn(a, b, inst.imm)
@@ -1210,8 +1189,6 @@ class Pipeline:
                 self._write_dest(uop, uop.value, uop.mem_level)
             uop.level = uop.mem_level
         elif opclass is _BRANCH:
-            a = src_values[0]
-            b = src_values[1] if len(src_values) > 1 else 0
             taken = self._decoded[uop.pc][_D_BR_FN](a, b)
             uop.actual_taken = taken
             uop.actual_target = inst.target if taken else uop.pc + 1
@@ -1223,7 +1200,7 @@ class Pipeline:
             else:
                 self._confirm_control(uop)
         elif opclass is _JUMP:  # JALR only
-            target = src_values[0]
+            target = a
             uop.actual_taken = True
             uop.actual_target = target
             self._write_dest(uop, uop.pc + 1, _LVL_NONE)
@@ -1233,7 +1210,7 @@ class Pipeline:
             else:
                 self._confirm_control(uop)
         elif opclass is _BQ_PUSH:
-            predicate = 1 if src_values[0] else 0
+            predicate = 1 if a else 0
             uop.value = predicate
             uop.level = level
             mismatch = self.hw_bq.execute_push(uop.bq_ptr, predicate, level)
@@ -1243,15 +1220,15 @@ class Pipeline:
             else:
                 self._late_push_confirm(uop)
         elif opclass is _TQ_PUSH:
-            count = src_values[0]
+            count = a
             uop.value = count
             self.hw_tq.execute_push(uop.tq_ptr, count)
             self.stats.events["tq_access"] += 1
-        elif opclass is _VQ_PUSH:
-            self._write_phys(uop.phys_rd, src_values[0], src_levels[0])
-            uop.value = src_values[0]
-        elif opclass is _VQ_POP:
-            self._write_dest(uop, src_values[0], src_levels[0])
+        elif opclass is _VQ_PUSH:  # one source: a and its level
+            self._write_phys(uop.phys_rd, a, level)
+            uop.value = a
+        elif opclass is _VQ_POP:  # one source, the pushed register
+            self._write_dest(uop, a, level)
         else:  # pragma: no cover
             raise SimulationError("unexpected opclass in execute: %s" % opclass)
 
@@ -1325,7 +1302,6 @@ class Pipeline:
         """Restore pre-branch front-end state, then re-apply the actual
         outcome of *uop* (the recovering branch stays in the pipeline)."""
         self.predictor.restore(snap.predictor)
-        self.confidence.restore(snap.confidence)
         self.ras.restore(snap.ras)
         if self.oracle is not None and snap.oracle is not None:
             self.oracle.restore(snap.oracle)
@@ -1335,10 +1311,8 @@ class Pipeline:
             if uop.oracle_used:
                 self.oracle.reapply(uop.pc)
             self.predictor.speculative_update(uop.pc, actual)
-            self.confidence.speculative_update(actual)
         elif opclass is _BQ_BRANCH:
             self.predictor.speculative_update(uop.pc, actual)
-            self.confidence.speculative_update(actual)
         elif opclass is _JUMP and uop.inst.opcode is _OP_JALR:
             if uop.inst.rs1 == LINK_REG and uop.inst.rd == ZERO_REG:
                 self.ras.pop()
@@ -1405,7 +1379,7 @@ class Pipeline:
             if uop.serializing:
                 self.serialize_pending = False
                 self.fetch_halted = False
-        for _ready_cycle, uop in self.fetch_pipe:
+        for uop in self.fetch_pipe:
             if uop.seq > seq:
                 uop.squashed = True
                 stats.squashed += 1
@@ -1413,12 +1387,10 @@ class Pipeline:
                     obs.on_squash(uop, self.cycle)
                 if uop.bq_spec:
                     self.inflight.pop(uop.seq, None)
-        self.fetch_pipe = deque(
-            item for item in self.fetch_pipe if item[1].seq <= seq
-        )
+        self.fetch_pipe = deque(u for u in self.fetch_pipe if u.seq <= seq)
         self.iq = [u for u in self.iq if not u.squashed]
         self.load_queue = [u for u in self.load_queue if not u.squashed]
-        self.store_queue = [e for e in self.store_queue if not e.uop.squashed]
+        self.store_queue = [u for u in self.store_queue if not u.squashed]
         self.waiting_loads = [u for u in self.waiting_loads if not u.squashed]
 
     # ---------------------------------------------------------------- retire
@@ -1543,10 +1515,10 @@ class Pipeline:
             # Retirement is in program order, so the retiring store is the
             # oldest SQ entry; fall back to a filter just in case.
             store_queue = self.store_queue
-            if store_queue and store_queue[0].uop is uop:
+            if store_queue and store_queue[0] is uop:
                 del store_queue[0]
             else:
-                self.store_queue = [e for e in store_queue if e.uop is not uop]
+                self.store_queue = [u for u in store_queue if u is not uop]
         elif opclass is _LOAD:
             load_queue = self.load_queue
             if load_queue and load_queue[0] is uop:

@@ -194,7 +194,6 @@ def warm_advance(pipeline, max_instructions):
                 predictor.speculative_update(pc, taken)
             else:
                 predicted = predictor.train(pc, taken)
-            confidence.speculative_update(taken)
             confidence.update(pc, predicted == taken)
             if taken:
                 btb.install(pc, record.target)
@@ -922,7 +921,6 @@ def replay_warm_events(pipeline, trace, start, end):
     oracle = pipeline.oracle
     train = predictor.train
     spec_update = predictor.speculative_update
-    conf_spec = confidence.speculative_update
     conf_update = confidence.update
     install = btb.install
     access_data = memory.access_data
@@ -940,25 +938,21 @@ def replay_warm_events(pipeline, trace, start, end):
         elif kind == _E_BR:
             pc = a_list[i]
             predicted = train(pc, False)
-            conf_spec(False)
             conf_update(pc, not predicted)
         elif kind == _E_BR_T:
             pc = a_list[i]
             predicted = train(pc, True)
-            conf_spec(True)
             conf_update(pc, predicted)
             install(pc, b_list[i])
         elif kind == _E_ORACLE:
             pc = a_list[i]
             predicted = oracle_predict(pc)
             spec_update(pc, False)
-            conf_spec(False)
             conf_update(pc, not predicted)
         elif kind == _E_ORACLE_T:
             pc = a_list[i]
             predicted = oracle_predict(pc)
             spec_update(pc, True)
-            conf_spec(True)
             conf_update(pc, predicted)
             install(pc, b_list[i])
         elif kind == _E_CFD_T or kind == _E_JUMP:

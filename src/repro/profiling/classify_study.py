@@ -94,12 +94,23 @@ class ClassificationStudy:
         )
 
 
-def run_classification_study(scale=0.25, max_instructions=120_000, seed=1):
-    """Profile every workload's base binary; returns the study."""
+def run_classification_study(scale=0.25, max_instructions=120_000, seed=1,
+                             build=None):
+    """Profile every workload's base binary; returns the study.
+
+    *build*, when given, makes each binary instead, called as
+    ``build(workload_name, "base", input_name)`` (a caller's build memo
+    at its own scale and seed); by default each is built at *scale* and
+    *seed*.
+    """
     study = ClassificationStudy()
     for workload in all_workloads():
         for input_name in workload.inputs:
-            built = workload.build("base", input_name, scale=scale, seed=seed)
+            if build is None:
+                built = workload.build("base", input_name, scale=scale,
+                                       seed=seed)
+            else:
+                built = build(workload.name, "base", input_name)
             profiler = profile_program(
                 built.program,
                 max_instructions=max_instructions,

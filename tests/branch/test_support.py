@@ -79,11 +79,3 @@ class TestConfidence:
             conf.update(pc, correct=True)
         conf.update(pc, correct=False)
         assert not conf.is_confident(pc)
-
-    def test_history_snapshot(self):
-        conf = JRSConfidenceEstimator()
-        conf.speculative_update(True)
-        snap = conf.snapshot()
-        conf.speculative_update(False)
-        conf.restore(snap)
-        assert conf.snapshot() == snap

@@ -1,23 +1,17 @@
 """Load/store disambiguation policy."""
 
-from repro.core.lsq import StoreQueueEntry, scan_older_stores
+from repro.core.lsq import scan_older_stores
 
 
 class _FakeUop:
-    def __init__(self, seq, squashed=False):
+    """The uop fields disambiguation reads; a store's ``addr`` is
+    ``None`` until its AGU runs."""
+
+    def __init__(self, seq, addr=None, is_byte=False, squashed=False):
         self.seq = seq
+        self.addr = addr
+        self.is_byte = is_byte
         self.squashed = squashed
-        self.value = None
-        self.src_phys = (0, 0)
-
-
-def _entry(seq, addr=None, is_byte=False, squashed=False):
-    entry = StoreQueueEntry(_FakeUop(seq, squashed))
-    if addr is not None:
-        entry.addr = addr
-        entry.addr_known = True
-    entry.is_byte = is_byte
-    return entry
 
 
 def test_no_stores_reads_memory():
@@ -26,50 +20,50 @@ def test_no_stores_reads_memory():
 
 
 def test_unknown_older_address_blocks():
-    stores = [_entry(5)]
+    stores = [_FakeUop(5)]
     action, other = scan_older_stores(stores, _FakeUop(10), 0x100, False)
     assert action == "wait"
 
 
 def test_younger_stores_ignored():
-    stores = [_entry(20, addr=0x100)]
+    stores = [_FakeUop(20, addr=0x100)]
     action, _ = scan_older_stores(stores, _FakeUop(10), 0x100, False)
     assert action == "memory"
 
 
 def test_exact_match_forwards_youngest():
-    stores = [_entry(3, addr=0x100), _entry(7, addr=0x100)]
+    stores = [_FakeUop(3, addr=0x100), _FakeUop(7, addr=0x100)]
     action, other = scan_older_stores(stores, _FakeUop(10), 0x100, False)
     assert action == "forward"
     assert other.seq == 7
 
 
 def test_different_word_no_conflict():
-    stores = [_entry(3, addr=0x200)]
+    stores = [_FakeUop(3, addr=0x200)]
     action, _ = scan_older_stores(stores, _FakeUop(10), 0x100, False)
     assert action == "memory"
 
 
 def test_size_mismatch_waits():
     # byte store overlapping a word load: conservative wait
-    stores = [_entry(3, addr=0x102, is_byte=True)]
+    stores = [_FakeUop(3, addr=0x102, is_byte=True)]
     action, _ = scan_older_stores(stores, _FakeUop(10), 0x100, False)
     assert action == "wait"
 
 
 def test_byte_load_from_byte_store_exact_forwards():
-    stores = [_entry(3, addr=0x102, is_byte=True)]
+    stores = [_FakeUop(3, addr=0x102, is_byte=True)]
     action, _ = scan_older_stores(stores, _FakeUop(10), 0x102, True)
     assert action == "forward"
 
 
 def test_byte_load_different_byte_same_word_waits():
-    stores = [_entry(3, addr=0x102, is_byte=True)]
+    stores = [_FakeUop(3, addr=0x102, is_byte=True)]
     action, _ = scan_older_stores(stores, _FakeUop(10), 0x101, True)
     assert action == "wait"
 
 
 def test_squashed_stores_ignored():
-    stores = [_entry(3, addr=0x100, squashed=True)]
+    stores = [_FakeUop(3, addr=0x100, squashed=True)]
     action, _ = scan_older_stores(stores, _FakeUop(10), 0x100, False)
     assert action == "memory"

@@ -5,6 +5,8 @@ datapath divergence raises SimulationError, and the final architectural
 state is compared against an independent functional run.
 """
 
+import pytest
+
 from repro.core import sandy_bridge_config, simulate
 from repro.core.pipeline import Pipeline, Uop
 from repro.isa import assemble
@@ -215,3 +217,16 @@ def test_wrong_path_load_from_a_bad_address_reads_zero(tiny_config):
         uop.is_byte = pc == 0
         uop.addr = addr
         assert pipeline._read_committed(uop) == 0
+
+
+def test_uop_is_a_slotted_record_with_every_field_written():
+    """A uop keeps no instance dict, and its constructor writes every
+    slot, so no stage can read a field that falls through to nothing."""
+    program = assemble(".text\nmain:\nlw r3, 0(r2)\nhalt")
+    uop = Uop(7, 0, program.code[0], 3)
+    assert not hasattr(uop, "__dict__")
+    for name in Uop.__slots__:
+        getattr(uop, name)
+    assert (uop.seq, uop.pc, uop.fetched_cycle, uop.addr) == (7, 0, 3, None)
+    with pytest.raises(AttributeError):
+        uop.in_iq = True

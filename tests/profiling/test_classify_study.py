@@ -58,3 +58,18 @@ def test_table_rows_sorted(study):
     suites = [r.suite for r in rows]
     assert suites == sorted(suites)
     assert all(r.mpki >= 0 for r in rows)
+
+
+def test_a_callers_builds_give_the_same_study(study):
+    from repro.workloads import get_workload
+
+    calls = []
+
+    def build(workload_name, variant, input_name):
+        calls.append((workload_name, variant, input_name))
+        return get_workload(workload_name).build(variant, input_name, 0.125, 1)
+
+    given = run_classification_study(max_instructions=30_000, build=build)
+    assert len(calls) == len(study.rows)
+    assert {variant for _, variant, _ in calls} == {"base"}
+    assert given.rows == study.rows
